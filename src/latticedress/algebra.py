@@ -150,9 +150,6 @@ class OperatorSeries:
         s.orders[order] = canonicalize(raw_terms, system)
         return s
 
-    def copy(self) -> "OperatorSeries":
-        return OperatorSeries(self.system, [dict(o) for o in self.orders], self.max_order)
-
     def truncated(self, max_order: int) -> "OperatorSeries":
         return OperatorSeries(self.system, [dict(o) for o in self.orders[: max_order + 1]],
                               max_order)
@@ -166,12 +163,6 @@ class OperatorSeries:
 
     def max_abs(self) -> float:
         return max((abs(c) for o in self.orders for c in o.values()), default=0.0)
-
-    def min_order_nonzero(self) -> int | None:
-        for n, o in enumerate(self.orders):
-            if o:
-                return n
-        return None
 
     def evaluate(self, lam: float) -> TermMap:
         """Collapse the series at a numeric coupling value."""
@@ -221,14 +212,6 @@ class OperatorSeries:
             [{s: factor * c for s, c in o.items()} for o in self.orders],
             self.max_order,
         )
-
-    def shifted(self, by: int) -> "OperatorSeries":
-        """Multiply by coupling^by (shift every order up), same max_order."""
-        out = [{} for _ in range(self.max_order + 1)]
-        for n, o in enumerate(self.orders):
-            if n + by <= self.max_order:
-                out[n + by] = dict(o)
-        return OperatorSeries(self.system, out, self.max_order)
 
 
 # ---- ring and Lie operations ----
@@ -318,17 +301,21 @@ def energy_denominator(sig: Signature, energy: Callable[[ModeIndex], float]) -> 
     return sum(energy(m) for m in creators) - sum(energy(m) for m in annihilators)
 
 
+def signature_json(sig: Signature) -> dict:
+    """JSON-compatible creator and annihilator lists of a signature."""
+    creators, annihilators = sig
+    return {
+        "creators": [{"species": m.species, "k": list(m.k)} for m in creators],
+        "annihilators": [{"species": m.species, "k": list(m.k)} for m in annihilators],
+    }
+
+
+def term_rows(terms: TermMap, order: int) -> list[dict]:
+    """JSON-compatible term table of one order: one row per stored monomial."""
+    return [{"order": order, "type": list(term_type(sig)), **signature_json(sig),
+             "re": c.real, "im": c.imag} for sig, c in terms.items()]
+
+
 def series_rows(p: OperatorSeries) -> list[dict]:
-    """JSON-compatible term table: one row per stored monomial."""
-    rows = []
-    for n, o in enumerate(p.orders):
-        for (creators, annihilators), c in o.items():
-            rows.append({
-                "order": n,
-                "type": [len(creators), len(annihilators)],
-                "creators": [{"species": m.species, "k": list(m.k)} for m in creators],
-                "annihilators": [{"species": m.species, "k": list(m.k)} for m in annihilators],
-                "re": c.real,
-                "im": c.imag,
-            })
-    return rows
+    """Term table of a whole series, order by order."""
+    return [row for n, o in enumerate(p.orders) for row in term_rows(o, n)]

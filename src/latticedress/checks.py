@@ -202,6 +202,8 @@ class _LambdaContext:
     """Per-coupling cache: H, exp(+-R), the dressed vacuum, the A(x,0) fields."""
 
     def __init__(self, model, basis, result, lam):
+        if len(model.system.species) != 1:
+            raise ScanError("the field scans support single-species models")
         self.model = model
         self.basis = basis
         self.lam = lam

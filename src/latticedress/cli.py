@@ -23,12 +23,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .algebra import bad_part, series_rows
+from .algebra import bad_part, series_rows, signature_json, term_rows
 from .checks import (
     ScanError,
+    _loglog_slope,
     eigenstate_residuals,
     equal_time_scan,
     momentum_commutation_defect,
@@ -37,7 +36,7 @@ from .checks import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .dressing import ZeroDenominatorError, dress, residual_bad_norm
-from .models import FieldSpecies, ModelSpec, build_model
+from .models import FieldSpecies, ModelError, ModelSpec, build_model
 from .modes import LatticeSpec
 from .numerics import (
     BasisError,
@@ -100,14 +99,14 @@ def run_dress(model: ModelSpec, cfg: RunConfig, report: dict) -> list[dict]:
         "order": model.max_order,
         "min_denominator": _finite(result.min_denominator),
         "near_resonances": [
-            {"order": d["order"], "signature": _sig_json(d["signature"]),
+            {"order": d["order"], "signature": signature_json(d["signature"]),
              "denominator": d["denominator"]}
             for d in result.diagnostics
         ],
         "K": series_rows(result.K),
         "generators": [series_rows(r) for r in result.generators],
         "removed": [
-            series_rows_from_map(terms, order=n + 1)
+            term_rows(terms, order=n + 1)
             for n, terms in enumerate(result.removed)
         ],
         "bad_terms_left": series_rows(bad_part(result.K)),
@@ -131,28 +130,6 @@ def run_dress(model: ModelSpec, cfg: RunConfig, report: dict) -> list[dict]:
         verdicts.append(_verdict("no_bad_terms", 0.0, left, 1e-10, left <= 1e-10))
     report["_result"] = result  # stripped before serialization
     return verdicts
-
-
-def series_rows_from_map(terms, order):
-    rows = []
-    for (creators, annihilators), c in sorted(terms.items()):
-        rows.append({
-            "order": order,
-            "type": [len(creators), len(annihilators)],
-            "creators": [{"species": m.species, "k": list(m.k)} for m in creators],
-            "annihilators": [{"species": m.species, "k": list(m.k)} for m in annihilators],
-            "re": c.real,
-            "im": c.imag,
-        })
-    return rows
-
-
-def _sig_json(sig):
-    creators, annihilators = sig
-    return {
-        "creators": [{"species": m.species, "k": list(m.k)} for m in creators],
-        "annihilators": [{"species": m.species, "k": list(m.k)} for m in annihilators],
-    }
 
 
 def _coeff_json(c):
@@ -185,7 +162,7 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> list[d
             mk = matrix_of(result.K, basis, lam).toarray()
             conj = conjugate_numeric(mr, mh)
             diffs.append(restricted_norm(conj - mk, basis, block))
-        slope = _fit_slope(lams, diffs)
+        slope = _loglog_slope(lams, diffs)
         report["verify"]["oracle"] = {
             "lambdas": lams, "differences": diffs, "slope": _finite(slope),
         }
@@ -218,14 +195,6 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> list[d
             verdicts.append(_verdict("residuals_at_zero_coupling", 0.0, worst0,
                                      1e-12, worst0 < 1e-12))
     return verdicts
-
-
-def _fit_slope(lams, values):
-    xs = [math.log(l) for l, v in zip(lams, values) if v > 1e-13]
-    ys = [math.log(v) for v in values if v > 1e-13]
-    if len(xs) < 2:
-        return None
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> list[dict]:
@@ -316,12 +285,12 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
             "order": exc.order,
             "policy": exc.policy,
             "signatures": [
-                {**_sig_json(sig), "denominator": den}
+                {**signature_json(sig), "denominator": den}
                 for sig, den in exc.signatures
             ],
         })
         exit_code = 1
-    except (BasisError, ScanError) as exc:
+    except (BasisError, ModelError, ScanError) as exc:
         report["failures"].append({"check": "setup", "reason": str(exc)})
         exit_code = 1
 
@@ -367,8 +336,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the YAML config")
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--out-dir", default=".", help="report output directory")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized self-tests (never affects physics)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

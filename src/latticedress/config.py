@@ -1,85 +1,24 @@
 """Run configuration: a single self-describing YAML document.
 
-Schema (defaults in parentheses):
-
-model:
-  lattice: {dim (1), sites_per_dim (5), physical_length (2*pi)}
-  species: [{name, mass}, ...]          # optional; built-ins supply defaults
-  interaction: {name, coupling_strength (1.0)}   # phi3 | phi3-full | scalar-yukawa | free
-  coupling (0.1)                        # default numeric series coupling
-  policy (shirokov)                     # shirokov | weidlich
-  order (2)                             # truncation order N >= 1
-numerics:
-  per_mode_cutoff (4)
-  total_cutoff (4)
-  lambdas ([0.02, 0.04, 0.08, 0.16])
-  time_horizon (6.0)                    # in lattice-spacing units
-  dimension_limit (200000)
-checks:
-  residuals: {enabled (true), slope_tolerance (0.4)}
-  oracle:    {enabled (true), block (2)}
-  momentum:  {enabled (true), tolerance (1e-10)}
-  equal_time: {enabled (false), times, lambdas, block (2), tolerance (1e-8)}
-  spacelike:  {enabled (false), grid: [[x, y, tau], ...], lambdas,
-               block (2), slope (2.0), slope_tolerance (0.3)}
-output:
-  formats (["json"])                    # json, csv
-
-Unknown keys anywhere are rejected with their full key path.
+The `SCHEMA` table below is the whole schema: one row per key path, with its
+type, default and constraint.  Unknown keys anywhere are rejected with their
+full key path, and every float must be finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import yaml
 
+from .checks import DEFAULT_TIME_HORIZON_UNITS
 from .models import BUILTIN_INTERACTIONS
+from .numerics import DEFAULT_DIMENSION_LIMIT
 
 
 class ConfigError(ValueError):
     """Schema violation, reported with the offending key path."""
-
-
-def _require_mapping(value, path):
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(mapping, allowed, path):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(allowed)})")
-
-
-def _get(mapping, key, path, kind, default, *, positive=False, minimum=None):
-    value = mapping.get(key, default)
-    if value is None:
-        raise ConfigError(f"{path}.{key}: required")
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(
-            f"{path}.{key}: expected {kind.__name__}, got {value!r}"
-        )
-    if positive and not value > 0:
-        raise ConfigError(f"{path}.{key}: must be positive, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_float_list(mapping, key, path, default):
-    value = mapping.get(key, default)
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{path}.{key}: expected a list of numbers, got {value!r}")
-    return [float(v) for v in value]
 
 
 @dataclass
@@ -90,76 +29,209 @@ class SpeciesConfig:
 
 @dataclass
 class CheckToggle:
-    enabled: bool = True
-    params: dict = field(default_factory=dict)
+    enabled: bool
+    params: dict
 
 
 @dataclass
 class RunConfig:
-    # model
-    dim: int = 1
-    sites_per_dim: int = 5
-    physical_length: float = 2.0 * math.pi
-    species: list[SpeciesConfig] | None = None
-    interaction: str = "phi3"
-    coupling_strength: float = 1.0
-    coupling: float = 0.1
-    policy: str = "shirokov"
-    order: int = 2
-    # numerics
-    per_mode_cutoff: int = 4
-    total_cutoff: int = 4
-    lambdas: list[float] = field(default_factory=lambda: [0.02, 0.04, 0.08, 0.16])
-    time_horizon: float = 6.0
-    dimension_limit: int = 200_000
-    # checks
-    checks: dict[str, CheckToggle] = field(default_factory=dict)
-    # output
-    formats: list[str] = field(default_factory=lambda: ["json"])
+    """A validated configuration: each attribute is the last key of its `SCHEMA`
+    path (`model.interaction.name` is `interaction`), except `checks`."""
+
+    dim: int
+    sites_per_dim: int
+    physical_length: float
+    species: list[SpeciesConfig] | None
+    interaction: str
+    coupling_strength: float
+    coupling: float
+    policy: str
+    order: int
+    per_mode_cutoff: int
+    total_cutoff: int
+    lambdas: list[float]
+    time_horizon: float
+    dimension_limit: int
+    checks: dict[str, CheckToggle]
+    formats: list[str]
 
     def echo(self) -> dict:
         """The fully-defaulted configuration, embedded in every report."""
-        return {
-            "model": {
-                "lattice": {
-                    "dim": self.dim,
-                    "sites_per_dim": self.sites_per_dim,
-                    "physical_length": self.physical_length,
-                },
-                "species": [{"name": s.name, "mass": s.mass}
-                            for s in (self.species or [])] or None,
-                "interaction": {
-                    "name": self.interaction,
-                    "coupling_strength": self.coupling_strength,
-                },
-                "coupling": self.coupling,
-                "policy": self.policy,
-                "order": self.order,
-            },
-            "numerics": {
-                "per_mode_cutoff": self.per_mode_cutoff,
-                "total_cutoff": self.total_cutoff,
-                "lambdas": self.lambdas,
-                "time_horizon": self.time_horizon,
-                "dimension_limit": self.dimension_limit,
-            },
-            "checks": {
-                name: {"enabled": t.enabled, **t.params}
-                for name, t in sorted(self.checks.items())
-            },
-            "output": {"formats": self.formats},
-        }
+        checks = {name: {"enabled": t.enabled, **t.params} for name, t in self.checks.items()}
+        doc: dict = {}
+        for path, *_ in SCHEMA:
+            section, *middle, key = path.split(".")
+            value = checks[middle[0]][key] if section == "checks" \
+                else getattr(self, _attribute(path))
+            _put(doc, path, [asdict(s) for s in value] if key == "species" and value
+                 else value)
+        return doc
 
 
-_CHECK_DEFAULTS = {
-    "residuals": {"enabled": True, "slope_tolerance": 0.4},
-    "oracle": {"enabled": True, "block": 2, "slope_tolerance": 0.4},
-    "momentum": {"enabled": True, "tolerance": 1e-10},
-    "equal_time": {"enabled": False, "times": [0.0, 1.0, 2.0],
-                   "lambdas": [0.0, 0.1], "block": 2, "tolerance": 1e-8},
-    "spacelike": {"enabled": False, "grid": [], "lambdas": [0.05, 0.1, 0.2],
-                  "block": 2, "slope": 2.0, "slope_tolerance": 0.3},
-}
+# ---- value types: (value, key path) -> parsed value, or ConfigError ----
+
+def _typed(kind, what):
+    def parse(value, path):
+        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite, got {value}")
+        return value
+    return parse
+
+
+def _list_of(item, what):
+    def parse(value, path):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list of {what}, got {value!r}")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+_bool, _int, _float, _str = (_typed(bool, "a boolean"), _typed(int, "int"),
+                             _typed(float, "float"), _typed(str, "str"))
+_floats, _strs = _list_of(_float, "numbers"), _list_of(_str, "strings")
+
+
+def _triple(value, path):
+    """[x, y, tau]: two sites, each an integer or a list of integers, and a time."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{path}: expected an [x, y, tau] triple, got {value!r}")
+    sites = [(_list_of(_int, "integers") if isinstance(v, list) else _int)(v, f"{path}[{i}]")
+             for i, v in enumerate(value[:2])]
+    return sites + [_float(value[2], f"{path}[2]")]
+
+
+def _species(value, path):
+    """One `{name, mass}` entry of `model.species`."""
+    entry = _mapping(value, ("name", "mass"), path)
+    name = _str(entry.get("name"), f"{path}.name")
+    mass = _float(entry.get("mass"), f"{path}.mass")
+    if mass <= 0:
+        raise ConfigError(f"{path} ({name!r}): mass must be a positive number, got {mass}")
+    return SpeciesConfig(name=name, mass=mass)
+
+
+# ---- constraints: value -> what is wrong with it, or a falsy value ----
+
+def _at_least(low):
+    return lambda v: None if v >= low else f"must be >= {low}, got {v}"
+
+
+def _positive(v):
+    return None if v > 0 else f"must be positive, got {v}"
+
+
+def _odd(v):
+    return None if v >= 1 and v % 2 else \
+        f"must be odd and positive (mode set closed under k -> -k), got {v}"
+
+
+def _distinct_names(species):
+    names = [s.name for s in species]
+    return None if names and all(names) and len(set(names)) == len(names) else \
+        f"need one or more species with distinct non-empty names, got {names}"
+
+
+def _one_of(what, choices):
+    def check(v):
+        bad = [item for item in (v if isinstance(v, list) else [v]) if item not in choices]
+        return bad and f"unknown {what} {bad[0]!r}, expected {' or '.join(choices)}"
+    return check
+
+
+# A null section counts as an empty one.  A null value is an error, except
+# for `model.species`, whose default (null) lets the interaction choose.
+SCHEMA = (
+    # key path                        type       default          constraint
+    ("model.lattice.dim",             _int,      1,               _at_least(1)),
+    ("model.lattice.sites_per_dim",   _int,      5,               _odd),
+    ("model.lattice.physical_length", _float,    2.0 * math.pi,   _positive),
+    ("model.species",        _list_of(_species, "species"), None, _distinct_names),
+    ("model.interaction.name",        _str,      "phi3",
+     _one_of("interaction", BUILTIN_INTERACTIONS)),
+    ("model.interaction.coupling_strength", _float, 1.0,          None),
+    ("model.coupling",                _float,    0.1,             None),
+    ("model.policy",                  _str,      "shirokov",
+     _one_of("policy", ("shirokov", "weidlich"))),
+    ("model.order",                   _int,      2,               _at_least(1)),
+    ("numerics.per_mode_cutoff",      _int,      4,               _at_least(1)),
+    ("numerics.total_cutoff",         _int,      4,               _at_least(1)),
+    ("numerics.lambdas",              _floats,   [0.02, 0.04, 0.08, 0.16], None),
+    ("numerics.time_horizon",         _float,    DEFAULT_TIME_HORIZON_UNITS, _positive),
+    ("numerics.dimension_limit",      _int,      DEFAULT_DIMENSION_LIMIT, _at_least(1)),
+    ("checks.residuals.enabled",      _bool,     True,            None),
+    ("checks.residuals.slope_tolerance", _float, 0.4,             _at_least(0)),
+    ("checks.oracle.enabled",         _bool,     True,            None),
+    ("checks.oracle.block",           _int,      2,               _at_least(0)),
+    ("checks.oracle.slope_tolerance", _float,    0.4,             _at_least(0)),
+    ("checks.momentum.enabled",       _bool,     True,            None),
+    ("checks.momentum.tolerance",     _float,    1e-10,           _at_least(0)),
+    ("checks.equal_time.enabled",     _bool,     False,           None),
+    ("checks.equal_time.times",       _floats,   [0.0, 1.0, 2.0], None),
+    ("checks.equal_time.lambdas",     _floats,   [0.0, 0.1],      None),
+    ("checks.equal_time.block",       _int,      2,               _at_least(0)),
+    ("checks.equal_time.tolerance",   _float,    1e-8,            _at_least(0)),
+    ("checks.spacelike.enabled",      _bool,     False,           None),
+    # empty grid: x = origin, y = the most distant site, tau = one spacing
+    ("checks.spacelike.grid",         _list_of(_triple, "[x, y, tau] triples"), [], None),
+    ("checks.spacelike.lambdas",      _floats,   [0.05, 0.1, 0.2],
+     lambda v: None if v else "must not be empty"),
+    ("checks.spacelike.block",        _int,      2,               _at_least(0)),
+    ("checks.spacelike.slope",        _float,    2.0,             None),
+    ("checks.spacelike.slope_tolerance", _float, 0.3,             _at_least(0)),
+    ("output.formats",                _strs,     ["json"],
+     _one_of("format", ("json", "csv"))),
+)
+
+
+def _put(tree: dict, path: str, value) -> None:
+    """Set `value` at a dotted key path, creating the sections on the way."""
+    *sections, leaf = path.split(".")
+    for key in sections:
+        tree = tree.setdefault(key, {})
+    tree[leaf] = value
+
+
+_TREE: dict = {}   # section -> ... -> key -> schema row
+for _row in SCHEMA:
+    _put(_TREE, _row[0], _row)
+
+
+def _mapping(value, keys, path):
+    """`value` as a mapping whose keys are all in `keys`; null is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(keys)})")
+    return value
+
+
+def _walk(doc, tree, path, out):
+    """Check `doc` against `tree`, putting every key's value in `out`."""
+    doc = _mapping(doc, tree, path or "<root>")
+    for key, sub in tree.items():
+        if isinstance(sub, dict):
+            _walk(doc.get(key), sub, f"{path}.{key}" if path else key, out)
+            continue
+        where, parse, default, constraint = sub
+        value = doc.get(key, default)
+        if value is None and default is not None:
+            raise ConfigError(f"{where}: required")
+        if value is not None:
+            value = parse(value, where)
+            if constraint and (problem := constraint(value)):
+                raise ConfigError(f"{where}: {problem}")
+        out[where] = value
+
+
+def _attribute(path: str) -> str:
+    return "interaction" if path == "model.interaction.name" else path.rsplit(".", 1)[1]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -168,96 +240,19 @@ def parse_config(text: str) -> RunConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
-    doc = _require_mapping(doc, "<root>")
-    _reject_unknown(doc, {"model", "numerics", "checks", "output"}, "<root>")
-
-    cfg = RunConfig()
-
-    model = _require_mapping(doc.get("model"), "model")
-    _reject_unknown(model, {"lattice", "species", "interaction", "coupling",
-                            "policy", "order"}, "model")
-    lattice = _require_mapping(model.get("lattice"), "model.lattice")
-    _reject_unknown(lattice, {"dim", "sites_per_dim", "physical_length"},
-                    "model.lattice")
-    cfg.dim = _get(lattice, "dim", "model.lattice", int, cfg.dim, minimum=1)
-    cfg.sites_per_dim = _get(lattice, "sites_per_dim", "model.lattice", int,
-                             cfg.sites_per_dim, minimum=1)
-    if cfg.sites_per_dim % 2 == 0:
-        raise ConfigError("model.lattice.sites_per_dim: must be odd "
-                          f"(mode set closed under k -> -k), got {cfg.sites_per_dim}")
-    cfg.physical_length = _get(lattice, "physical_length", "model.lattice", float,
-                               cfg.physical_length, positive=True)
-
-    species = model.get("species")
-    if species is not None:
-        if not isinstance(species, list):
-            raise ConfigError("model.species: expected a list")
-        parsed = []
-        for i, entry in enumerate(species):
-            entry = _require_mapping(entry, f"model.species[{i}]")
-            _reject_unknown(entry, {"name", "mass"}, f"model.species[{i}]")
-            name = _get(entry, "name", f"model.species[{i}]", str, None)
-            mass = entry.get("mass")
-            if not isinstance(mass, (int, float)) or isinstance(mass, bool) or mass <= 0:
-                raise ConfigError(
-                    f"model.species[{i}] ({name!r}): mass must be a positive number, "
-                    f"got {mass!r}"
-                )
-            parsed.append(SpeciesConfig(name=name, mass=float(mass)))
-        cfg.species = parsed
-
-    interaction = _require_mapping(model.get("interaction"), "model.interaction")
-    _reject_unknown(interaction, {"name", "coupling_strength"}, "model.interaction")
-    cfg.interaction = _get(interaction, "name", "model.interaction", str,
-                           cfg.interaction)
-    if cfg.interaction not in BUILTIN_INTERACTIONS:
-        raise ConfigError(
-            f"model.interaction.name: unknown interaction {cfg.interaction!r} "
-            f"(built-ins: {list(BUILTIN_INTERACTIONS)})"
-        )
-    cfg.coupling_strength = _get(interaction, "coupling_strength",
-                                 "model.interaction", float, cfg.coupling_strength)
-    cfg.coupling = _get(model, "coupling", "model", float, cfg.coupling)
-    cfg.policy = _get(model, "policy", "model", str, cfg.policy)
-    if cfg.policy not in ("shirokov", "weidlich"):
-        raise ConfigError(f"model.policy: must be shirokov or weidlich, got {cfg.policy!r}")
-    cfg.order = _get(model, "order", "model", int, cfg.order, minimum=1)
-
-    numerics = _require_mapping(doc.get("numerics"), "numerics")
-    _reject_unknown(numerics, {"per_mode_cutoff", "total_cutoff", "lambdas",
-                               "time_horizon", "dimension_limit"}, "numerics")
-    cfg.per_mode_cutoff = _get(numerics, "per_mode_cutoff", "numerics", int,
-                               cfg.per_mode_cutoff, minimum=1)
-    cfg.total_cutoff = _get(numerics, "total_cutoff", "numerics", int,
-                            cfg.total_cutoff, minimum=1)
-    cfg.lambdas = _get_float_list(numerics, "lambdas", "numerics", cfg.lambdas)
-    cfg.time_horizon = _get(numerics, "time_horizon", "numerics", float,
-                            cfg.time_horizon, positive=True)
-    cfg.dimension_limit = _get(numerics, "dimension_limit", "numerics", int,
-                               cfg.dimension_limit, minimum=1)
-
-    checks = _require_mapping(doc.get("checks"), "checks")
-    _reject_unknown(checks, set(_CHECK_DEFAULTS), "checks")
-    for name, defaults in _CHECK_DEFAULTS.items():
-        block = _require_mapping(checks.get(name), f"checks.{name}")
-        _reject_unknown(block, set(defaults), f"checks.{name}")
-        merged = {**defaults, **block}
-        enabled = merged.pop("enabled")
-        if not isinstance(enabled, bool):
-            raise ConfigError(f"checks.{name}.enabled: expected a boolean")
-        cfg.checks[name] = CheckToggle(enabled=enabled, params=merged)
-
-    output = _require_mapping(doc.get("output"), "output")
-    _reject_unknown(output, {"formats"}, "output")
-    formats = output.get("formats", cfg.formats)
-    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
-        raise ConfigError("output.formats: expected a list of strings")
-    for f in formats:
-        if f not in ("json", "csv"):
-            raise ConfigError(f"output.formats: unknown format {f!r} (json, csv)")
-    cfg.formats = formats
-
-    return cfg
+    values: dict = {}
+    _walk(doc, _TREE, "", values)
+    dim = values["model.lattice.dim"]
+    for i, (x, y, _) in enumerate(values["checks.spacelike.grid"]):
+        if any(len(s if isinstance(s, list) else [s]) != dim for s in (x, y)):
+            raise ConfigError(f"checks.spacelike.grid[{i}]: sites need {dim} "
+                              f"coordinate(s), got {x!r} and {y!r}")
+    nested: dict = {}
+    for path in [p for p in values if p.startswith("checks.")]:
+        _put(nested, path, values.pop(path))
+    return RunConfig(**{_attribute(p): v for p, v in values.items()}, checks={
+        name: CheckToggle(enabled=params.pop("enabled"), params=params)
+        for name, params in nested["checks"].items()})
 
 
 def load_config(path: str) -> RunConfig:

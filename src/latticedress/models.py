@@ -60,10 +60,6 @@ class ModelSpec:
                 f"interaction is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
             )
 
-    @property
-    def energy(self):
-        return self.system.energy
-
     def free_hamiltonian(self, max_order: int | None = None) -> OperatorSeries:
         if max_order is None:
             max_order = self.max_order

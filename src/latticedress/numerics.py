@@ -26,7 +26,6 @@ DENSE_EIG_CUTOFF = 2000
 DEGENERACY_GAP = 1e-10
 ANTIHERM_TOL = 1e-10
 UNITARITY_TOL = 1e-8
-DEFAULT_TIME_HORIZON = 6.0   # in lattice-spacing units
 
 
 class BasisError(ValueError):
@@ -271,34 +270,15 @@ def rspt2_shift(model: ModelSpec, basis: FockBasis, species: str, k) -> float:
     return shift(one) - shift(vac)
 
 
-def heisenberg_field(model: ModelSpec, basis: FockBasis, result, lam: float,
-                     x_site, t: float,
-                     horizon: float | None = None) -> np.ndarray:
-    """Matrix of the dressed Heisenberg field A(x, t).
+def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
+                              w_inv: np.ndarray, w: np.ndarray, x_site) -> np.ndarray:
+    """The dressed field at time zero,
 
     A(x,0) = volume^{-1/2} sum_k (2 E_k)^{-1/2}
              (e^{i p x} alpha_k + e^{-i p x} alpha_k^dagger)
-    with alpha = exp(-R) a exp(R), then conjugated by exp(i H t).
+
+    with the dressed ladder matrices alpha = exp(-R) a exp(R).
     """
-    lat = model.system.lattice
-    if horizon is None:
-        horizon = DEFAULT_TIME_HORIZON * lat.spacing
-    if abs(t) > horizon:
-        raise ValueError(
-            f"|t|={abs(t)} exceeds the time horizon {horizon} "
-            "(wave packets wrap the periodic lattice)"
-        )
-    mh, _, w_inv, w = dressing_matrices(result, basis, lam)
-    a0 = field_at_origin_time_zero(model, basis, w_inv, w, x_site)
-    if t == 0.0:
-        return a0
-    u = scipy.linalg.expm(1j * t * mh)
-    return u @ a0 @ u.conj().T
-
-
-def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
-                              w_inv: np.ndarray, w: np.ndarray, x_site) -> np.ndarray:
-    """A(x, 0) built from the dressed ladder matrices alpha = exp(-R) a exp(R)."""
     lat = model.system.lattice
     if len(model.system.species) != 1:
         raise ValueError("the Heisenberg field scan supports single-species models")

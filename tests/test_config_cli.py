@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -68,6 +69,18 @@ def test_echo_round_trips_all_sections():
     ("output:\n  formats: [xml]", "unknown format"),
     ("model: [1, 2]", "expected a mapping"),
     ("{{{", "not valid YAML"),
+    ("checks:\n  oracle: {block: x}", "checks.oracle.block"),
+    ("checks:\n  spacelike: {lambdas: nope}", "checks.spacelike.lambdas"),
+    ("checks:\n  momentum: {tolerance: \"1e-10\"}", "checks.momentum.tolerance"),
+    ("checks:\n  spacelike: {grid: [[0, 1]]}", "checks.spacelike.grid[0]"),
+    ("model:\n  coupling: .nan", "model.coupling"),
+    ("model:\n  lattice: {physical_length: .inf}", "model.lattice.physical_length"),
+    ("numerics:\n  time_horizon: .inf", "numerics.time_horizon"),
+    ("checks:\n  spacelike: {lambdas: []}", "checks.spacelike.lambdas"),
+    ("checks:\n  spacelike: {grid: [[[0, 1], [1, 0], 0.5]]}",
+     "checks.spacelike.grid[0]: sites need 1"),
+    ("model:\n  species: [{name: a, mass: 1.0}, {name: a, mass: 0.5}]",
+     "model.species: need one or more species"),
 ])
 def test_schema_violations_name_the_key(text, fragment):
     with pytest.raises(ConfigError, match=None) as exc:
@@ -138,6 +151,31 @@ output:
     assert header == "separation,tau,lambda,magnitude,baseline,subtracted"
 
 
+@pytest.mark.parametrize("text, command, fragment", [
+    (FAST_YAML.replace("order: 2", "order: 2\n  species: [{name: a, mass: 1.0}, "
+                       "{name: b, mass: 0.5}]"), "dress", "exactly one species"),
+    ("model:\n  lattice: {sites_per_dim: 3}\n  interaction: {name: scalar-yukawa}\n"
+     "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
+     "checks:\n  equal_time: {enabled: true, times: [0.0]}\n", "scan", "single-species"),
+])
+def test_setup_failure_exits_one_with_report(tmp_path, text, command, fragment):
+    assert run(parse_config(text), command, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    (failure,) = report["failures"]
+    assert failure["check"] == "setup"
+    assert fragment in failure["reason"]
+
+
+def test_golden_dress_report(tmp_path):
+    # digest of the shipped example's dress report, which a refactor must keep;
+    # dressing is pure-Python float arithmetic, so it does not depend on BLAS
+    code = main(["--config", str(REPO_ROOT / "configs" / "phi3.yaml"),
+                 "--command", "dress", "--out-dir", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == "8d69982e3a9900957cc660b54860f799dd5d04a3909357bd2c9ce276333d337e"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(ValueError, match="unknown command"):
         run(parse_config(""), "meditate", ".")
@@ -159,6 +197,16 @@ def test_cli_config_error(tmp_path, capsys):
     code = main(["--config", str(path), "--command", "dress"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_number(tmp_path, capsys):
+    path = tmp_path / "nan.yaml"
+    path.write_text("model:\n  coupling: .nan\n")
+    code = main(["--config", str(path), "--command", "dress",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "model.coupling" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_arguments():

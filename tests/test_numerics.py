@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from latticedress.checks import ScanError, _LambdaContext, equal_time_scan
 from latticedress.dressing import dress
 from latticedress.models import build_model, free_hamiltonian
 from latticedress.modes import LatticeSpec
@@ -15,7 +16,6 @@ from latticedress.numerics import (
     dressing_matrices,
     field_at_origin_time_zero,
     ground_state,
-    heisenberg_field,
     ladder_matrix,
     matrix_of,
     matrix_of_terms,
@@ -200,10 +200,11 @@ def test_field_is_hermitian_and_horizon_enforced():
                                                     physical_length=3.0))
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
-    a = heisenberg_field(model, basis, result, 0.1, (1,), 0.5)
+    a = _LambdaContext(model, basis, result, 0.1).field((1,), 0.5)
     assert np.abs(a - a.conj().T).max() < 1e-10
-    with pytest.raises(ValueError, match="horizon"):
-        heisenberg_field(model, basis, result, 0.1, (1,), 100.0)
+    with pytest.raises(ScanError, match="horizon"):
+        equal_time_scan(model, basis, result, times=[100.0], lambdas=[0.1],
+                        site_pairs=[((0,), (1,))])
 
 
 def test_field_rejects_multi_species():
