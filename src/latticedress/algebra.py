@@ -77,44 +77,65 @@ def _contractions(
     a1: tuple[ModeIndex, ...],
     c2: tuple[ModeIndex, ...],
     a2: tuple[ModeIndex, ...],
+    ca1: Counter,
+    cc2: Counter,
     min_contractions: int = 0,
 ):
     """Normal order the product (c1,a1)*(c2,a2).
 
-    Yields (signature, weight) for every contraction count between the left
+    `ca1` and `cc2` count the modes of `a1` and `c2`; their keys follow the
+    sorted signature, so the common modes come out in mode order.  Yields
+    (signature, weight) for every contraction count between the left
     factor's annihilators and the right factor's creators.  Within a mode
     carrying m annihilators against n creators, k contractions come with
     weight C(m,k)*C(n,k)*k! (bosonic Wick combinatorics).
     """
-    ca1 = Counter(a1)
-    cc2 = Counter(c2)
-    common = sorted(set(ca1) & set(cc2))
+    common = [m for m in ca1 if m in cc2]
     per_mode = [range(min(ca1[m], cc2[m]) + 1) for m in common]
     for ks in iter_product(*per_mode):
-        k_tot = sum(ks)
-        if k_tot < min_contractions:
+        if sum(ks) < min_contractions:
             continue
         weight = 1.0
+        rem_c2 = list(c2)
+        rem_a1 = list(a1)
         for mode, k in zip(common, ks):
             weight *= math.comb(ca1[mode], k) * math.comb(cc2[mode], k) * math.factorial(k)
-        rem_c2 = cc2.copy()
-        rem_a1 = ca1.copy()
-        for mode, k in zip(common, ks):
-            rem_c2[mode] -= k
-            rem_a1[mode] -= k
-        creators = tuple(sorted(list(c1) + list(rem_c2.elements())))
-        annihil = tuple(sorted(list(rem_a1.elements()) + list(a2)))
+            for _ in range(k):
+                rem_c2.remove(mode)
+                rem_a1.remove(mode)
+        creators = tuple(sorted(c1 + tuple(rem_c2)))
+        annihil = tuple(sorted(rem_a1 + list(a2)))
         yield (creators, annihil), weight
 
 
 def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
                   out: TermMap | None = None, scale: complex = 1.0) -> TermMap:
-    """Accumulate the normal-ordered product of two term maps into `out`."""
+    """Accumulate the normal-ordered product of two term maps into `out`.
+
+    With `min_contractions >= 1` only the pairs where an annihilator of the
+    left term meets a creator of the right term are visited, still in the
+    order of `q`, so every coefficient sums its contributions in the same
+    order as the all-pairs loop.
+    """
     acc: TermMap = {} if out is None else out
+    qs = [(c2, a2, y, Counter(c2)) for (c2, a2), y in q.items()]
+    every = range(len(qs))
+    by_mode: dict[ModeIndex, list[int]] = {}
+    if min_contractions >= 1:
+        for j, (_, _, _, cc2) in enumerate(qs):
+            for m in cc2:
+                by_mode.setdefault(m, []).append(j)
     for (c1, a1), x in p.items():
-        for (c2, a2), y in q.items():
+        ca1 = Counter(a1)
+        if min_contractions < 1:
+            visit = every
+        else:
+            hits = [by_mode[m] for m in ca1 if m in by_mode]
+            visit = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
+        for j in visit:
+            c2, a2, y, cc2 = qs[j]
             xy = scale * x * y
-            for sig, w in _contractions(c1, a1, c2, a2, min_contractions):
+            for sig, w in _contractions(c1, a1, c2, a2, ca1, cc2, min_contractions):
                 acc[sig] = acc.get(sig, 0j) + xy * w
     return acc
 

@@ -6,8 +6,10 @@ Commands:
   scan    equal-time and spacelike field-commutator scans
   all     dress + verify + scan
 
-Exit codes: 0 all enabled checks pass, 1 a check failed or the dressing hit
-a zero denominator, 2 usage or configuration error.
+Exit codes: 0 all enabled checks pass, 1 a check failed, the dressing hit
+a zero denominator or a setup step failed, 2 usage or configuration error.
+Exit 0 or 1 writes the report; a setup failure keeps the verdicts computed
+before it.
 
 The JSON report is byte-stable for identical inputs and package version;
 wall-clock timing goes to stderr, not into the report.
@@ -92,7 +94,9 @@ def _slope_ok(slope, target, tol):
     return slope is not None and abs(slope - target) <= tol
 
 
-def run_dress(model: ModelSpec, cfg: RunConfig, report: dict) -> list[dict]:
+def run_dress(model: ModelSpec, cfg: RunConfig, report: dict):
+    """Dress the model, write the `dressing` section and its verdict; return
+    the dressing result."""
     result = dress(model)
     report["dressing"] = {
         "policy": model.policy,
@@ -124,20 +128,21 @@ def run_dress(model: ModelSpec, cfg: RunConfig, report: dict) -> list[dict]:
             })
         report["dressing"]["energy_corrections"] = table
 
-    verdicts = []
     if model.policy == "shirokov":
         left = residual_bad_norm(result)
-        verdicts.append(_verdict("no_bad_terms", 0.0, left, 1e-10, left <= 1e-10))
-    report["_result"] = result  # stripped before serialization
-    return verdicts
+        report["verdicts"].append(
+            _verdict("no_bad_terms", 0.0, left, 1e-10, left <= 1e-10))
+    return result
 
 
 def _coeff_json(c):
     return {"re": c.real, "im": c.imag}
 
 
-def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> list[dict]:
-    verdicts = []
+def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
+    """Oracle, residual and momentum checks; each verdict goes into the report
+    as soon as it is computed, so a later setup failure keeps it."""
+    verdicts = report["verdicts"]
     n = model.max_order
 
     momentum = cfg.checks["momentum"]
@@ -194,11 +199,11 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> list[d
             worst0 = max([rep.vacuum[i]] + [r[i] for r in rep.one_particle.values()])
             verdicts.append(_verdict("residuals_at_zero_coupling", 0.0, worst0,
                                      1e-12, worst0 < 1e-12))
-    return verdicts
 
 
-def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> list[dict]:
-    verdicts = []
+def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
+    """Equal-time and spacelike scans; verdicts go into the report as computed."""
+    verdicts = report["verdicts"]
     basis = _basis_from_config(model, cfg)
     report.setdefault("scan", {})
 
@@ -239,15 +244,19 @@ def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> list[dic
         ok = _slope_ok(rep.slope, target, tol) and signal > 10.0 * rep.noise_floor
         verdicts.append(_verdict("spacelike_nonlocality_slope", target,
                                  rep.slope, tol, ok))
-    return verdicts
 
 
 def _default_spacelike_point(model: ModelSpec):
-    """x = origin, y = the most distant site, tau = one lattice spacing."""
+    """x = origin, y = the most distant site, tau = one lattice spacing.
+
+    Where the most distant site is only one spacing away (3 sites in 1-D),
+    tau = half the separation, so that the point stays spacelike.
+    """
     lat = model.system.lattice
     origin = (0,) * lat.dim
     far = max(lat.sites(), key=lambda s: lat.min_image_distance(origin, s))
-    return (origin, far, lat.spacing)
+    separation = lat.min_image_distance(origin, far)
+    return (origin, far, lat.spacing if separation > lat.spacing else separation / 2)
 
 
 def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
@@ -261,25 +270,17 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
         "command": command,
         "config": cfg.echo(),
         "verdicts": [],
-        "failures": [],
     }
-    exit_code = 0
+    failure = None
     try:
         model = model_from_config(cfg)
-        verdicts = run_dress(model, cfg, report)
-        result = report.pop("_result")
+        result = run_dress(model, cfg, report)
         if command in ("verify", "all"):
-            verdicts += run_verify(model, cfg, report, result)
+            run_verify(model, cfg, report, result)
         if command in ("scan", "all"):
-            verdicts += run_scan(model, cfg, report, result)
-        report["verdicts"] = verdicts
-        for v in verdicts:
-            if not v["pass"]:
-                report["failures"].append({"check": v["check"], "reason": "tolerance"})
-        if report["failures"]:
-            exit_code = 1
+            run_scan(model, cfg, report, result)
     except ZeroDenominatorError as exc:
-        report["failures"].append({
+        failure = {
             "check": "dressing",
             "reason": "zero_denominator",
             "order": exc.order,
@@ -288,11 +289,15 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
                 {**signature_json(sig), "denominator": den}
                 for sig, den in exc.signatures
             ],
-        })
-        exit_code = 1
+        }
     except (BasisError, ModelError, ScanError) as exc:
-        report["failures"].append({"check": "setup", "reason": str(exc)})
-        exit_code = 1
+        failure = {"check": "setup", "reason": str(exc)}
+    # verdicts computed before a failure stay in the report
+    report["failures"] = [{"check": v["check"], "reason": "tolerance"}
+                          for v in report["verdicts"] if not v["pass"]]
+    if failure is not None:
+        report["failures"].append(failure)
+    exit_code = 1 if report["failures"] else 0
 
     emit_report(report, out_dir, cfg.formats)
     print(f"[latticedress] {command}: exit {exit_code} "

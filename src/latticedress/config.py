@@ -75,11 +75,28 @@ def _typed(kind, what):
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+            hint = _float_hint(value) if kind is float else ""
+            raise ConfigError(f"{path}: expected {what}, got {value!r}{hint}")
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"{path}: must be finite, got {value}")
         return value
     return parse
+
+
+def _float_hint(value) -> str:
+    """For a string that Python reads as a finite float: how to write it so
+    that YAML reads it as a float too (a decimal point and a signed exponent,
+    so `1.0e300` and `1e+300` are strings but `1.0e+300` is a float)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return ""
+    if not isinstance(value, str) or not math.isfinite(number):
+        return ""
+    mantissa, e, exponent = repr(number).partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    return f" (YAML reads it as a string; write {mantissa}{e}{exponent})"
 
 
 def _list_of(item, what):
@@ -175,7 +192,8 @@ SCHEMA = (
     ("checks.equal_time.block",       _int,      2,               _at_least(0)),
     ("checks.equal_time.tolerance",   _float,    1e-8,            _at_least(0)),
     ("checks.spacelike.enabled",      _bool,     False,           None),
-    # empty grid: x = origin, y = the most distant site, tau = one spacing
+    # empty grid: x = origin, y = the most distant site, tau = one spacing, or
+    # half the separation where that is only one spacing
     ("checks.spacelike.grid",         _list_of(_triple, "[x, y, tau] triples"), [], None),
     ("checks.spacelike.lambdas",      _floats,   [0.05, 0.1, 0.2],
      lambda v: None if v else "must not be empty"),

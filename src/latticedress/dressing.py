@@ -144,7 +144,9 @@ def dress(model: ModelSpec) -> DressingResult:
         generators.append(rn)
         r = r + rn
 
-    k = bch_conjugate(r, h, n_max)
+    # R_N is purely order N, so up to order N it enters exp(R) H exp(-R) only
+    # through [R_N, H_0]: the last expansion plus that commutator is all of K.
+    k = k + commutator(rn, h)
     return DressingResult(
         model=model,
         generators=generators,

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from latticedress.algebra import (
     AlgebraError,
     OperatorSeries,
+    _contractions,
     ad_h0,
     canonicalize,
     classify,
@@ -13,6 +15,7 @@ from latticedress.algebra import (
     dagger,
     is_bad_type,
     normal_order_product,
+    product_terms,
     series_rows,
     term_type,
 )
@@ -302,3 +305,43 @@ def test_series_rows_schema(system3):
         "re": 1.5,
         "im": 0.5,
     }]
+
+
+# ---------------------------------------------------------------------------
+# product_terms against the all-pairs reference
+
+
+def _all_pairs_product(p, q, min_contractions, scale=1.0):
+    """The obvious loop: every pair of terms, multiplicities built per pair."""
+    acc = {}
+    for (c1, a1), x in p.items():
+        for (c2, a2), y in q.items():
+            xy = scale * x * y
+            for sig, w in _contractions(c1, a1, c2, a2, Counter(a1), Counter(c2),
+                                        min_contractions):
+                acc[sig] = acc.get(sig, 0j) + xy * w
+    return acc
+
+
+def _random_term_map(modes, rng, n_terms=12, max_degree=3):
+    """Random canonical terms over a few modes, so that modes repeat."""
+    def pick():
+        return [modes[i] for i in rng.integers(0, len(modes), rng.integers(0, max_degree + 1))]
+
+    return canonicalize((pick(), pick(), complex(rng.normal(), rng.normal()))
+                        for _ in range(n_terms))
+
+
+@pytest.mark.parametrize("min_contractions", [0, 1, 2])
+@pytest.mark.parametrize("scale", [1.0, -1.0])
+def test_product_terms_matches_all_pairs_loop(min_contractions, scale):
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=3),
+                        [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)])
+    modes = system.modes[:4]      # both species, few modes: repeats are common
+    rng = np.random.default_rng(20261018)
+    for _ in range(20):
+        p = _random_term_map(modes, rng)
+        q = _random_term_map(modes, rng)
+        fast = product_terms(p, q, min_contractions, scale=scale)
+        assert list(fast.items()) == \
+            list(_all_pairs_product(p, q, min_contractions, scale).items())

@@ -81,6 +81,10 @@ def test_echo_round_trips_all_sections():
      "checks.spacelike.grid[0]: sites need 1"),
     ("model:\n  species: [{name: a, mass: 1.0}, {name: a, mass: 0.5}]",
      "model.species: need one or more species"),
+    ("model:\n  coupling: 1.0e300", "got '1.0e300' (YAML reads it as a string; "
+     "write 1.0e+300)"),
+    ("numerics:\n  lambdas: [0.1, 2e-2]", "numerics.lambdas[1]: expected float, "
+     "got '2e-2' (YAML reads it as a string; write 0.02)"),
 ])
 def test_schema_violations_name_the_key(text, fragment):
     with pytest.raises(ConfigError, match=None) as exc:
@@ -166,6 +170,39 @@ def test_setup_failure_exits_one_with_report(tmp_path, text, command, fragment):
     assert fragment in failure["reason"]
 
 
+@pytest.mark.parametrize("value", ["nope", "\"inf\""])
+def test_string_that_is_no_finite_float_gets_no_hint(value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"model:\n  coupling: {value}")
+    assert str(exc.value).startswith("model.coupling: expected float, got ")
+    assert str(exc.value).endswith("'")
+
+
+def test_setup_failure_keeps_computed_verdicts(tmp_path):
+    # the basis is refused after dress and the momentum check already ran
+    text = "model:\n  lattice: {sites_per_dim: 5}\nnumerics: {dimension_limit: 10}\n"
+    assert run(parse_config(text), "verify", tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [v["check"] for v in report["verdicts"]] == ["no_bad_terms",
+                                                        "momentum_commutation"]
+    assert all(v["pass"] for v in report["verdicts"])
+    (failure,) = report["failures"]
+    assert failure["check"] == "setup"
+    assert "exceeds the limit 10" in failure["reason"]
+
+
+def test_default_spacelike_point_on_three_sites(tmp_path):
+    # the farthest site is one spacing away, so tau = one spacing is lightlike
+    text = ("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\n"
+            "checks:\n  spacelike: {enabled: true}\n")
+    assert run(parse_config(text), "scan", tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {row["tau"] for row in report["scan"]["spacelike"]["rows"]} == {0.5}
+    (verdict,) = [v for v in report["verdicts"]
+                  if v["check"] == "spacelike_nonlocality_slope"]
+    assert verdict["pass"]
+
+
 def test_golden_dress_report(tmp_path):
     # digest of the shipped example's dress report, which a refactor must keep;
     # dressing is pure-Python float arithmetic, so it does not depend on BLAS
@@ -222,3 +259,25 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     err = capsys.readouterr().err
     assert "exit 0" in err
+
+
+YUKAWA_ORDER3_YAML = """
+model:
+  lattice: {sites_per_dim: 5, physical_length: 5.0}
+  species: [{name: N, mass: 1.0}, {name: phi, mass: 0.5}]
+  interaction: {name: scalar-yukawa}
+  order: 3
+output:
+  formats: [json]
+"""
+
+
+def test_golden_dress_report_two_species_order3(tmp_path):
+    # two species and order 3, where the generator's last order enters K
+    path = tmp_path / "yukawa.yaml"
+    path.write_text(YUKAWA_ORDER3_YAML)
+    code = main(["--config", str(path), "--command", "dress",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "f0a8c3c7dac8f49efa111aab2c47755c171b2107340170bc6e027b9f9627842e"

@@ -150,3 +150,19 @@ def test_scalar_yukawa_dresses_clean():
     assert residual_bad_norm(result) == 0.0
     assert generator_consistency_defect(result) < 1e-12
     assert bad_part(result.K).is_zero()
+
+
+# weidlich dresses only at order 1: elastic (2,2) terms have zero denominators
+@pytest.mark.parametrize("name", ["phi3", "phi3-full", "scalar-yukawa"])
+@pytest.mark.parametrize("order, policy", [(2, "shirokov"), (3, "shirokov"),
+                                           (1, "weidlich")])
+def test_dressed_K_equals_full_reexpansion(name, order, policy):
+    # dress() adds [R_N, H] to the loop's last expansion instead of expanding
+    # again with the whole generator; the two must agree bit for bit
+    model = build_model(name, lattice=LatticeSpec(dim=1, sites_per_dim=5,
+                                                  physical_length=5.0),
+                        max_order=order, policy=policy)
+    result = dress(model)
+    full = bch_conjugate(result.generator, model.hamiltonian(order), order)
+    assert [list(o.items()) for o in result.K.orders] == \
+        [list(o.items()) for o in full.orders]
