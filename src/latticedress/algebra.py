@@ -189,7 +189,11 @@ class OperatorSeries:
         """Collapse the series at a numeric coupling value."""
         acc: TermMap = {}
         for n, o in enumerate(self.orders):
-            w = lam**n
+            try:
+                w = lam**n
+            except OverflowError:
+                raise OverflowError(
+                    f"coupling {lam!r} to the power {n} overflows a float") from None
             for sig, c in o.items():
                 acc[sig] = acc.get(sig, 0j) + w * c
         return _sorted_map(acc)

@@ -26,6 +26,7 @@ from .numerics import (
     dressing_matrices,
     field_at_origin_time_zero,
     ladder_matrix,
+    matrix_of,
     restricted_norm,
 )
 
@@ -130,7 +131,7 @@ def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingRes
     creators = {m: ladder_matrix(basis, m, create=True).toarray()
                 for m in model.system.modes}
     for lam in lambdas:
-        mh, _, w_inv, _ = dressing_matrices(result, basis, lam)
+        mh, w_inv = dressing_matrices(result, basis, lam)
         vac_res.append(_state_residual(mh, w_inv @ e_vac))
         for m in model.system.modes:
             one_res[m].append(_state_residual(mh, w_inv @ (creators[m] @ e_vac)))
@@ -148,7 +149,7 @@ def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingRes
         bigger = FockBasis(model.system, basis.per_mode_cutoff * 2,
                            basis.total_cutoff * 2)
         lam = max(lambdas)
-        mh, _, w_inv, _ = dressing_matrices(result, bigger, lam)
+        mh, w_inv = dressing_matrices(result, bigger, lam)
         e0 = np.zeros(bigger.dimension)
         e0[bigger.vacuum_index()] = 1.0
         ref = vac_res[lambdas.index(lam)]
@@ -207,7 +208,8 @@ class _LambdaContext:
         self.model = model
         self.basis = basis
         self.lam = lam
-        self.mh, _, self.w_inv, self.w = dressing_matrices(result, basis, lam)
+        self.mh, self.w_inv = dressing_matrices(result, basis, lam)
+        self.w = scipy.linalg.expm(matrix_of(result.generator, basis, lam).toarray())
         e0 = np.zeros(basis.dimension)
         e0[basis.vacuum_index()] = 1.0
         psi = self.w_inv @ e0

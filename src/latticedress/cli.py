@@ -290,7 +290,7 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
                 for sig, den in exc.signatures
             ],
         }
-    except (BasisError, ModelError, ScanError) as exc:
+    except (BasisError, ModelError, ScanError, OverflowError) as exc:
         failure = {"check": "setup", "reason": str(exc)}
     # verdicts computed before a failure stay in the report
     report["failures"] = [{"check": v["check"], "reason": "tolerance"}

@@ -147,6 +147,11 @@ def dress(model: ModelSpec) -> DressingResult:
     # R_N is purely order N, so up to order N it enters exp(R) H exp(-R) only
     # through [R_N, H_0]: the last expansion plus that commutator is all of K.
     k = k + commutator(rn, h)
+    # [R_n, H_0] cancels the removed terms of K_n exactly; what the sum leaves
+    # is rounding residue, above the absolute prune at large couplings
+    for n, target in enumerate(removed, start=1):
+        for sig in target:
+            k.orders[n].pop(sig, None)
     return DressingResult(
         model=model,
         generators=generators,

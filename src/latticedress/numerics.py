@@ -5,6 +5,12 @@ cutoffs, graded by total quanta then lexicographic.  Operator application
 that would push a state above a cutoff yields zero amplitude (projection);
 comparisons against symbolic results must therefore be restricted to
 low-quanta sub-blocks with a safety margin.
+
+Each basis caches, per monomial signature, the monomial's action on every
+basis state, (rows, cols, amps), computed on first use with numpy over the
+whole occupation array; target states are found by integer state keys.
+Matrix assembly then only scales and concatenates the cached arrays, in the
+order of the term map.
 """
 
 from __future__ import annotations
@@ -65,6 +71,17 @@ class FockBasis:
         self.index: dict[tuple[int, ...], int] = {v: i for i, v in enumerate(states)}
         self.totals = np.array([sum(v) for v in states])
         self._positions = {m: i for i, m in enumerate(self.modes)}
+        # a state's key is its occupation vector read as a mixed-radix number;
+        # with many modes the keys outgrow int64 and are Python ints
+        n_modes = len(self.modes)
+        radix = min(per_mode_cutoff, total_cutoff) + 1
+        dtype = np.int64 if radix ** n_modes <= np.iinfo(np.int64).max else object
+        self._weights = [radix ** (n_modes - 1 - i) for i in range(n_modes)]
+        self._occupations = np.array(states, dtype=np.int64).reshape(len(states), n_modes)
+        self._keys = self._occupations.astype(dtype) @ np.array(self._weights, dtype=dtype)
+        self._key_order = np.argsort(self._keys)
+        self._sorted_keys = self._keys[self._key_order]
+        self._actions: dict = {}    # signature -> (rows, cols, amps)
 
     @staticmethod
     def _enumerate(n_modes, per_mode, total):
@@ -83,6 +100,49 @@ class FockBasis:
             return self._positions[mode]
         except KeyError:
             raise BasisError(f"mode {mode} is not part of this basis") from None
+
+    def action(self, creators, annihilators):
+        """A normal-ordered monomial applied to every basis state.
+
+        Returns (rows, cols, amps): column cols[i] maps to row rows[i] with
+        amplitude amps[i], cols ascending.  A state that is annihilated or
+        pushed above a cutoff is dropped (projection).  The arrays are
+        cached per signature and read-only.
+        """
+        sig = (creators, annihilators)
+        if sig in self._actions:
+            return self._actions[sig]
+        for m in creators + annihilators:
+            if not self.system.contains(m):
+                raise BasisError(f"mode {m} unknown to the basis system")
+        positions = [self.mode_position(m) for m in annihilators + creators]
+        slot = {p: j for j, p in enumerate(dict.fromkeys(positions))}
+        sub = self._occupations[:, list(slot)]     # the modes involved
+        cols = np.arange(self.dimension)
+        amps = np.ones(self.dimension)
+        # same factors in the same order as applying the monomial state by
+        # state: annihilators first, then creators
+        for p in positions[:len(annihilators)]:
+            j = slot[p]
+            live = sub[:, j] > 0
+            cols, amps, sub = cols[live], amps[live], sub[live]
+            amps *= np.sqrt(sub[:, j])
+            sub[:, j] -= 1
+        total = self.totals[cols] - len(annihilators)
+        for p in positions[len(annihilators):]:
+            j = slot[p]
+            live = (sub[:, j] < self.per_mode_cutoff) & (total < self.total_cutoff)
+            cols, amps, sub, total = cols[live], amps[live], sub[live], total[live]
+            sub[:, j] += 1
+            amps *= np.sqrt(sub[:, j])
+            total += 1
+        shift = sum(self._weights[p] for p in positions[len(annihilators):]) \
+            - sum(self._weights[p] for p in positions[:len(annihilators)])
+        rows = self._key_order[np.searchsorted(self._sorted_keys, self._keys[cols] + shift)]
+        for a in (rows, cols, amps):
+            a.flags.writeable = False
+        self._actions[sig] = rows, cols, amps
+        return self._actions[sig]
 
     def vacuum_index(self) -> int:
         return self.index[(0,) * len(self.modes)]
@@ -112,51 +172,20 @@ def build_basis(model_or_system, per_mode_cutoff: int, total_cutoff: int,
     return FockBasis(system, per_mode_cutoff, total_cutoff, dimension_limit)
 
 
-def _apply_term(basis: FockBasis, creators, annihilators, state: tuple[int, ...]):
-    """Apply a normal-ordered monomial to a basis state.
-
-    Returns (amplitude, new_state) or None when the result is annihilated or
-    pushed above a cutoff.
-    """
-    occ = list(state)
-    amp = 1.0
-    for m in annihilators:
-        pos = basis.mode_position(m)
-        n = occ[pos]
-        if n == 0:
-            return None
-        amp *= math.sqrt(n)
-        occ[pos] = n - 1
-    total = sum(occ)
-    for m in creators:
-        pos = basis.mode_position(m)
-        n = occ[pos]
-        if n + 1 > basis.per_mode_cutoff or total + 1 > basis.total_cutoff:
-            return None
-        amp *= math.sqrt(n + 1)
-        occ[pos] = n + 1
-        total += 1
-    return amp, tuple(occ)
-
-
 def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     """Sparse matrix of a flat term map in the given basis."""
     rows, cols, vals = [], [], []
     for (creators, annihilators), coeff in terms.items():
-        for m in list(creators) + list(annihilators):
-            if not basis.system.contains(m):
-                raise BasisError(f"mode {m} unknown to the basis system")
-        for col, state in enumerate(basis.states):
-            hit = _apply_term(basis, creators, annihilators, state)
-            if hit is None:
-                continue
-            amp, new_state = hit
-            rows.append(basis.index[new_state])
-            cols.append(col)
-            vals.append(coeff * amp)
+        r, c, amps = basis.action(creators, annihilators)
+        rows.append(r)
+        cols.append(c)
+        vals.append(coeff * amps)
+    n = basis.dimension
+    if not vals:
+        return sp.csr_matrix((n, n), dtype=complex)
     return sp.csr_matrix(
-        (vals, (rows, cols)),
-        shape=(basis.dimension, basis.dimension),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
         dtype=complex,
     )
 
@@ -222,7 +251,7 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray,
 
 
 def dressing_matrices(result, basis: FockBasis, lam: float):
-    """(H(lam), R(lam), exp(-R), exp(R)) matrices for a dressing result.
+    """(H(lam), exp(-R(lam))) dense matrices for a dressing result.
 
     Dressed states are exp(-R)|bare>: with K = exp(R) H exp(-R), the
     approximate eigenvectors of H are exp(-R) times Fock states.
@@ -230,9 +259,7 @@ def dressing_matrices(result, basis: FockBasis, lam: float):
     model = result.model
     mh = matrix_of(model.hamiltonian(), basis, lam).toarray()
     mr = matrix_of(result.generator, basis, lam).toarray()
-    w_inv = scipy.linalg.expm(-mr)
-    w = scipy.linalg.expm(mr)
-    return mh, mr, w_inv, w
+    return mh, scipy.linalg.expm(-mr)
 
 
 def rspt2_shift(model: ModelSpec, basis: FockBasis, species: str, k) -> float:
@@ -289,8 +316,12 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
         mode = model.system.mode(sp_name, kvec)
         p = np.array(lat.momentum(kvec))
         phase = np.exp(1j * float(np.dot(p, x)))
-        a = ladder_matrix(basis, mode).toarray()
-        alpha = w_inv @ a @ w
+        # a ladder matrix has at most one nonzero per column, so w_inv @ a
+        # is a scaled gather of w_inv's columns
+        a = ladder_matrix(basis, mode).tocoo()
+        left = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+        left[:, a.col] = w_inv[:, a.row] * a.data
+        alpha = left @ w
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
         out += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
     return out

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,6 +206,23 @@ def test_default_spacelike_point_on_three_sites(tmp_path):
     assert verdict["pass"]
 
 
+@pytest.mark.parametrize("text, command, verdicts", [
+    ("model:\n  lattice: {sites_per_dim: 3}\nnumerics:\n  lambdas: [0.02, 1.0e+300]\n",
+     "verify", ["no_bad_terms", "momentum_commutation"]),
+    ("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\n"
+     "checks:\n  spacelike: {enabled: true, lambdas: [0.05, 1.0e+300]}\n",
+     "scan", ["no_bad_terms"]),
+], ids=["numerics.lambdas", "checks.spacelike.lambdas"])
+def test_huge_coupling_is_a_setup_failure(tmp_path, text, command, verdicts):
+    # lambda**2 overflows a float while the order-2 Hamiltonian is evaluated
+    assert run(parse_config(text), command, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [v["check"] for v in report["verdicts"]] == verdicts
+    (failure,) = report["failures"]
+    assert failure["check"] == "setup"
+    assert failure["reason"] == "coupling 1e+300 to the power 2 overflows a float"
+
+
 def test_golden_dress_report(tmp_path):
     # digest of the shipped example's dress report, which a refactor must keep;
     # dressing is pure-Python float arithmetic, so it does not depend on BLAS
@@ -281,3 +301,60 @@ def test_golden_dress_report_two_species_order3(tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == "f0a8c3c7dac8f49efa111aab2c47755c171b2107340170bc6e027b9f9627842e"
+
+
+GOLDEN_VERIFY_YAML = """
+model:
+  lattice: {sites_per_dim: 5, physical_length: 5.0}
+  interaction: {name: phi3}
+  order: 3
+numerics: {per_mode_cutoff: 4, total_cutoff: 4}
+output:
+  formats: [json]
+"""
+
+GOLDEN_SCAN_YAML = """
+model:
+  lattice: {sites_per_dim: 5, physical_length: 5.0}
+  interaction: {name: phi3}
+  order: 2
+numerics: {per_mode_cutoff: 5, total_cutoff: 5}
+checks:
+  spacelike: {enabled: true}
+output:
+  formats: [json]
+"""
+
+
+def _run_module(args):
+    """`python -m latticedress` in a fresh interpreter with one BLAS thread."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "latticedress", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command, text, digest", [
+    ("verify", GOLDEN_VERIFY_YAML,
+     "4e1a9105553ef88745d70bbef22a09c95e21d182610723b9f46f2b859f4cd7ae"),
+    ("scan", GOLDEN_SCAN_YAML,
+     "e96dd7cd246739b2e9519c063748a343e19688ca94c9e25badf05a16eae798eb"),
+])
+def test_golden_oracle_report(tmp_path, command, text, digest):
+    # the oracle's numbers go through BLAS, whose rounding depends on the
+    # thread count (and on the BLAS build), so the run is pinned to one thread
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    proc = _run_module(["--config", str(path), "--command", command,
+                        "--out-dir", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    got = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert got == digest
+
+
+def test_python_dash_m_entry_point():
+    proc = _run_module(["--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert "--command" in proc.stdout

@@ -166,3 +166,16 @@ def test_dressed_K_equals_full_reexpansion(name, order, policy):
     full = bch_conjugate(result.generator, model.hamiltonian(order), order)
     assert [list(o.items()) for o in result.K.orders] == \
         [list(o.items()) for o in full.orders]
+
+
+@pytest.mark.parametrize("name, sites, order, g", [
+    ("phi3", 5, 3, 30.0),
+    ("scalar-yukawa", 3, 2, 100.0),
+])
+def test_no_bad_terms_left_at_large_coupling(name, sites, order, g):
+    # coefficients up to ~1e3, where the cancellation's rounding residue of a
+    # removed term exceeds the absolute prune threshold
+    model = build_model(name, lattice=LatticeSpec(dim=1, sites_per_dim=sites),
+                        g=g, max_order=order)
+    result = dress(model)
+    assert bad_part(result.K).term_count() == 0

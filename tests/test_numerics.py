@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from latticedress.checks import ScanError, _LambdaContext, equal_time_scan
 from latticedress.dressing import dress
 from latticedress.models import build_model, free_hamiltonian
-from latticedress.modes import LatticeSpec
+from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
 from latticedress.numerics import (
     BasisError,
     FockBasis,
@@ -101,6 +101,90 @@ def test_ladder_matrix_elements(system1):
     assert np.all(ad[:, 4] == 0)
 
 
+def _apply_term(basis, creators, annihilators, state):
+    """Reference: a normal-ordered monomial applied to one basis state;
+    (amplitude, new_state), or None when annihilated or above a cutoff."""
+    occ = list(state)
+    amp = 1.0
+    for m in annihilators:
+        pos = basis.mode_position(m)
+        n = occ[pos]
+        if n == 0:
+            return None
+        amp *= math.sqrt(n)
+        occ[pos] = n - 1
+    total = sum(occ)
+    for m in creators:
+        pos = basis.mode_position(m)
+        n = occ[pos]
+        if n + 1 > basis.per_mode_cutoff or total + 1 > basis.total_cutoff:
+            return None
+        amp *= math.sqrt(n + 1)
+        occ[pos] = n + 1
+        total += 1
+    return amp, tuple(occ)
+
+
+def _matrix_state_by_state(terms, basis):
+    """Reference assembly: every term over every basis state, in Python."""
+    rows, cols, vals = [], [], []
+    for (creators, annihilators), coeff in terms.items():
+        for col, state in enumerate(basis.states):
+            hit = _apply_term(basis, creators, annihilators, state)
+            if hit is None:
+                continue
+            amp, new_state = hit
+            rows.append(basis.index[new_state])
+            cols.append(col)
+            vals.append(coeff * amp)
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(basis.dimension, basis.dimension), dtype=complex)
+
+
+@pytest.mark.parametrize("per_mode, total, seed", [
+    (2, 3, 1), (2, 3, 2), (3, 2, 3), (2, 4, 4),
+])
+def test_cached_action_matches_state_by_state_loop(per_mode, total, seed):
+    # two species, repeated modes, and both cutoffs projecting states out
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=3),
+                        [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)])
+    basis = FockBasis(system, per_mode, total)
+    rng = np.random.default_rng(seed)
+    modes = system.modes
+    pool = [modes[i] for i in rng.choice(len(modes), 3, replace=False)]
+
+    def draw():
+        # up to three modes from a pool of three, so modes repeat
+        return tuple(sorted(pool[i] for i in rng.integers(0, 3, rng.integers(0, 4))))
+
+    for _ in range(3):
+        terms = {}
+        for _ in range(12):
+            terms[(draw(), draw())] = complex(rng.normal(), rng.normal())
+        want = _matrix_state_by_state(terms, basis)
+        got = matrix_of_terms(terms, basis)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    # the cached arrays are shared between calls, so callers cannot write them
+    rows, _, _ = basis.action(*next(iter(terms)))
+    with pytest.raises(ValueError):
+        rows[:] = 0
+
+
+def test_state_keys_past_int64_still_find_rows():
+    # 65 modes at total cutoff 1: 2**65 keys overflow int64
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=65), [FieldSpecies("phi", 1.0)])
+    basis = FockBasis(system, 1, 1)
+    a, b = system.modes[0], system.modes[-1]
+    terms = {((a,), (b,)): 1.0 + 0j, ((b,), ()): 2.0 + 0j, ((), ()): 0.5 + 0j}
+    got = matrix_of_terms(terms, basis)
+    want = _matrix_state_by_state(terms, basis)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
 def test_matrix_of_series_evaluates_coupling(system1):
     z = mode(system1, 0)
     from latticedress.algebra import OperatorSeries
@@ -167,7 +251,11 @@ def test_dressing_matrices_are_consistent():
     model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
-    mh, mr, w_inv, w = dressing_matrices(result, basis, 0.1)
+    mh, w_inv = dressing_matrices(result, basis, 0.1)
+    mr = matrix_of(result.generator, basis, 0.1).toarray()
+    ctx = _LambdaContext(model, basis, result, 0.1)
+    assert np.array_equal(ctx.w_inv, w_inv)
+    w = ctx.w
     assert np.allclose(w @ w_inv, np.eye(basis.dimension), atol=1e-12)
     assert np.abs(mr + mr.conj().T).max() < 1e-12
     assert np.abs(mh - mh.conj().T).max() < 1e-12
@@ -205,6 +293,25 @@ def test_field_is_hermitian_and_horizon_enforced():
     with pytest.raises(ScanError, match="horizon"):
         equal_time_scan(model, basis, result, times=[100.0], lambdas=[0.1],
                         site_pairs=[((0,), (1,))])
+
+
+def test_field_gather_equals_dense_conjugation():
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3,
+                                                    physical_length=3.0))
+    basis = FockBasis(model.system, 3, 3)
+    ctx = _LambdaContext(model, basis, dress(model), 0.3)
+    lat = model.system.lattice
+    for site in [(0,), (1,)]:
+        x = np.array(site, dtype=float) * lat.spacing
+        want = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+        for kvec in lat.k_vectors():
+            m = model.system.mode("phi", kvec)
+            phase = np.exp(1j * float(np.dot(np.array(lat.momentum(kvec)), x)))
+            alpha = ctx.w_inv @ ladder_matrix(basis, m).toarray() @ ctx.w
+            coeff = 1.0 / math.sqrt(2.0 * model.system.energy(m) * lat.volume)
+            want += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
+        got = field_at_origin_time_zero(model, basis, ctx.w_inv, ctx.w, site)
+        assert np.array_equal(got, want)
 
 
 def test_field_rejects_multi_species():
