@@ -11,7 +11,6 @@ which cancels identically.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import product as iter_product
 from typing import Callable, Iterable, Sequence
 
@@ -77,20 +76,29 @@ def _contractions(
     a1: tuple[ModeIndex, ...],
     c2: tuple[ModeIndex, ...],
     a2: tuple[ModeIndex, ...],
-    ca1: Counter,
-    cc2: Counter,
+    ca1: dict[ModeIndex, int],
+    cc2: dict[ModeIndex, int],
     min_contractions: int = 0,
 ):
     """Normal order the product (c1,a1)*(c2,a2).
 
     `ca1` and `cc2` count the modes of `a1` and `c2`; their keys follow the
-    sorted signature, so the common modes come out in mode order.  Yields
+    sorted signature, so the common modes come out in mode order.  Returns
     (signature, weight) for every contraction count between the left
     factor's annihilators and the right factor's creators.  Within a mode
     carrying m annihilators against n creators, k contractions come with
     weight C(m,k)*C(n,k)*k! (bosonic Wick combinatorics).
     """
     common = [m for m in ca1 if m in cc2]
+    if min_contractions == 1 and len(common) == 1:
+        (mode,) = common
+        if ca1[mode] == 1 or cc2[mode] == 1:
+            # the one possible contraction, weight C(m,1)*C(n,1)*1! = m*n
+            i, j = c2.index(mode), a1.index(mode)
+            return [((tuple(sorted(c1 + c2[:i] + c2[i + 1:])),
+                      tuple(sorted(a1[:j] + a1[j + 1:] + a2))),
+                     float(ca1[mode] * cc2[mode]))]
+    out = []
     per_mode = [range(min(ca1[m], cc2[m]) + 1) for m in common]
     for ks in iter_product(*per_mode):
         if sum(ks) < min_contractions:
@@ -105,7 +113,8 @@ def _contractions(
                 rem_a1.remove(mode)
         creators = tuple(sorted(c1 + tuple(rem_c2)))
         annihil = tuple(sorted(rem_a1 + list(a2)))
-        yield (creators, annihil), weight
+        out.append(((creators, annihil), weight))
+    return out
 
 
 def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
@@ -118,7 +127,8 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
     order as the all-pairs loop.
     """
     acc: TermMap = {} if out is None else out
-    qs = [(c2, a2, y, Counter(c2)) for (c2, a2), y in q.items()]
+    # mode multiplicities, keyed in signature (mode) order
+    qs = [(c2, a2, y, {m: c2.count(m) for m in c2}) for (c2, a2), y in q.items()]
     every = range(len(qs))
     by_mode: dict[ModeIndex, list[int]] = {}
     if min_contractions >= 1:
@@ -126,7 +136,7 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
             for m in cc2:
                 by_mode.setdefault(m, []).append(j)
     for (c1, a1), x in p.items():
-        ca1 = Counter(a1)
+        ca1 = {m: a1.count(m) for m in a1}
         if min_contractions < 1:
             visit = every
         else:

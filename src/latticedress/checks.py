@@ -99,14 +99,15 @@ class ResidualReport:
 
 
 def _loglog_slope(lambdas, values, floor=1e-13) -> float | None:
-    """Least-squares slope of log(value) vs log(lambda); None if the values
-    sit at the numerical floor (nothing to fit)."""
+    """Least-squares slope of log(value) vs log(lambda); None if fewer than
+    two distinct couplings have values above the numerical floor (nothing
+    to fit)."""
     xs, ys = [], []
     for lam, v in zip(lambdas, values):
         if lam > 0 and v > floor:
             xs.append(math.log(lam))
             ys.append(math.log(v))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)

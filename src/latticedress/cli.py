@@ -7,9 +7,9 @@ Commands:
   all     dress + verify + scan
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, the dressing hit
-a zero denominator or a setup step failed, 2 usage or configuration error.
-Exit 0 or 1 writes the report; a setup failure keeps the verdicts computed
-before it.
+a zero denominator, a setup step failed or the report holds a non-finite
+number (written as null), 2 usage or configuration error.  Exit 0 or 1
+writes the report; a setup failure keeps the verdicts computed before it.
 
 The JSON report is byte-stable for identical inputs and package version;
 wall-clock timing goes to stderr, not into the report.
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import __version__
@@ -50,6 +50,7 @@ from .numerics import (
 
 SCHEMA_VERSION = 1
 COMMANDS = ("dress", "verify", "scan", "all")
+NONFINITE_FAILURE = {"check": "report", "reason": "non-finite number in the report"}
 
 
 def _finite(x):
@@ -290,31 +291,98 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
                 for sig, den in exc.signatures
             ],
         }
-    except (BasisError, ModelError, ScanError, OverflowError) as exc:
+    except (BasisError, ModelError, ScanError, ArithmeticError) as exc:
         failure = {"check": "setup", "reason": str(exc)}
     # verdicts computed before a failure stay in the report
     report["failures"] = [{"check": v["check"], "reason": "tolerance"}
                           for v in report["verdicts"] if not v["pass"]]
     if failure is not None:
         report["failures"].append(failure)
-    exit_code = 1 if report["failures"] else 0
 
     emit_report(report, out_dir, cfg.formats)
+    exit_code = 1 if report["failures"] else 0
     print(f"[latticedress] {command}: exit {exit_code} "
           f"({time.monotonic() - t0:.2f}s)", file=sys.stderr)
     return exit_code
 
 
+def report_json(obj) -> tuple[str, bool]:
+    """(text, finite): the text of json.dumps(obj, indent=2, sort_keys=True),
+    built in one join with the stdlib's own formatters, except that a
+    non-finite float is written as null; `finite` says there was none.
+
+    Types are tested in the order the stdlib's encoder tests them, so float
+    subclasses such as numpy.float64 come out as floats.  A key that is not
+    a string, or a value of any other type, raises TypeError.
+    """
+    chunks: list[str] = []
+    nonfinite: list[float] = []
+    _put_json(obj, "", "\n", chunks.append, nonfinite)
+    return "".join(chunks), not nonfinite
+
+
+def _put_json(o, head: str, newline: str, put, nonfinite: list) -> None:
+    """put(head + the text of o); `newline` starts o's own line.  A module
+    function, not a closure: a recursive closure is a reference cycle that
+    would keep every chunk alive until the cyclic garbage collector runs."""
+    if isinstance(o, str):
+        put(head + _encode_str(o))
+    elif o is None:
+        put(head + "null")
+    elif o is True:
+        put(head + "true")
+    elif o is False:
+        put(head + "false")
+    elif isinstance(o, int):
+        put(head + int.__repr__(o))
+    elif isinstance(o, float):
+        if math.isfinite(o):
+            put(head + float.__repr__(o))
+        else:
+            nonfinite.append(o)
+            put(head + "null")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put(head + "[]")
+            return
+        inner = newline + "  "
+        head += "[" + inner
+        for item in o:
+            _put_json(item, head, inner, put, nonfinite)
+            head = "," + inner
+        put(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put(head + "{}")
+            return
+        inner = newline + "  "
+        head += "{" + inner
+        for key, item in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            _put_json(item, head + _encode_str(key) + ": ", inner, put, nonfinite)
+            head = "," + inner
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
+    """Write the report files; return their paths.
+
+    A non-finite number in the report is written as null and first adds
+    the failure NONFINITE_FAILURE to `report["failures"]`.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    text, finite = report_json(report)
+    if not finite:
+        report.setdefault("failures", []).append(dict(NONFINITE_FAILURE))
+        text, _ = report_json(report)
     if "json" in formats:
         path = out_dir / "report.json"
-        path.write_text(
-            json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(text + "\n", encoding="utf-8")
         written.append(path)
     if "csv" in formats:
         for kind in ("equal_time", "spacelike"):

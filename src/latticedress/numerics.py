@@ -38,6 +38,11 @@ class BasisError(ValueError):
     """Basis construction or lookup failure."""
 
 
+class OracleError(ArithmeticError):
+    """A matrix of the oracle is non-finite, or exp(R) is not unitary:
+    the model or the coupling is out of double precision's reach."""
+
+
 @dataclass
 class GroundState:
     energy: float
@@ -173,7 +178,8 @@ def build_basis(model_or_system, per_mode_cutoff: int, total_cutoff: int,
 
 
 def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
-    """Sparse matrix of a flat term map in the given basis."""
+    """Sparse matrix of a flat term map in the given basis; a non-finite
+    matrix element raises OracleError."""
     rows, cols, vals = [], [], []
     for (creators, annihilators), coeff in terms.items():
         r, c, amps = basis.action(creators, annihilators)
@@ -183,8 +189,11 @@ def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     n = basis.dimension
     if not vals:
         return sp.csr_matrix((n, n), dtype=complex)
+    data = np.concatenate(vals)
+    if not np.isfinite(data).all():
+        raise OracleError("the Fock-space matrix of a term map has a non-finite element")
     return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (data, (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
         dtype=complex,
     )
@@ -236,7 +245,8 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray,
                       antiherm_tol: float = ANTIHERM_TOL) -> np.ndarray:
     """exp(r) h exp(-r) by dense scaling-and-squaring matrix exponential.
 
-    r must be anti-Hermitian; the unitarity of exp(r) is verified.
+    r must be anti-Hermitian; the unitarity of exp(r) is verified, and
+    OracleError is raised when it fails.
     """
     rd = r.toarray() if sp.issparse(r) else np.asarray(r, dtype=complex)
     hd = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=complex)
@@ -245,8 +255,8 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray,
         raise ValueError(f"generator is not anti-Hermitian (defect {defect:.3e})")
     w = scipy.linalg.expm(rd)
     unit_defect = np.abs(w @ w.conj().T - np.eye(w.shape[0])).max()
-    if unit_defect > UNITARITY_TOL:
-        raise RuntimeError(f"exp(R) failed unitarity check (defect {unit_defect:.3e})")
+    if not unit_defect <= UNITARITY_TOL:     # a NaN defect fails too
+        raise OracleError(f"exp(R) failed unitarity check (defect {unit_defect:.3e})")
     return w @ hd @ w.conj().T
 
 
@@ -254,12 +264,16 @@ def dressing_matrices(result, basis: FockBasis, lam: float):
     """(H(lam), exp(-R(lam))) dense matrices for a dressing result.
 
     Dressed states are exp(-R)|bare>: with K = exp(R) H exp(-R), the
-    approximate eigenvectors of H are exp(-R) times Fock states.
+    approximate eigenvectors of H are exp(-R) times Fock states.  A
+    non-finite exp(-R) raises OracleError.
     """
     model = result.model
     mh = matrix_of(model.hamiltonian(), basis, lam).toarray()
     mr = matrix_of(result.generator, basis, lam).toarray()
-    return mh, scipy.linalg.expm(-mr)
+    w_inv = scipy.linalg.expm(-mr)
+    if not np.isfinite(w_inv).all():
+        raise OracleError(f"exp(-R) at coupling {lam!r} is not finite")
+    return mh, w_inv
 
 
 def rspt2_shift(model: ModelSpec, basis: FockBasis, species: str, k) -> float:
@@ -328,9 +342,12 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
 
 
 def restricted_norm(m: np.ndarray, basis: FockBasis, max_quanta: int) -> float:
-    """Spectral norm of a matrix restricted to the <= max_quanta sub-block."""
+    """Spectral norm of a matrix restricted to the <= max_quanta sub-block;
+    a non-finite sub-block raises OracleError."""
     idx = basis.block_indices(max_quanta)
     sub = np.asarray(m)[np.ix_(idx, idx)]
+    if not np.isfinite(sub).all():
+        raise OracleError("a matrix restricted to the low-quanta block is not finite")
     return float(np.linalg.norm(sub, ord=2))
 
 

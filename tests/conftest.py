@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from latticedress.config import _put, parse_config
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +31,14 @@ def system1():
 def mode(system, k, species=None):
     name = species or system.species[0].name
     return system.mode(name, (k,) if isinstance(k, int) else tuple(k))
+
+
+def phi3_config(changes: dict):
+    """configs/phi3.yaml with values replaced at dotted key paths."""
+    doc = yaml.safe_load((REPO_ROOT / "configs" / "phi3.yaml").read_text())
+    for path, value in changes.items():
+        _put(doc, path, value)
+    return parse_config(yaml.safe_dump(doc))
 
 
 def random_series(system, rng, max_terms=3, max_degree=2):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -308,40 +309,95 @@ def test_series_rows_schema(system3):
 
 
 # ---------------------------------------------------------------------------
-# product_terms against the all-pairs reference
+# the Wick kernel and product_terms against a reference that shares no code
+
+
+def _reference_contractions(c1, a1, c2, a2, min_contractions):
+    """The general Wick kernel: every contraction count per common mode,
+    weight C(m,k)*C(n,k)*k!, in the order of iter_product over the modes."""
+    ca1, cc2 = Counter(a1), Counter(c2)
+    common = [m for m in ca1 if m in cc2]
+    per_mode = [range(min(ca1[m], cc2[m]) + 1) for m in common]
+    for ks in iter_product(*per_mode):
+        if sum(ks) < min_contractions:
+            continue
+        weight = 1.0
+        rem_c2 = list(c2)
+        rem_a1 = list(a1)
+        for m, k in zip(common, ks):
+            weight *= math.comb(ca1[m], k) * math.comb(cc2[m], k) * math.factorial(k)
+            for _ in range(k):
+                rem_c2.remove(m)
+                rem_a1.remove(m)
+        creators = tuple(sorted(c1 + tuple(rem_c2)))
+        annihil = tuple(sorted(rem_a1 + list(a2)))
+        yield (creators, annihil), weight
 
 
 def _all_pairs_product(p, q, min_contractions, scale=1.0):
-    """The obvious loop: every pair of terms, multiplicities built per pair."""
+    """The obvious loop: every pair of terms through the reference kernel."""
     acc = {}
     for (c1, a1), x in p.items():
         for (c2, a2), y in q.items():
             xy = scale * x * y
-            for sig, w in _contractions(c1, a1, c2, a2, Counter(a1), Counter(c2),
-                                        min_contractions):
+            for sig, w in _reference_contractions(c1, a1, c2, a2, min_contractions):
                 acc[sig] = acc.get(sig, 0j) + xy * w
     return acc
 
 
+def _bits(items):
+    """(key, type, exact bits of each float part): tells -0.0 from 0.0."""
+    out = []
+    for key, value in items:
+        parts = (value.real, value.imag) if isinstance(value, complex) else (value,)
+        out.append((key, type(value), *(float(v).hex() for v in parts)))
+    return out
+
+
 def _random_term_map(modes, rng, n_terms=12, max_degree=3):
-    """Random canonical terms over a few modes, so that modes repeat."""
+    """Random canonical terms over a few modes, so that modes repeat; about
+    a third of the coefficients are real, so zero imaginary parts occur."""
     def pick():
         return [modes[i] for i in rng.integers(0, len(modes), rng.integers(0, max_degree + 1))]
 
-    return canonicalize((pick(), pick(), complex(rng.normal(), rng.normal()))
-                        for _ in range(n_terms))
+    def coeff():
+        return complex(rng.normal(), rng.normal() if rng.random() < 0.7 else 0.0)
+
+    return canonicalize((pick(), pick(), coeff()) for _ in range(n_terms))
+
+
+def _random_maps(n_pairs=20):
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=3),
+                        [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)])
+    modes = system.modes[:4]      # both species, few modes: repeats are common
+    rng = np.random.default_rng(20261018)
+    return [(_random_term_map(modes, rng), _random_term_map(modes, rng))
+            for _ in range(n_pairs)]
+
+
+@pytest.mark.parametrize("min_contractions", [0, 1, 2])
+def test_contractions_match_reference_kernel(min_contractions):
+    single = general = 0
+    for p, q in _random_maps():
+        for c1, a1 in p:
+            for c2, a2 in q:
+                got = _contractions(c1, a1, c2, a2, Counter(a1), Counter(c2),
+                                    min_contractions)
+                want = _reference_contractions(c1, a1, c2, a2, min_contractions)
+                assert _bits(got) == _bits(want)
+                common = set(a1) & set(c2)
+                if len(common) == 1 and 1 in (a1.count(*common), c2.count(*common)):
+                    single += 1
+                elif common:
+                    general += 1
+    # both the one-contraction pairs and the general ones occur
+    assert single > 0 and general > 0
 
 
 @pytest.mark.parametrize("min_contractions", [0, 1, 2])
 @pytest.mark.parametrize("scale", [1.0, -1.0])
 def test_product_terms_matches_all_pairs_loop(min_contractions, scale):
-    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=3),
-                        [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)])
-    modes = system.modes[:4]      # both species, few modes: repeats are common
-    rng = np.random.default_rng(20261018)
-    for _ in range(20):
-        p = _random_term_map(modes, rng)
-        q = _random_term_map(modes, rng)
+    for p, q in _random_maps():
         fast = product_terms(p, q, min_contractions, scale=scale)
-        assert list(fast.items()) == \
-            list(_all_pairs_product(p, q, min_contractions, scale).items())
+        assert _bits(fast.items()) == \
+            _bits(_all_pairs_product(p, q, min_contractions, scale).items())

@@ -71,6 +71,12 @@ def test_loglog_slope_none_at_floor():
     assert _loglog_slope([0.1, 0.2], [1e-16, 1e-15]) is None
 
 
+@pytest.mark.parametrize("lams", [[1.0, 1.0], [0.1, 0.1, 0.1], [0.1, -0.2, 0.1]])
+def test_loglog_slope_none_for_a_single_coupling(lams):
+    # one abscissa fixes no slope; log(1) = 0 used to make the fit NaN
+    assert _loglog_slope(lams, [0.5, 0.7, 0.9][:len(lams)]) is None
+
+
 # ---------------------------------------------------------------------------
 # eigenstate residuals
 

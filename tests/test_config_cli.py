@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticedress.cli import main, model_from_config, run
+from latticedress.cli import NONFINITE_FAILURE, main, model_from_config, run
 from latticedress.config import ConfigError, load_config, parse_config
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from conftest import REPO_ROOT, phi3_config
 
 FAST_YAML = """
 model:
@@ -164,6 +168,8 @@ output:
     ("model:\n  lattice: {sites_per_dim: 3}\n  interaction: {name: scalar-yukawa}\n"
      "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
      "checks:\n  equal_time: {enabled: true, times: [0.0]}\n", "scan", "single-species"),
+    # a tiny mass divides by zero while the model is built
+    ("model:\n  species: [{name: phi, mass: 1.0e-300}]\n", "dress", "float division by zero"),
 ])
 def test_setup_failure_exits_one_with_report(tmp_path, text, command, fragment):
     assert run(parse_config(text), command, tmp_path) == 1
@@ -221,6 +227,126 @@ def test_huge_coupling_is_a_setup_failure(tmp_path, text, command, verdicts):
     (failure,) = report["failures"]
     assert failure["check"] == "setup"
     assert failure["reason"] == "coupling 1e+300 to the power 2 overflows a float"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in the report")
+
+
+def _read_report(path):
+    """The report, refusing NaN and Infinity, which are not JSON."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("cfg, command, verdicts, reason", [
+    # exp(R) overflows to a finite but far from unitary matrix
+    (phi3_config({"numerics.lambdas": [0.02, 1.0e+10]}), "verify",
+     ["no_bad_terms", "momentum_commutation"], "exp(R) failed unitarity check (defect "),
+    # exp(R) is NaN, whose defect compares false against any tolerance
+    (phi3_config({"model.interaction.coupling_strength": 1.0e+300, "model.order": 1}),
+     "verify", ["no_bad_terms", "momentum_commutation"],
+     "exp(R) failed unitarity check (defect nan)"),
+    # the residual check alone: exp(-R) itself is refused
+    (phi3_config({"model.interaction.coupling_strength": 1.0e+300, "model.order": 1,
+                  "checks.oracle.enabled": False}), "verify",
+     ["no_bad_terms", "momentum_commutation"], "exp(-R) at coupling 0.02 is not finite"),
+    # the mode energies overflow, and so does H's matrix
+    (parse_config("model:\n  lattice: {sites_per_dim: 3, physical_length: 1.0e-300}\n"
+                  "  order: 1\nnumerics: {per_mode_cutoff: 1, total_cutoff: 1}\n"),
+     "verify", ["no_bad_terms", "momentum_commutation"],
+     "the Fock-space matrix of a term map has a non-finite element"),
+    # exp(-R) is finite but exp(+R) is NaN, and so is the dressed field
+    (parse_config("model:\n  lattice: {sites_per_dim: 3, physical_length: 1.0e+10}\n"
+                  "  interaction: {name: phi3-full, coupling_strength: 1.0e+10}\n"
+                  "  coupling: -0.5\n  order: 3\n  species: [{name: phi, mass: 0.02}]\n"
+                  "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
+                  "checks:\n  equal_time: {enabled: true, times: [0.0], lambdas: [0.02]}\n"),
+     "scan", ["no_bad_terms"], "a matrix restricted to the low-quanta block is not finite"),
+], ids=["numerics.lambdas", "coupling_strength", "residuals", "matrix", "field"])
+def test_non_finite_oracle_is_a_setup_failure(tmp_path, cfg, command, verdicts, reason):
+    assert run(cfg, command, tmp_path) == 1
+    report = _read_report(tmp_path / "report.json")
+    assert [v["check"] for v in report["verdicts"]] == verdicts
+    assert all(v["pass"] for v in report["verdicts"])
+    failure, *rest = report["failures"]
+    assert failure["check"] == "setup"
+    assert failure["reason"].startswith(reason)
+    assert rest in ([], [NONFINITE_FAILURE])
+
+
+def test_non_finite_number_in_the_report_fails_the_run(tmp_path):
+    # a tiny lattice makes the momenta, and so the mode energies, overflow
+    assert run(phi3_config({"model.lattice.physical_length": 1.0e-300}), "dress",
+               tmp_path) == 1
+    text = (tmp_path / "report.json").read_text()
+    report = _read_report(tmp_path / "report.json")
+    assert report["failures"][-1] == NONFINITE_FAILURE
+    assert ": null" in text
+
+
+def test_repeated_coupling_fits_no_slope(tmp_path):
+    text = FAST_YAML.replace("[0.02, 0.04, 0.08, 0.16]", "[1.0, 1.0]")
+    assert run(parse_config(text), "verify", tmp_path) == 1
+    report = _read_report(tmp_path / "report.json")
+    assert report["verify"]["oracle"]["slope"] is None
+    assert report["verify"]["residuals"]["vacuum_slope"] is None
+
+
+# a menu of floats, extremes included; keys that must be positive draw from
+# its positive part
+FLOAT_MENU = [-0.5, 0.0, 1.0e-300, 0.02, 0.3, 1.0, 2.5, 1.0e+10, 1.0e+300]
+POSITIVE_MENU = [x for x in FLOAT_MENU if x > 0]
+
+
+@st.composite
+def _small_configs(draw):
+    """A config document that passes the schema, and a command."""
+    real = st.sampled_from(FLOAT_MENU)
+    positive = st.sampled_from(POSITIVE_MENU)
+    doc = {
+        "model": {
+            "lattice": {"sites_per_dim": draw(st.sampled_from([1, 3, 5])),
+                        "physical_length": draw(positive)},
+            "interaction": {"name": draw(st.sampled_from(
+                                ["phi3", "phi3-full", "scalar-yukawa", "free"])),
+                            "coupling_strength": draw(real)},
+            "coupling": draw(real),
+            "policy": draw(st.sampled_from(["shirokov", "weidlich"])),
+            "order": draw(st.integers(1, 3)),
+        },
+        "numerics": {"per_mode_cutoff": draw(st.integers(1, 3)),
+                     "total_cutoff": draw(st.integers(1, 3)),
+                     "lambdas": draw(st.lists(real, max_size=4)),
+                     "time_horizon": draw(positive)},
+        "checks": {
+            "equal_time": {"enabled": draw(st.booleans()),
+                           "times": draw(st.lists(real, max_size=2)),
+                           "lambdas": draw(st.lists(real, max_size=2))},
+            "spacelike": {"enabled": draw(st.booleans()),
+                          "lambdas": draw(st.lists(real, min_size=1, max_size=3))},
+        },
+        "output": {"formats": ["json", "csv"]},
+    }
+    if draw(st.booleans()):
+        names = draw(st.sampled_from([["phi"], ["N", "phi"]]))
+        doc["model"]["species"] = [{"name": n, "mass": draw(positive)} for n in names]
+    return doc, draw(st.sampled_from(["dress", "verify", "scan", "all"]))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(_small_configs())
+def test_cli_contract_holds_on_small_configs(case):
+    # exit 0, 1 or 2 and no exception; exit 0 or 1 leaves a report that is
+    # valid JSON, with no NaN or Infinity in it
+    doc, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = main(["--config", str(path), "--command", command,
+                     "--out-dir", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        if code != 2:
+            _read_report(Path(tmp) / "out" / "report.json")
 
 
 def test_golden_dress_report(tmp_path):
