@@ -14,7 +14,7 @@ from .algebra import (
 from .dressing import DressingResult, ZeroDenominatorError, dress
 from .modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 from .models import ModelSpec, build_model
-from .numerics import FockBasis, build_basis
+from .numerics import FockBasis
 
 __all__ = [
     "OperatorSeries",
@@ -33,6 +33,5 @@ __all__ = [
     "ModelSpec",
     "build_model",
     "FockBasis",
-    "build_basis",
     "__version__",
 ]

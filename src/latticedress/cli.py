@@ -33,12 +33,11 @@ from .checks import (
     eigenstate_residuals,
     equal_time_scan,
     momentum_commutation_defect,
-    momentum_operator,
     spacelike_scan,
 )
 from .config import ConfigError, RunConfig, load_config
 from .dressing import ZeroDenominatorError, dress, residual_bad_norm
-from .models import FieldSpecies, ModelError, ModelSpec, build_model
+from .models import VERTICES, FieldSpecies, ModelError, ModelSpec, build_model
 from .modes import LatticeSpec
 from .numerics import (
     BasisError,
@@ -65,15 +64,18 @@ def model_from_config(cfg: RunConfig) -> ModelSpec:
     species = None
     if cfg.species is not None:
         species = [FieldSpecies(s.name, s.mass) for s in cfg.species]
-    return build_model(
-        cfg.interaction,
-        lattice=lattice,
-        species=species,
-        g=cfg.coupling_strength,
-        coupling=cfg.coupling,
-        max_order=cfg.order,
-        policy=cfg.policy,
-    )
+    try:
+        return build_model(
+            cfg.interaction,
+            lattice=lattice,
+            species=species,
+            g=cfg.coupling_strength,
+            coupling=cfg.coupling,
+            max_order=cfg.order,
+            policy=cfg.policy,
+        )
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"model build: {exc}") from exc
 
 
 def _basis_from_config(model: ModelSpec, cfg: RunConfig) -> FockBasis:
@@ -119,7 +121,7 @@ def run_dress(model: ModelSpec, cfg: RunConfig, report: dict):
             result.vacuum_energy_coefficient(2) if model.max_order >= 2 else 0j),
         "umklapp_count": len(model.umklapp_signatures),
     }
-    if model.max_order >= 2 and model.name in ("phi3", "phi3-full", "scalar-yukawa"):
+    if model.max_order >= 2 and model.name in VERTICES and VERTICES[model.name].legs:
         from .dressing import extract_energy_correction
         table = []
         for m in model.system.modes:

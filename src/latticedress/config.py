@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 import yaml
 
 from .checks import DEFAULT_TIME_HORIZON_UNITS
-from .models import BUILTIN_INTERACTIONS
+from .models import BUILTIN_INTERACTIONS, DEFAULT_COUPLING_STRENGTH, POLICIES, ModelSpec
+from .modes import LatticeSpec
 from .numerics import DEFAULT_DIMENSION_LIMIT
 
 
@@ -163,17 +164,16 @@ def _one_of(what, choices):
 # for `model.species`, whose default (null) lets the interaction choose.
 SCHEMA = (
     # key path                        type       default          constraint
-    ("model.lattice.dim",             _int,      1,               _at_least(1)),
-    ("model.lattice.sites_per_dim",   _int,      5,               _odd),
-    ("model.lattice.physical_length", _float,    2.0 * math.pi,   _positive),
+    ("model.lattice.dim",             _int,      LatticeSpec.dim, _at_least(1)),
+    ("model.lattice.sites_per_dim",   _int,      LatticeSpec.sites_per_dim, _odd),
+    ("model.lattice.physical_length", _float,    LatticeSpec.physical_length, _positive),
     ("model.species",        _list_of(_species, "species"), None, _distinct_names),
     ("model.interaction.name",        _str,      "phi3",
      _one_of("interaction", BUILTIN_INTERACTIONS)),
-    ("model.interaction.coupling_strength", _float, 1.0,          None),
-    ("model.coupling",                _float,    0.1,             None),
-    ("model.policy",                  _str,      "shirokov",
-     _one_of("policy", ("shirokov", "weidlich"))),
-    ("model.order",                   _int,      2,               _at_least(1)),
+    ("model.interaction.coupling_strength", _float, DEFAULT_COUPLING_STRENGTH, None),
+    ("model.coupling",                _float,    ModelSpec.coupling, None),
+    ("model.policy",                  _str,      ModelSpec.policy, _one_of("policy", POLICIES)),
+    ("model.order",                   _int,      ModelSpec.max_order, _at_least(1)),
     ("numerics.per_mode_cutoff",      _int,      4,               _at_least(1)),
     ("numerics.total_cutoff",         _int,      4,               _at_least(1)),
     ("numerics.lambdas",              _floats,   [0.02, 0.04, 0.08, 0.16], None),

@@ -63,9 +63,6 @@ class LatticeSpec:
     def k_vectors(self) -> list[tuple[int, ...]]:
         return [tuple(k) for k in itertools.product(self.k_values(), repeat=self.dim)]
 
-    def contains_k(self, k: tuple[int, ...]) -> bool:
-        return len(k) == self.dim and all(abs(c) <= self.half_range for c in k)
-
     def wrap_k(self, k: Iterable[int]) -> tuple[int, ...]:
         """Reduce an integer wave-vector to the first Brillouin zone
         (minimum-image convention, period = sites_per_dim)."""
@@ -89,10 +86,6 @@ class LatticeSpec:
     @property
     def spacing(self) -> float:
         return self.physical_length / self.sites_per_dim
-
-    @property
-    def n_sites(self) -> int:
-        return self.sites_per_dim**self.dim
 
     def sites(self) -> list[tuple[int, ...]]:
         return [tuple(s) for s in

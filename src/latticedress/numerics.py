@@ -1,4 +1,4 @@
-"""Truncated Fock-space oracle: sparse matrices, eigensolvers, conjugation.
+"""Truncated Fock-space oracle: sparse matrices and matrix-exponential conjugation.
 
 The basis enumerates occupation vectors under per-mode and total-quanta
 cutoffs, graded by total quanta then lexicographic.  Operator application
@@ -16,20 +16,16 @@ order of the term map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .algebra import OperatorSeries, TermMap
 from .modes import ModeIndex, ModeSystem
 from .models import ModelSpec
 
 DEFAULT_DIMENSION_LIMIT = 200_000
-DENSE_EIG_CUTOFF = 2000
-DEGENERACY_GAP = 1e-10
 ANTIHERM_TOL = 1e-10
 UNITARITY_TOL = 1e-8
 
@@ -41,14 +37,6 @@ class BasisError(ValueError):
 class OracleError(ArithmeticError):
     """A matrix of the oracle is non-finite, or exp(R) is not unitary:
     the model or the coupling is out of double precision's reach."""
-
-
-@dataclass
-class GroundState:
-    energy: float
-    vector: np.ndarray
-    residual: float
-    degenerate: bool
 
 
 class FockBasis:
@@ -156,26 +144,6 @@ class FockBasis:
         """Indices of all states with total quanta <= max_quanta."""
         return np.nonzero(self.totals <= max_quanta)[0]
 
-    def momentum_classes(self) -> np.ndarray:
-        """Per-state total crystal momentum class (integer k mod zone),
-        flattened to a single label per state."""
-        lat = self.system.lattice
-        labels = np.empty(self.dimension, dtype=object)
-        for i, v in enumerate(self.states):
-            total = [0] * lat.dim
-            for occ, m in zip(v, self.modes):
-                for d, c in enumerate(m.k):
-                    total[d] += occ * c
-            labels[i] = lat.wrap_k(tuple(total))
-        return labels
-
-
-def build_basis(model_or_system, per_mode_cutoff: int, total_cutoff: int,
-                dimension_limit: int = DEFAULT_DIMENSION_LIMIT) -> FockBasis:
-    system = model_or_system.system if isinstance(model_or_system, ModelSpec) \
-        else model_or_system
-    return FockBasis(system, per_mode_cutoff, total_cutoff, dimension_limit)
-
 
 def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     """Sparse matrix of a flat term map in the given basis; a non-finite
@@ -207,38 +175,6 @@ def matrix_of(series: OperatorSeries, basis: FockBasis, lam: float) -> sp.csr_ma
 def ladder_matrix(basis: FockBasis, mode: ModeIndex, create: bool = False) -> sp.csr_matrix:
     sig = ((mode,), ()) if create else ((), (mode,))
     return matrix_of_terms({sig: 1.0 + 0j}, basis)
-
-
-def ground_state(h: sp.spmatrix | np.ndarray,
-                 residual_tol: float = 1e-10) -> GroundState:
-    """Lowest eigenpair of a Hermitian matrix; dense below 2000 dimensions."""
-    hs = sp.csr_matrix(h) if not sp.issparse(h) else h.tocsr()
-    herm_defect = abs(hs - hs.getH()).max()
-    scale = max(1.0, abs(hs).max())
-    if herm_defect > 1e-10 * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    n = hs.shape[0]
-    if n < DENSE_EIG_CUTOFF:
-        dense = hs.toarray()
-        vals, vecs = scipy.linalg.eigh(dense)
-        energy = float(vals[0])
-        vector = vecs[:, 0]
-        gap = float(vals[1] - vals[0]) if n > 1 else math.inf
-    else:
-        vals, vecs = spla.eigsh(hs, k=2, which="SA", maxiter=5000)
-        order = np.argsort(vals)
-        energy = float(vals[order[0]])
-        vector = vecs[:, order[0]]
-        gap = float(vals[order[1]] - vals[order[0]])
-    residual = float(np.linalg.norm(hs @ vector - energy * vector))
-    norm_h = spla.norm(hs) if n > 1 else abs(energy)
-    bound = residual_tol * max(1.0, norm_h)
-    if residual > bound:
-        raise RuntimeError(
-            f"eigensolver residual {residual:.3e} above tolerance {bound:.3e}"
-        )
-    return GroundState(energy=energy, vector=vector, residual=residual,
-                       degenerate=gap < DEGENERACY_GAP)
 
 
 def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray,
@@ -349,18 +285,3 @@ def restricted_norm(m: np.ndarray, basis: FockBasis, max_quanta: int) -> float:
     if not np.isfinite(sub).all():
         raise OracleError("a matrix restricted to the low-quanta block is not finite")
     return float(np.linalg.norm(sub, ord=2))
-
-
-def momentum_block_defect(model: ModelSpec, basis: FockBasis, h: sp.spmatrix) -> float:
-    """Largest |H| matrix element connecting different total-momentum classes.
-
-    Zero (exactly) for momentum-conserving models: H is block diagonal in
-    total crystal momentum.
-    """
-    labels = basis.momentum_classes()
-    hc = sp.coo_matrix(h)
-    worst = 0.0
-    for i, j, v in zip(hc.row, hc.col, hc.data):
-        if labels[i] != labels[j]:
-            worst = max(worst, abs(v))
-    return worst

@@ -162,21 +162,23 @@ output:
     assert header == "separation,tau,lambda,magnitude,baseline,subtracted"
 
 
-@pytest.mark.parametrize("text, command, fragment", [
+@pytest.mark.parametrize("text, command, prefix", [
     (FAST_YAML.replace("order: 2", "order: 2\n  species: [{name: a, mass: 1.0}, "
-                       "{name: b, mass: 0.5}]"), "dress", "exactly one species"),
+                       "{name: b, mass: 0.5}]"), "dress", "phi3 needs exactly one species"),
     ("model:\n  lattice: {sites_per_dim: 3}\n  interaction: {name: scalar-yukawa}\n"
      "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
-     "checks:\n  equal_time: {enabled: true, times: [0.0]}\n", "scan", "single-species"),
-    # a tiny mass divides by zero while the model is built
-    ("model:\n  species: [{name: phi, mass: 1.0e-300}]\n", "dress", "float division by zero"),
+     "checks:\n  equal_time: {enabled: true, times: [0.0]}\n", "scan",
+     "the field scans support single-species"),
+    # a tiny mass divides by zero while the model is built; the reason names the step
+    ("model:\n  species: [{name: phi, mass: 1.0e-300}]\n", "dress",
+     "model build: float division by zero"),
 ])
-def test_setup_failure_exits_one_with_report(tmp_path, text, command, fragment):
+def test_setup_failure_exits_one_with_report(tmp_path, text, command, prefix):
     assert run(parse_config(text), command, tmp_path) == 1
     report = json.loads((tmp_path / "report.json").read_text())
     (failure,) = report["failures"]
     assert failure["check"] == "setup"
-    assert fragment in failure["reason"]
+    assert failure["reason"].startswith(prefix)
 
 
 @pytest.mark.parametrize("value", ["nope", "\"inf\""])
@@ -300,12 +302,16 @@ POSITIVE_MENU = [x for x in FLOAT_MENU if x > 0]
 
 @st.composite
 def _small_configs(draw):
-    """A config document that passes the schema, and a command."""
+    """A config document that passes the schema, and a command.  A 2-D
+    lattice has 1 or 3 sites per dimension and a total cutoff of at most 2,
+    which keeps its basis small."""
     real = st.sampled_from(FLOAT_MENU)
     positive = st.sampled_from(POSITIVE_MENU)
+    dim = draw(st.sampled_from([1, 2]))
     doc = {
         "model": {
-            "lattice": {"sites_per_dim": draw(st.sampled_from([1, 3, 5])),
+            "lattice": {"dim": dim,
+                        "sites_per_dim": draw(st.sampled_from([1, 3, 5] if dim == 1 else [1, 3])),
                         "physical_length": draw(positive)},
             "interaction": {"name": draw(st.sampled_from(
                                 ["phi3", "phi3-full", "scalar-yukawa", "free"])),
@@ -315,7 +321,7 @@ def _small_configs(draw):
             "order": draw(st.integers(1, 3)),
         },
         "numerics": {"per_mode_cutoff": draw(st.integers(1, 3)),
-                     "total_cutoff": draw(st.integers(1, 3)),
+                     "total_cutoff": draw(st.integers(1, 3 if dim == 1 else 2)),
                      "lambdas": draw(st.lists(real, max_size=4)),
                      "time_horizon": draw(positive)},
         "checks": {
@@ -427,6 +433,28 @@ def test_golden_dress_report_two_species_order3(tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == "f0a8c3c7dac8f49efa111aab2c47755c171b2107340170bc6e027b9f9627842e"
+
+
+PHI3_FULL_2D_YAML = """
+model:
+  lattice: {dim: 2, sites_per_dim: 3}
+  interaction: {name: phi3-full}
+  order: 2
+output:
+  formats: [json]
+"""
+
+
+def test_golden_dress_report_phi3_full_2d(tmp_path):
+    # phi3-full sums six contributions into each signature, so the order of
+    # summation shows in the bytes; on a 2-D lattice with umklapp terms
+    path = tmp_path / "phi3_full_2d.yaml"
+    path.write_text(PHI3_FULL_2D_YAML)
+    code = main(["--config", str(path), "--command", "dress",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "ebd3fabfea06029286eb3435a63be07ef6bb273bb3fb3c4940811b89fdfcd2c4"
 
 
 GOLDEN_VERIFY_YAML = """
