@@ -30,7 +30,6 @@ class AlgebraError(ValueError):
 def canonicalize(
     raw_terms: Iterable[tuple[Sequence[ModeIndex], Sequence[ModeIndex], complex]],
     system: ModeSystem | None = None,
-    prune: float = PRUNE_THRESHOLD,
 ) -> TermMap:
     """Collect raw (creators, annihilators, coeff) triples into a canonical map.
 
@@ -46,11 +45,11 @@ def canonicalize(
                     raise AlgebraError(f"mode {m} is not a valid mode of {system}")
         sig = (tuple(sorted(creators)), tuple(sorted(annihilators)))
         acc[sig] = acc.get(sig, 0j) + complex(coeff)
-    return {s: c for s, c in sorted(acc.items()) if abs(c) > prune}
+    return _sorted_map(acc)
 
 
-def _sorted_map(terms: TermMap, prune: float = PRUNE_THRESHOLD) -> TermMap:
-    return {s: c for s, c in sorted(terms.items()) if abs(c) > prune}
+def _sorted_map(terms: TermMap) -> TermMap:
+    return {s: c for s, c in sorted(terms.items()) if abs(c) > PRUNE_THRESHOLD}
 
 
 def dagger_signature(sig: Signature) -> Signature:
@@ -189,8 +188,8 @@ class OperatorSeries:
     def term_count(self) -> int:
         return sum(len(o) for o in self.orders)
 
-    def is_zero(self, tol: float = PRUNE_THRESHOLD) -> bool:
-        return all(abs(c) <= tol for o in self.orders for c in o.values())
+    def is_zero(self) -> bool:
+        return all(abs(c) <= PRUNE_THRESHOLD for o in self.orders for c in o.values())
 
     def max_abs(self) -> float:
         return max((abs(c) for o in self.orders for c in o.values()), default=0.0)

@@ -25,12 +25,11 @@ from .numerics import (
     FockBasis,
     dressing_matrices,
     field_at_origin_time_zero,
-    ladder_matrix,
-    matrix_of,
     restricted_norm,
 )
 
 DEFAULT_TIME_HORIZON_UNITS = 6.0
+ZERO_FLOOR = 1e-12      # a residual at or below this is zero
 
 
 class ScanError(ValueError):
@@ -82,7 +81,6 @@ class ResidualReport:
     vacuum_slope: float | None
     one_particle_slopes: dict[ModeIndex, float]
     cutoff_sensitive: bool = False
-    zero_floor: float = 1e-12
 
     def all_slopes(self) -> list[float]:
         slopes = [] if self.vacuum_slope is None else [self.vacuum_slope]
@@ -122,20 +120,19 @@ def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
 def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingResult,
                          lambdas, check_cutoff: bool = False) -> ResidualReport:
     """Residuals of the dressed vacuum exp(-R)|0> and one-particle states
-    exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value."""
+    exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value;
+    each dressed state is a column of exp(-R)."""
     lambdas = list(lambdas)
     vac_res: list[float] = []
     one_res: dict[ModeIndex, list[float]] = {m: [] for m in model.system.modes}
     vac_idx = basis.vacuum_index()
-    e_vac = np.zeros(basis.dimension)
-    e_vac[vac_idx] = 1.0
-    creators = {m: ladder_matrix(basis, m, create=True).toarray()
-                for m in model.system.modes}
+    one_idx = {m: basis.index[tuple(int(n == m) for n in basis.modes)]
+               for m in model.system.modes}
     for lam in lambdas:
-        mh, w_inv = dressing_matrices(result, basis, lam)
-        vac_res.append(_state_residual(mh, w_inv @ e_vac))
-        for m in model.system.modes:
-            one_res[m].append(_state_residual(mh, w_inv @ (creators[m] @ e_vac)))
+        mh, _, w_inv = dressing_matrices(result, basis, lam)
+        vac_res.append(_state_residual(mh, w_inv[:, vac_idx]))
+        for m, i in one_idx.items():
+            one_res[m].append(_state_residual(mh, w_inv[:, i]))
 
     report = ResidualReport(
         lambdas=lambdas,
@@ -150,12 +147,10 @@ def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingRes
         bigger = FockBasis(model.system, basis.per_mode_cutoff * 2,
                            basis.total_cutoff * 2)
         lam = max(lambdas)
-        mh, w_inv = dressing_matrices(result, bigger, lam)
-        e0 = np.zeros(bigger.dimension)
-        e0[bigger.vacuum_index()] = 1.0
+        mh, _, w_inv = dressing_matrices(result, bigger, lam)
         ref = vac_res[lambdas.index(lam)]
-        new = _state_residual(mh, w_inv @ e0)
-        if ref > report.zero_floor and abs(new - ref) > 0.1 * ref:
+        new = _state_residual(mh, w_inv[:, bigger.vacuum_index()])
+        if ref > ZERO_FLOOR and abs(new - ref) > 0.1 * ref:
             report.cutoff_sensitive = True
     return report
 
@@ -175,14 +170,12 @@ class ScanPoint:
     vev_modulus: float        # |<vacuum| commutator |vacuum>|
     baseline: float = 0.0     # same magnitude at lambda = 0
     subtracted: float = 0.0   # restricted norm of C(lambda) - C(0)
-    spacelike: bool = True
 
 
 @dataclass
 class ScanReport:
     kind: str
     points: list[ScanPoint]
-    block: int
     slope: float | None = None
     noise_floor: float = 0.0
 
@@ -192,7 +185,7 @@ class ScanReport:
             "separation": p.separation, "tau": p.tau, "lambda": p.lam,
             "magnitude": p.magnitude, "vev": p.vev_modulus,
             "baseline": p.baseline, "subtracted": p.subtracted,
-            "spacelike": p.spacelike,
+            "spacelike": True,  # a timelike grid point is a ScanError
         } for p in self.points]
 
 
@@ -203,17 +196,14 @@ def _site_tuple(x) -> tuple:
 class _LambdaContext:
     """Per-coupling cache: H, exp(+-R), the dressed vacuum, the A(x,0) fields."""
 
-    def __init__(self, model, basis, result, lam):
-        if len(model.system.species) != 1:
+    def __init__(self, result, basis, lam):
+        self.model = result.model
+        if len(self.model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
-        self.model = model
         self.basis = basis
-        self.lam = lam
-        self.mh, self.w_inv = dressing_matrices(result, basis, lam)
-        self.w = scipy.linalg.expm(matrix_of(result.generator, basis, lam).toarray())
-        e0 = np.zeros(basis.dimension)
-        e0[basis.vacuum_index()] = 1.0
-        psi = self.w_inv @ e0
+        self.mh, mr, self.w_inv = dressing_matrices(result, basis, lam)
+        self.w = scipy.linalg.expm(mr)
+        psi = self.w_inv[:, basis.vacuum_index()]
         self.vacuum = psi / np.linalg.norm(psi)
         self._fields0: dict = {}
         self._evolution: dict = {}
@@ -245,7 +235,7 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
     horizon = horizon_units * lat.spacing
     points = []
     pairs = [(_site_tuple(a), _site_tuple(b)) for a, b in site_pairs]
-    contexts = {lam: _LambdaContext(model, basis, result, lam) for lam in lambdas}
+    contexts = {lam: _LambdaContext(result, basis, lam) for lam in lambdas}
     for t in times:
         if abs(t) > horizon:
             raise ScanError(f"time {t} beyond the horizon {horizon}")
@@ -261,12 +251,11 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                     magnitude=restricted_norm(c, basis, block),
                     vev_modulus=ctx.vev(c),
                 ))
-    return ScanReport(kind="equal_time", points=points, block=block)
+    return ScanReport(kind="equal_time", points=points)
 
 
 def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                    lambdas, grid, block: int = 2,
-                   allow_timelike: bool = False,
                    horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
     """Baseline-subtracted commutator C(lam) = [A(x,tau), A(y,0)] over a grid
     of (x, y, tau) points.
@@ -280,39 +269,36 @@ def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
     for x, y, tau in grid:
         x, y = _site_tuple(x), _site_tuple(y)
         sep = lat.min_image_distance(x, y)
-        spacelike = sep > abs(tau)
-        if not spacelike and not allow_timelike:
+        if not sep > abs(tau):
             raise ScanError(
                 f"grid point x={x} y={y} tau={tau} is not spacelike "
-                f"(separation {sep:.3f} <= |tau|); pass allow_timelike to scan it"
+                f"(separation {sep:.3f} <= |tau|)"
             )
         if abs(tau) > horizon:
             raise ScanError(f"tau={tau} beyond the horizon {horizon}")
-        entries.append((x, y, tau, sep, spacelike))
+        entries.append((x, y, tau, sep))
 
     lambdas = list(lambdas)
-    contexts = {lam: _LambdaContext(model, basis, result, lam)
+    contexts = {lam: _LambdaContext(result, basis, lam)
                 for lam in set(lambdas) | {0.0}}
     points = []
-    for x, y, tau, sep, spacelike in entries:
+    for x, y, tau, sep in entries:
         m0 = _commutator_matrix(contexts[0.0], x, y, tau)
+        baseline = restricted_norm(m0, basis, block)
         for lam in lambdas:
             c = _commutator_matrix(contexts[lam], x, y, tau)
             points.append(ScanPoint(
                 x=x, y=y, separation=sep, tau=tau, lam=lam,
                 magnitude=restricted_norm(c, basis, block),
                 vev_modulus=contexts[lam].vev(c),
-                baseline=restricted_norm(m0, basis, block),
+                baseline=baseline,
                 subtracted=restricted_norm(c - m0, basis, block),
-                spacelike=spacelike,
             ))
 
-    # coupling-scaling fit at the spacelike grid point with the strongest signal
+    # coupling-scaling fit at the grid point with the strongest signal
     best_slope = None
     best_signal = -1.0
-    for x, y, tau, sep, spacelike in entries:
-        if not spacelike:
-            continue
+    for x, y, tau, _ in entries:
         sel = [(p.lam, p.subtracted) for p in points
                if p.x == x and p.y == y and p.tau == tau and p.lam > 0]
         signal = max((s[1] for s in sel), default=0.0)
@@ -321,7 +307,7 @@ def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
             best_signal = signal
             best_slope = slope
     floor = 1e-11 * max((p.baseline for p in points), default=1.0)
-    return ScanReport(kind="spacelike", points=points, block=block,
+    return ScanReport(kind="spacelike", points=points,
                       slope=best_slope, noise_floor=max(floor, 1e-13))
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import bad_part, series_rows, signature_json, term_rows
 from .checks import (
+    ZERO_FLOOR,
     ScanError,
     _loglog_slope,
     eigenstate_residuals,
@@ -191,8 +192,8 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
             "cutoff_sensitive": rep.cutoff_sensitive,
         }
         slopes = rep.all_slopes()
-        all_floor = all(v <= rep.zero_floor for v in rep.vacuum) and all(
-            v <= rep.zero_floor for r in rep.one_particle.values() for v in r)
+        all_floor = all(v <= ZERO_FLOOR for v in rep.vacuum) and all(
+            v <= ZERO_FLOOR for r in rep.one_particle.values() for v in r)
         ok = all_floor or (
             bool(slopes) and all(abs(s - (n + 1)) <= tol for s in slopes))
         got = min(slopes, default=None)
@@ -242,8 +243,8 @@ def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
         target = sl.params["slope"]
         tol = sl.params["slope_tolerance"]
         lam_max = max(sl.params["lambdas"])
-        signal = max((p.subtracted for p in rep.points
-                      if p.spacelike and p.lam == lam_max), default=0.0)
+        signal = max((p.subtracted for p in rep.points if p.lam == lam_max),
+                     default=0.0)
         ok = _slope_ok(rep.slope, target, tol) and signal > 10.0 * rep.noise_floor
         verdicts.append(_verdict("spacelike_nonlocality_slope", target,
                                  rep.slope, tol, ok))

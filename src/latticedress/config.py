@@ -171,6 +171,7 @@ SCHEMA = (
     ("model.interaction.name",        _str,      "phi3",
      _one_of("interaction", BUILTIN_INTERACTIONS)),
     ("model.interaction.coupling_strength", _float, DEFAULT_COUPLING_STRENGTH, None),
+    # read by nothing; kept because dropping it changes every report's config echo
     ("model.coupling",                _float,    ModelSpec.coupling, None),
     ("model.policy",                  _str,      ModelSpec.policy, _one_of("policy", POLICIES)),
     ("model.order",                   _int,      ModelSpec.max_order, _at_least(1)),

@@ -90,8 +90,8 @@ def _target_terms(kn: TermMap, policy: str) -> TermMap:
     return {sig: c for sig, c in kn.items() if term_type(sig) not in ((0, 0), (1, 1))}
 
 
-def solve_generator(bad: TermMap, model: ModelSpec, order: int = 1,
-                    resonance_tol: float = RESONANCE_TOL) -> tuple[TermMap, float, list]:
+def solve_generator(bad: TermMap, model: ModelSpec,
+                    order: int = 1) -> tuple[TermMap, float, list]:
     """Generator coefficients r = c / DeltaE so that [R, H0] = -bad.
 
     Returns (terms, min |DeltaE|, near-resonance diagnostics).  Raises
@@ -106,7 +106,7 @@ def solve_generator(bad: TermMap, model: ModelSpec, order: int = 1,
     min_den = math.inf
     for sig, c in bad.items():
         de = energy_denominator(sig, energy)
-        if abs(de) < resonance_tol:
+        if abs(de) < RESONANCE_TOL:
             resonant.append((sig, de))
             continue
         min_den = min(min_den, abs(de))
@@ -191,8 +191,7 @@ def residual_bad_norm(result: DressingResult) -> float:
     return bad_part(result.K).max_abs()
 
 
-def extract_energy_correction(result: DressingResult, species: str, k,
-                              hermiticity_tol: float = 1e-10) -> float:
+def extract_energy_correction(result: DressingResult, species: str, k) -> float:
     """The order-2 diagonal (1,1) coefficient of K for mode (species, k):
     the dressed correction to the one-particle energy."""
     if result.max_order < 2:
@@ -202,7 +201,7 @@ def extract_energy_correction(result: DressingResult, species: str, k,
         )
     mode = result.model.system.mode(species, k)
     c = result.K.orders[2].get(((mode,), (mode,)), 0j)
-    if abs(c.imag) > hermiticity_tol:
+    if abs(c.imag) > 1e-10:
         raise ValueError(
             f"non-Hermitian energy correction at mode {mode}: imag part {c.imag:.3e}"
         )

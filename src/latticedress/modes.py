@@ -150,11 +150,6 @@ class ModeSystem:
     def momentum(self, mode: ModeIndex) -> tuple[float, ...]:
         return self.lattice.momentum(mode.k)
 
-    def species_named(self, name: str) -> FieldSpecies:
-        if name not in self._by_name:
-            raise KeyError(f"unknown species {name!r}; have {sorted(self._by_name)}")
-        return self._by_name[name]
-
     def mode(self, species: str, k) -> ModeIndex:
         m = ModeIndex(species, tuple(k))
         if not self.contains(m):

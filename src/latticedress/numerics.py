@@ -35,7 +35,7 @@ class BasisError(ValueError):
 
 
 class OracleError(ArithmeticError):
-    """A matrix of the oracle is non-finite, or exp(R) is not unitary:
+    """A matrix of the oracle is non-finite, or exp(+-R) is not unitary:
     the model or the coupling is out of double precision's reach."""
 
 
@@ -177,8 +177,14 @@ def ladder_matrix(basis: FockBasis, mode: ModeIndex, create: bool = False) -> sp
     return matrix_of_terms({sig: 1.0 + 0j}, basis)
 
 
-def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray,
-                      antiherm_tol: float = ANTIHERM_TOL) -> np.ndarray:
+def _check_unitary(w: np.ndarray, name: str) -> None:
+    """Raise OracleError unless w w^H = 1 to within UNITARITY_TOL."""
+    defect = np.abs(w @ w.conj().T - np.eye(w.shape[0])).max()
+    if not defect <= UNITARITY_TOL:     # a NaN defect fails too
+        raise OracleError(f"{name} failed unitarity check (defect {defect:.3e})")
+
+
+def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray) -> np.ndarray:
     """exp(r) h exp(-r) by dense scaling-and-squaring matrix exponential.
 
     r must be anti-Hermitian; the unitarity of exp(r) is verified, and
@@ -187,64 +193,29 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray,
     rd = r.toarray() if sp.issparse(r) else np.asarray(r, dtype=complex)
     hd = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=complex)
     defect = np.abs(rd + rd.conj().T).max()
-    if defect > antiherm_tol * max(1.0, np.abs(rd).max()):
+    if defect > ANTIHERM_TOL * max(1.0, np.abs(rd).max()):
         raise ValueError(f"generator is not anti-Hermitian (defect {defect:.3e})")
     w = scipy.linalg.expm(rd)
-    unit_defect = np.abs(w @ w.conj().T - np.eye(w.shape[0])).max()
-    if not unit_defect <= UNITARITY_TOL:     # a NaN defect fails too
-        raise OracleError(f"exp(R) failed unitarity check (defect {unit_defect:.3e})")
+    _check_unitary(w, "exp(R)")
     return w @ hd @ w.conj().T
 
 
 def dressing_matrices(result, basis: FockBasis, lam: float):
-    """(H(lam), exp(-R(lam))) dense matrices for a dressing result.
+    """(H(lam), R(lam), exp(-R(lam))) dense matrices for a dressing result.
 
-    Dressed states are exp(-R)|bare>: with K = exp(R) H exp(-R), the
-    approximate eigenvectors of H are exp(-R) times Fock states.  A
-    non-finite exp(-R) raises OracleError.
+    With K = exp(R) H exp(-R), the approximate eigenvectors of H are the
+    dressed states exp(-R)|i>: the dressed state of basis state i is column
+    i of exp(-R).  An exp(-R) that is not finite or not unitary raises
+    OracleError.
     """
-    model = result.model
-    mh = matrix_of(model.hamiltonian(), basis, lam).toarray()
+    mh = matrix_of(result.model.hamiltonian(), basis, lam).toarray()
     mr = matrix_of(result.generator, basis, lam).toarray()
     w_inv = scipy.linalg.expm(-mr)
+    name = f"exp(-R) at coupling {lam!r}"
     if not np.isfinite(w_inv).all():
-        raise OracleError(f"exp(-R) at coupling {lam!r} is not finite")
-    return mh, w_inv
-
-
-def rspt2_shift(model: ModelSpec, basis: FockBasis, species: str, k) -> float:
-    """Second-order perturbation theory for the one-particle level, measured
-    relative to the vacuum shift.
-
-    Uses the bare basis states as the unperturbed spectrum; per unit
-    coupling^2 (multiply by lambda^2 for a physical shift).
-    """
-    mode = model.system.mode(species, k)
-    mv = matrix_of_terms(model.interaction.orders[1], basis).toarray()
-    e0 = np.array([
-        sum(occ * model.system.energy(m) for occ, m in zip(state, basis.modes))
-        for state in basis.states
-    ])
-
-    def shift(index: int) -> float:
-        e_ref = e0[index]
-        col = mv[:, index]
-        total = 0.0
-        for s, amp in enumerate(col):
-            if s == index or abs(amp) < 1e-16:
-                continue
-            den = e_ref - e0[s]
-            if abs(den) < 1e-10:
-                raise ZeroDivisionError(
-                    f"degenerate intermediate state {basis.states[s]} "
-                    f"(E={e0[s]:.6f}) in second-order shift"
-                )
-            total += abs(amp) ** 2 / den
-        return total
-
-    vac = basis.vacuum_index()
-    one = basis.index[tuple(1 if m == mode else 0 for m in basis.modes)]
-    return shift(one) - shift(vac)
+        raise OracleError(f"{name} is not finite")
+    _check_unitary(w_inv, name)
+    return mh, mr, w_inv
 
 
 def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,

@@ -30,10 +30,9 @@ from latticedress.numerics import (
     conjugate_numeric,
     matrix_of,
     restricted_norm,
-    rspt2_shift,
 )
 
-from conftest import run_property_suite
+from conftest import rspt2_shift, run_property_suite
 
 LAMBDAS = [0.02, 0.04, 0.08, 0.16]
 LATTICE5 = LatticeSpec(dim=1, sites_per_dim=5)

@@ -143,7 +143,6 @@ def test_spacelike_scan_records_baseline_and_subtraction(small_model, small_basi
     assert rep.kind == "spacelike"
     assert len(rep.points) == 2
     for p in rep.points:
-        assert p.spacelike
         assert p.separation == pytest.approx(2.0)
         assert p.baseline >= 0.0
         assert p.subtracted >= 0.0
@@ -151,14 +150,7 @@ def test_spacelike_scan_records_baseline_and_subtraction(small_model, small_basi
     rows = rep.rows()
     assert {"x", "y", "separation", "tau", "lambda", "magnitude", "vev",
             "baseline", "subtracted", "spacelike"} <= set(rows[0])
-
-
-def test_spacelike_scan_allow_timelike(small_model, small_basis, small_result):
-    rep = spacelike_scan(small_model, small_basis, small_result,
-                         lambdas=[0.1], grid=[((0,), (0,), 1.0)],
-                         allow_timelike=True)
-    assert not rep.points[0].spacelike
-    assert rep.slope is None  # no spacelike point to fit
+    assert all(row["spacelike"] is True for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from latticedress.cli import NONFINITE_FAILURE, main, model_from_config, run
 from latticedress.config import ConfigError, load_config, parse_config
+from latticedress.models import VERTICES
 
 from conftest import REPO_ROOT, phi3_config
 
@@ -257,14 +258,28 @@ def _read_report(path):
                   "  order: 1\nnumerics: {per_mode_cutoff: 1, total_cutoff: 1}\n"),
      "verify", ["no_bad_terms", "momentum_commutation"],
      "the Fock-space matrix of a term map has a non-finite element"),
-    # exp(-R) is finite but exp(+R) is NaN, and so is the dressed field
+    # exp(-R) is finite but not unitary (exp(+R) is NaN, and so would be the
+    # dressed field)
     (parse_config("model:\n  lattice: {sites_per_dim: 3, physical_length: 1.0e+10}\n"
                   "  interaction: {name: phi3-full, coupling_strength: 1.0e+10}\n"
                   "  coupling: -0.5\n  order: 3\n  species: [{name: phi, mass: 0.02}]\n"
                   "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
                   "checks:\n  equal_time: {enabled: true, times: [0.0], lambdas: [0.02]}\n"),
-     "scan", ["no_bad_terms"], "a matrix restricted to the low-quanta block is not finite"),
-], ids=["numerics.lambdas", "coupling_strength", "residuals", "matrix", "field"])
+     "scan", ["no_bad_terms"], "exp(-R) at coupling 0.02 failed unitarity check (defect "),
+    # exp(-R) at 1e10 is finite but far from unitary: the spacelike slope
+    # fitted to it passed before it was checked
+    (parse_config("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\n"
+                  "checks:\n  oracle: {enabled: false}\n  residuals: {enabled: false}\n"
+                  "  spacelike: {enabled: true, lambdas: [0.05, 1.0e+10]}\n"),
+     "scan", ["no_bad_terms"], "exp(-R) at coupling 10000000000.0 failed unitarity check"),
+    # the same exp(-R) in the residual check, which failed only on its slope
+    (parse_config("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\n"
+                  "numerics:\n  lambdas: [0.02, 0.04, 1.0e+10]\n"
+                  "checks:\n  oracle: {enabled: false}\n"),
+     "verify", ["no_bad_terms", "momentum_commutation"],
+     "exp(-R) at coupling 10000000000.0 failed unitarity check"),
+], ids=["numerics.lambdas", "coupling_strength", "residuals", "matrix", "field",
+        "spacelike_unitarity", "residuals_unitarity"])
 def test_non_finite_oracle_is_a_setup_failure(tmp_path, cfg, command, verdicts, reason):
     assert run(cfg, command, tmp_path) == 1
     report = _read_report(tmp_path / "report.json")
@@ -308,14 +323,13 @@ def _small_configs(draw):
     real = st.sampled_from(FLOAT_MENU)
     positive = st.sampled_from(POSITIVE_MENU)
     dim = draw(st.sampled_from([1, 2]))
+    interaction = draw(st.sampled_from(list(VERTICES)))
     doc = {
         "model": {
             "lattice": {"dim": dim,
                         "sites_per_dim": draw(st.sampled_from([1, 3, 5] if dim == 1 else [1, 3])),
                         "physical_length": draw(positive)},
-            "interaction": {"name": draw(st.sampled_from(
-                                ["phi3", "phi3-full", "scalar-yukawa", "free"])),
-                            "coupling_strength": draw(real)},
+            "interaction": {"name": interaction, "coupling_strength": draw(real)},
             "coupling": draw(real),
             "policy": draw(st.sampled_from(["shirokov", "weidlich"])),
             "order": draw(st.integers(1, 3)),
@@ -333,8 +347,13 @@ def _small_configs(draw):
         },
         "output": {"formats": ["json", "csv"]},
     }
-    if draw(st.booleans()):
-        names = draw(st.sampled_from([["phi"], ["N", "phi"]]))
+    # no species list (the interaction's defaults), or the interaction's own
+    # species count, or now and then the other count, which the model build
+    # rejects
+    fits = len(VERTICES[interaction].species)
+    count = draw(st.sampled_from([0] + [fits] * 6 + [3 - fits]))
+    if count:
+        names = ["phi"] if count == 1 else ["N", "phi"]
         doc["model"]["species"] = [{"name": n, "mass": draw(positive)} for n in names]
     return doc, draw(st.sampled_from(["dress", "verify", "scan", "all"]))
 
@@ -490,17 +509,38 @@ def _run_module(args):
                           capture_output=True, text=True, timeout=300)
 
 
+GOLDEN_BOTH_SCANS_YAML = """
+model:
+  lattice: {sites_per_dim: 3, physical_length: 3.0}
+  interaction: {name: phi3}
+  order: 2
+numerics: {per_mode_cutoff: 8, total_cutoff: 8}
+checks:
+  equal_time: {enabled: true, times: [0.0, 1.0]}
+  spacelike: {enabled: true}
+output:
+  formats: [json, csv]
+"""
+
+
 @pytest.mark.parametrize("command, text, digest", [
     ("verify", GOLDEN_VERIFY_YAML,
      "4e1a9105553ef88745d70bbef22a09c95e21d182610723b9f46f2b859f4cd7ae"),
     ("scan", GOLDEN_SCAN_YAML,
      "e96dd7cd246739b2e9519c063748a343e19688ca94c9e25badf05a16eae798eb"),
+    ("all", None,
+     "837fcc151270c1a6183ce369a720b0a2ede98116fb73a5275321d16b81baddd5"),
+    ("all", GOLDEN_BOTH_SCANS_YAML,
+     "1e2aedc4725956caae72c0377207537e839e348d015244349e5acd523e788e7f"),
 ])
 def test_golden_oracle_report(tmp_path, command, text, digest):
     # the oracle's numbers go through BLAS, whose rounding depends on the
-    # thread count (and on the BLAS build), so the run is pinned to one thread
-    path = tmp_path / "run.yaml"
-    path.write_text(text)
+    # thread count (and on the BLAS build), so the run is pinned to one
+    # thread; text None runs the shipped configs/phi3.yaml
+    path = REPO_ROOT / "configs" / "phi3.yaml"
+    if text is not None:
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
     proc = _run_module(["--config", str(path), "--command", command,
                         "--out-dir", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr

@@ -95,7 +95,8 @@ def test_phi3_full_carries_pure_creation_terms():
 def test_scalar_yukawa_structure():
     model = build_model("scalar-yukawa", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     assert [s.name for s in model.system.species] == ["N", "phi"]
-    assert model.system.species_named("phi").mass == pytest.approx(0.5)
+    (phi,) = [s for s in model.system.species if s.name == "phi"]
+    assert phi.mass == pytest.approx(0.5)
     types = {term_type(sig) for sig in model.interaction.orders[1]}
     assert types == {(2, 1), (1, 2)}
     lat = model.system.lattice
