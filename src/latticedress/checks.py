@@ -126,7 +126,7 @@ def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingRes
     vac_res: list[float] = []
     one_res: dict[ModeIndex, list[float]] = {m: [] for m in model.system.modes}
     vac_idx = basis.vacuum_index()
-    one_idx = {m: basis.index[tuple(int(n == m) for n in basis.modes)]
+    one_idx = {m: basis.index_of([int(n == m) for n in basis.modes])
                for m in model.system.modes}
     for lam in lambdas:
         mh, _, w_inv = dressing_matrices(result, basis, lam)
@@ -233,12 +233,13 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
     requested site pair, time and coupling."""
     lat = model.system.lattice
     horizon = horizon_units * lat.spacing
+    for t in times:
+        if abs(t) > horizon:
+            raise ScanError(f"time {t} beyond the horizon {horizon}")
     points = []
     pairs = [(_site_tuple(a), _site_tuple(b)) for a, b in site_pairs]
     contexts = {lam: _LambdaContext(result, basis, lam) for lam in lambdas}
     for t in times:
-        if abs(t) > horizon:
-            raise ScanError(f"time {t} beyond the horizon {horizon}")
         for lam, ctx in contexts.items():
             for x, y in pairs:
                 ax, ay = ctx.field(x, t), ctx.field(y, t)

@@ -371,22 +371,21 @@ def _put_json(o, head: str, newline: str, put, nonfinite: list) -> None:
 
 
 def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
-    """Write the report files; return their paths.
+    """Write report.json, and the scans' csv files if `formats` has csv;
+    return their paths.
 
     A non-finite number in the report is written as null and first adds
     the failure NONFINITE_FAILURE to `report["failures"]`.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     text, finite = report_json(report)
     if not finite:
         report.setdefault("failures", []).append(dict(NONFINITE_FAILURE))
         text, _ = report_json(report)
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(text + "\n", encoding="utf-8")
-        written.append(path)
+    path = out_dir / "report.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    written = [path]
     if "csv" in formats:
         for kind in ("equal_time", "spacelike"):
             rows = report.get("scan", {}).get(kind, {}).get("rows")

@@ -201,6 +201,7 @@ SCHEMA = (
     ("checks.spacelike.block",        _int,      2,               _at_least(0)),
     ("checks.spacelike.slope",        _float,    2.0,             None),
     ("checks.spacelike.slope_tolerance", _float, 0.3,             _at_least(0)),
+    # report.json is always written; json stays accepted for existing configs
     ("output.formats",                _strs,     ["json"],
      _one_of("format", ("json", "csv"))),
 )

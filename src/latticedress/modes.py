@@ -81,7 +81,12 @@ class LatticeSpec:
 
     @property
     def volume(self) -> float:
-        return self.physical_length**self.dim
+        try:
+            return self.physical_length**self.dim
+        except OverflowError:
+            raise OverflowError(
+                f"lattice volume physical_length**dim = {self.physical_length!r}"
+                f"**{self.dim} overflows a float") from None
 
     @property
     def spacing(self) -> float:

@@ -1,16 +1,17 @@
 """Truncated Fock-space oracle: sparse matrices and matrix-exponential conjugation.
 
-The basis enumerates occupation vectors under per-mode and total-quanta
-cutoffs, graded by total quanta then lexicographic.  Operator application
-that would push a state above a cutoff yields zero amplitude (projection);
-comparisons against symbolic results must therefore be restricted to
-low-quanta sub-blocks with a safety margin.
+The basis is one int64 array, `FockBasis.occupations`: the occupation vectors
+under per-mode and total-quanta cutoffs, graded by total quanta then
+lexicographic, so row 0 is the vacuum.  Its size is counted before any state
+is listed.  Operator application that would push a state above a cutoff
+yields zero amplitude (projection); comparisons against symbolic results
+must therefore be restricted to low-quanta sub-blocks with a safety margin.
 
 Each basis caches, per monomial signature, the monomial's action on every
 basis state, (rows, cols, amps), computed on first use with numpy over the
-whole occupation array; target states are found by integer state keys.
-Matrix assembly then only scales and concatenates the cached arrays, in the
-order of the term map.
+whole occupation array; rows are found by integer state keys, the one row
+lookup.  Matrix assembly then only scales and concatenates the cached
+arrays, in the order of the term map.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .algebra import OperatorSeries, TermMap
-from .modes import ModeIndex, ModeSystem
+from .modes import ModeSystem
 from .models import ModelSpec
 
 DEFAULT_DIMENSION_LIMIT = 200_000
@@ -40,7 +41,8 @@ class OracleError(ArithmeticError):
 
 
 class FockBasis:
-    """Occupation-number basis over the modes of a ModeSystem."""
+    """Occupation-number basis over the modes of a ModeSystem: row i of
+    `occupations` is basis state i, one column per mode in `modes` order."""
 
     def __init__(self, system: ModeSystem, per_mode_cutoff: int, total_cutoff: int,
                  dimension_limit: int = DEFAULT_DIMENSION_LIMIT):
@@ -49,32 +51,40 @@ class FockBasis:
                 f"need per_mode_cutoff >= 1 and total_cutoff >= 0, got "
                 f"({per_mode_cutoff}, {total_cutoff})"
             )
-        self.system = system
         self.modes = system.modes
         self.per_mode_cutoff = per_mode_cutoff
         self.total_cutoff = total_cutoff
-        states = self._enumerate(len(self.modes), per_mode_cutoff, total_cutoff)
-        if len(states) > dimension_limit:
-            raise BasisError(
-                f"basis dimension {len(states)} exceeds the limit {dimension_limit}"
-            )
-        # graded by total quanta, then lexicographic
-        states.sort(key=lambda v: (sum(v), v))
-        self.states: list[tuple[int, ...]] = states
-        self.index: dict[tuple[int, ...], int] = {v: i for i, v in enumerate(states)}
-        self.totals = np.array([sum(v) for v in states])
-        self._positions = {m: i for i, m in enumerate(self.modes)}
-        # a state's key is its occupation vector read as a mixed-radix number;
-        # with many modes the keys outgrow int64 and are Python ints
         n_modes = len(self.modes)
+        self.dimension = self._count(n_modes, per_mode_cutoff, total_cutoff)
+        if self.dimension > dimension_limit:
+            raise BasisError(
+                f"basis dimension {self.dimension} exceeds the limit {dimension_limit}"
+            )
+        states = self._enumerate(n_modes, per_mode_cutoff, total_cutoff)
+        occupations = np.array(states, dtype=np.int64).reshape(self.dimension, n_modes)
+        # a state's key reads its total quanta, then its occupation vector, as
+        # mixed-radix digits, so the graded rows have ascending keys; with
+        # many modes the keys outgrow int64 and are Python ints
         radix = min(per_mode_cutoff, total_cutoff) + 1
-        dtype = np.int64 if radix ** n_modes <= np.iinfo(np.int64).max else object
-        self._weights = [radix ** (n_modes - 1 - i) for i in range(n_modes)]
-        self._occupations = np.array(states, dtype=np.int64).reshape(len(states), n_modes)
-        self._keys = self._occupations.astype(dtype) @ np.array(self._weights, dtype=dtype)
-        self._key_order = np.argsort(self._keys)
-        self._sorted_keys = self._keys[self._key_order]
+        top = radix ** n_modes      # the weight of the total quanta
+        dtype = np.int64 if (total_cutoff + 1) * top <= np.iinfo(np.int64).max else object
+        self._weights = [top + radix ** (n_modes - 1 - i) for i in range(n_modes)]
+        keys = occupations.astype(dtype) @ np.array(self._weights, dtype=dtype)
+        order = np.argsort(keys)
+        self.occupations = occupations[order]
+        self.occupations.flags.writeable = False
+        self.totals = self.occupations.sum(axis=1)
+        self._keys = keys[order]
+        self._positions = {m: i for i, m in enumerate(self.modes)}
         self._actions: dict = {}    # signature -> (rows, cols, amps)
+
+    @staticmethod
+    def _count(n_modes, per_mode, total):
+        """Number of occupation vectors with entries <= per_mode and sum <=
+        total: inclusion-exclusion over the j modes forced above per_mode."""
+        return sum((-1) ** j * math.comb(n_modes, j)
+                   * math.comb(total - j * (per_mode + 1) + n_modes, n_modes)
+                   for j in range(min(n_modes, total // (per_mode + 1)) + 1))
 
     @staticmethod
     def _enumerate(n_modes, per_mode, total):
@@ -84,15 +94,15 @@ class FockBasis:
                    if sum(v) + q <= total]
         return out
 
-    @property
-    def dimension(self) -> int:
-        return len(self.states)
-
-    def mode_position(self, mode: ModeIndex) -> int:
-        try:
-            return self._positions[mode]
-        except KeyError:
-            raise BasisError(f"mode {mode} is not part of this basis") from None
+    def index_of(self, occupation) -> int:
+        """Row of an occupation vector, found by its key as in `action`;
+        BasisError if it is no basis state."""
+        occ = [int(n) for n in occupation]
+        key = sum(n * w for n, w in zip(occ, self._weights))
+        row = min(int(np.searchsorted(self._keys, key)), self.dimension - 1)
+        if self.occupations[row].tolist() != occ:
+            raise BasisError(f"occupation {tuple(occ)} is not a state of this basis")
+        return row
 
     def action(self, creators, annihilators):
         """A normal-ordered monomial applied to every basis state.
@@ -105,12 +115,12 @@ class FockBasis:
         sig = (creators, annihilators)
         if sig in self._actions:
             return self._actions[sig]
-        for m in creators + annihilators:
-            if not self.system.contains(m):
-                raise BasisError(f"mode {m} unknown to the basis system")
-        positions = [self.mode_position(m) for m in annihilators + creators]
+        try:
+            positions = [self._positions[m] for m in annihilators + creators]
+        except KeyError as exc:
+            raise BasisError(f"mode {exc.args[0]} unknown to the basis system") from None
         slot = {p: j for j, p in enumerate(dict.fromkeys(positions))}
-        sub = self._occupations[:, list(slot)]     # the modes involved
+        sub = self.occupations[:, list(slot)]     # the modes involved
         cols = np.arange(self.dimension)
         amps = np.ones(self.dimension)
         # same factors in the same order as applying the monomial state by
@@ -131,14 +141,14 @@ class FockBasis:
             total += 1
         shift = sum(self._weights[p] for p in positions[len(annihilators):]) \
             - sum(self._weights[p] for p in positions[:len(annihilators)])
-        rows = self._key_order[np.searchsorted(self._sorted_keys, self._keys[cols] + shift)]
+        rows = np.searchsorted(self._keys, self._keys[cols] + shift)
         for a in (rows, cols, amps):
             a.flags.writeable = False
         self._actions[sig] = rows, cols, amps
         return self._actions[sig]
 
     def vacuum_index(self) -> int:
-        return self.index[(0,) * len(self.modes)]
+        return 0    # the grading puts the only zero-quanta state first
 
     def block_indices(self, max_quanta: int) -> np.ndarray:
         """Indices of all states with total quanta <= max_quanta."""
@@ -170,11 +180,6 @@ def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
 def matrix_of(series: OperatorSeries, basis: FockBasis, lam: float) -> sp.csr_matrix:
     """Matrix of an operator series evaluated at a numeric coupling."""
     return matrix_of_terms(series.evaluate(lam), basis)
-
-
-def ladder_matrix(basis: FockBasis, mode: ModeIndex, create: bool = False) -> sp.csr_matrix:
-    sig = ((mode,), ()) if create else ((), (mode,))
-    return matrix_of_terms({sig: 1.0 + 0j}, basis)
 
 
 def _check_unitary(w: np.ndarray, name: str) -> None:
@@ -239,9 +244,9 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
         phase = np.exp(1j * float(np.dot(p, x)))
         # a ladder matrix has at most one nonzero per column, so w_inv @ a
         # is a scaled gather of w_inv's columns
-        a = ladder_matrix(basis, mode).tocoo()
+        rows, cols, amps = basis.action((), (mode,))
         left = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        left[:, a.col] = w_inv[:, a.row] * a.data
+        left[:, cols] = w_inv[:, rows] * amps
         alpha = left @ w
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
         out += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)

@@ -116,7 +116,7 @@ def rspt2_shift(model, basis, species: str, k) -> float:
     mv = matrix_of_terms(model.interaction.orders[1], basis).toarray()
     e0 = np.array([
         sum(occ * model.system.energy(m) for occ, m in zip(state, basis.modes))
-        for state in basis.states
+        for state in basis.occupations.tolist()
     ])
 
     def shift(index: int) -> float:
@@ -129,12 +129,12 @@ def rspt2_shift(model, basis, species: str, k) -> float:
             den = e_ref - e0[s]
             if abs(den) < 1e-10:
                 raise ZeroDivisionError(
-                    f"degenerate intermediate state {basis.states[s]} "
+                    f"degenerate intermediate state {basis.occupations[s].tolist()} "
                     f"(E={e0[s]:.6f}) in second-order shift"
                 )
             total += abs(amp) ** 2 / den
         return total
 
     vac = basis.vacuum_index()
-    one = basis.index[tuple(1 if m == mode else 0 for m in basis.modes)]
+    one = basis.index_of([1 if m == mode else 0 for m in basis.modes])
     return shift(one) - shift(vac)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latticedress import checks
 from latticedress.checks import (
     ScanError,
     _loglog_slope,
@@ -125,6 +126,19 @@ def test_equal_time_scan_horizon(small_model, small_basis, small_result):
     with pytest.raises(ScanError, match="horizon"):
         equal_time_scan(small_model, small_basis, small_result,
                         times=[1000.0], lambdas=[0.0],
+                        site_pairs=[((0,), (1,))])
+
+
+def test_equal_time_scan_checks_times_before_any_matrix(monkeypatch, small_model,
+                                                        small_basis, small_result):
+    # a time past the horizon is refused before any coupling's exp(-R) is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("dressing matrices built before the times were checked")
+
+    monkeypatch.setattr(checks, "dressing_matrices", refuse)
+    with pytest.raises(ScanError, match="horizon"):
+        equal_time_scan(small_model, small_basis, small_result,
+                        times=[0.0, 1000.0], lambdas=[0.0, 0.1],
                         site_pairs=[((0,), (1,))])
 
 

@@ -173,6 +173,9 @@ output:
     # a tiny mass divides by zero while the model is built; the reason names the step
     ("model:\n  species: [{name: phi, mass: 1.0e-300}]\n", "dress",
      "model build: float division by zero"),
+    ("model:\n  lattice: {dim: 2, sites_per_dim: 1, physical_length: 1.0e+300}\n"
+     "  interaction: {name: scalar-yukawa}\n", "dress",
+     "model build: lattice volume physical_length**dim = 1e+300**2 overflows a float"),
 ])
 def test_setup_failure_exits_one_with_report(tmp_path, text, command, prefix):
     assert run(parse_config(text), command, tmp_path) == 1
@@ -180,6 +183,13 @@ def test_setup_failure_exits_one_with_report(tmp_path, text, command, prefix):
     (failure,) = report["failures"]
     assert failure["check"] == "setup"
     assert failure["reason"].startswith(prefix)
+
+
+@pytest.mark.parametrize("formats", [[], ["csv"]])
+def test_report_json_is_written_for_any_formats(tmp_path, formats):
+    cfg = parse_config(FAST_YAML + f"output:\n  formats: {formats}\n")
+    assert run(cfg, "dress", tmp_path) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["failures"] == []
 
 
 @pytest.mark.parametrize("value", ["nope", "\"inf\""])

@@ -15,7 +15,6 @@ from latticedress.numerics import (
     conjugate_numeric,
     dressing_matrices,
     field_at_origin_time_zero,
-    ladder_matrix,
     matrix_of,
     matrix_of_terms,
     restricted_norm,
@@ -35,16 +34,22 @@ def test_single_mode_dimension(system1):
 def test_total_cutoff_zero_is_vacuum_only(system3):
     basis = FockBasis(system3, 4, 0)
     assert basis.dimension == 1
-    assert basis.states == [(0, 0, 0)]
+    assert basis.occupations.tolist() == [[0, 0, 0]]
+    assert basis.vacuum_index() == 0
 
 
 def test_graded_enumeration(system3):
     basis = FockBasis(system3, 2, 2)
-    assert basis.states[0] == (0, 0, 0)
+    assert basis.occupations[0].tolist() == [0, 0, 0]
     assert list(basis.totals) == sorted(basis.totals)
     # 1 vacuum + 3 singles + 6 doubles
     assert basis.dimension == 10
     assert len(basis.block_indices(1)) == 4
+    # the key order is the grading: total quanta, then lexicographic
+    for per_mode, total in [(2, 2), (2, 4), (4, 3)]:
+        want = sorted(FockBasis._enumerate(3, per_mode, total), key=lambda v: (sum(v), v))
+        got = FockBasis(system3, per_mode, total).occupations.tolist()
+        assert [tuple(v) for v in got] == want
 
 
 def test_per_mode_cutoff_binds(system1):
@@ -63,6 +68,36 @@ def test_dimension_limit(system3):
         FockBasis(system3, 4, 4, dimension_limit=10)
 
 
+@pytest.mark.parametrize("n_modes", range(1, 7))
+def test_count_matches_enumeration(n_modes):
+    # per-mode caps 1..7 against totals 0..6: the cap binds below the total
+    for total in range(7):
+        for per_mode in range(1, 8):
+            want = len(FockBasis._enumerate(n_modes, per_mode, total))
+            assert FockBasis._count(n_modes, per_mode, total) == want
+
+
+def test_dimension_limit_refuses_before_listing(system5, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("states listed before the dimension limit was checked")
+
+    monkeypatch.setattr(FockBasis, "_enumerate", staticmethod(refuse))
+    with pytest.raises(BasisError) as exc:
+        FockBasis(system5, 36, 36)
+    assert str(exc.value) == "basis dimension 749398 exceeds the limit 200000"
+
+
+def test_index_of_finds_every_state_and_nothing_else(system3):
+    basis = FockBasis(system3, 2, 3)
+    assert [basis.index_of(v) for v in basis.occupations] == list(range(basis.dimension))
+    # above the total cutoff, above the per-mode cutoff, negative, wrong length
+    for occ in [(1, 1, 2), (0, 3, 0), (0, -1, 0), (0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(BasisError, match="not a state of this basis"):
+            basis.index_of(occ)
+    with pytest.raises(BasisError, match="not a state of this basis"):
+        FockBasis(system3, 4, 0).index_of((0, 1, 0))
+
+
 def test_foreign_mode_rejected(system3, system5):
     basis = FockBasis(system3, 2, 2)
     with pytest.raises(BasisError, match="unknown"):
@@ -77,16 +112,21 @@ def test_number_operator_is_diagonal_occupation(system3):
     basis = FockBasis(system3, 3, 3)
     z = mode(system3, 0)
     n = matrix_of_terms({((z,), (z,)): 1.0}, basis).toarray()
-    pos = basis.mode_position(z)
-    expected = np.diag([state[pos] for state in basis.states]).astype(complex)
+    pos = basis.modes.index(z)
+    expected = np.diag(basis.occupations[:, pos]).astype(complex)
     assert np.allclose(n, expected)
+
+
+def _ladder_matrix(basis, mode, create=False):
+    sig = ((mode,), ()) if create else ((), (mode,))
+    return matrix_of_terms({sig: 1.0 + 0j}, basis)
 
 
 def test_ladder_matrix_elements(system1):
     basis = FockBasis(system1, 4, 4)
     z = mode(system1, 0)
-    a = ladder_matrix(basis, z).toarray()
-    ad = ladder_matrix(basis, z, create=True).toarray()
+    a = _ladder_matrix(basis, z).toarray()
+    ad = _ladder_matrix(basis, z, create=True).toarray()
     assert a[2, 3] == pytest.approx(math.sqrt(3))
     assert np.allclose(ad, a.conj().T)
     # projection: creating on the top state yields nothing
@@ -99,7 +139,7 @@ def _apply_term(basis, creators, annihilators, state):
     occ = list(state)
     amp = 1.0
     for m in annihilators:
-        pos = basis.mode_position(m)
+        pos = basis.modes.index(m)
         n = occ[pos]
         if n == 0:
             return None
@@ -107,7 +147,7 @@ def _apply_term(basis, creators, annihilators, state):
         occ[pos] = n - 1
     total = sum(occ)
     for m in creators:
-        pos = basis.mode_position(m)
+        pos = basis.modes.index(m)
         n = occ[pos]
         if n + 1 > basis.per_mode_cutoff or total + 1 > basis.total_cutoff:
             return None
@@ -118,15 +158,18 @@ def _apply_term(basis, creators, annihilators, state):
 
 
 def _matrix_state_by_state(terms, basis):
-    """Reference assembly: every term over every basis state, in Python."""
+    """Reference assembly: every term over every basis state, in Python,
+    with its own row lookup."""
+    states = [tuple(v) for v in basis.occupations.tolist()]
+    row_of = {v: i for i, v in enumerate(states)}
     rows, cols, vals = [], [], []
     for (creators, annihilators), coeff in terms.items():
-        for col, state in enumerate(basis.states):
+        for col, state in enumerate(states):
             hit = _apply_term(basis, creators, annihilators, state)
             if hit is None:
                 continue
             amp, new_state = hit
-            rows.append(basis.index[new_state])
+            rows.append(row_of[new_state])
             cols.append(col)
             vals.append(coeff * amp)
     return sp.csr_matrix((vals, (rows, cols)),
@@ -175,6 +218,7 @@ def test_state_keys_past_int64_still_find_rows():
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
+    assert basis.index_of(basis.occupations[-1]) == basis.dimension - 1
 
 
 def test_matrix_of_series_evaluates_coupling(system1):
@@ -291,7 +335,7 @@ def test_field_gather_equals_dense_conjugation():
         for kvec in lat.k_vectors():
             m = model.system.mode("phi", kvec)
             phase = np.exp(1j * float(np.dot(np.array(lat.momentum(kvec)), x)))
-            alpha = ctx.w_inv @ ladder_matrix(basis, m).toarray() @ ctx.w
+            alpha = ctx.w_inv @ _ladder_matrix(basis, m).toarray() @ ctx.w
             coeff = 1.0 / math.sqrt(2.0 * model.system.energy(m) * lat.volume)
             want += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
         got = field_at_origin_time_zero(model, basis, ctx.w_inv, ctx.w, site)
@@ -317,7 +361,7 @@ def test_hamiltonian_conserves_total_momentum_blocks():
     basis = FockBasis(model.system, 3, 3)
     h = matrix_of(model.hamiltonian(), basis, 0.1).tocoo()
     lat = model.system.lattice
-    totals = np.array(basis.states) @ np.array([m.k for m in basis.modes])
+    totals = basis.occupations @ np.array([m.k for m in basis.modes])
     labels = [lat.wrap_k(t.tolist()) for t in totals]
     assert any(labels[i] != labels[0] for i in h.row)
     assert max((abs(v) for i, j, v in zip(h.row, h.col, h.data)
