@@ -1,6 +1,6 @@
 """Executable checks for the claims the engine is built to verify.
 
-* the total momentum operator has the free form and commutes with K,
+* K commutes with the total momentum,
 * the dressed vacuum and one-particle states are eigenstates of H up to
   the truncation order (residual ~ coupling^(N+1)),
 * the dressed field commutes at equal times,
@@ -20,11 +20,13 @@ import scipy.linalg
 from .algebra import OperatorSeries
 from .dressing import DressingResult
 from .models import ModelSpec, momentum_defect
-from .modes import ModeIndex
+from .modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 from .numerics import (
     FockBasis,
+    conjugate_numeric,
     dressing_matrices,
     field_at_origin_time_zero,
+    matrix_of_terms,
     restricted_norm,
 )
 
@@ -37,18 +39,7 @@ class ScanError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# momentum operator
-
-
-def momentum_operator(model: ModelSpec) -> list[OperatorSeries]:
-    """P_j = sum_k p_j(k) a+_k a_k, one series per spatial component."""
-    system = model.system
-    out = []
-    for j in range(system.lattice.dim):
-        raw = [((m,), (m,), system.momentum(m)[j]) for m in system.modes]
-        out.append(OperatorSeries.from_terms(system, raw, order=0,
-                                             max_order=model.max_order))
-    return out
+# momentum
 
 
 def momentum_commutation_defect(k_series: OperatorSeries, model: ModelSpec) -> float:
@@ -194,33 +185,34 @@ def _site_tuple(x) -> tuple:
 
 
 class _LambdaContext:
-    """Per-coupling cache: H, exp(+-R), the dressed vacuum, the A(x,0) fields."""
+    """Per-coupling cache: H, the dressed vacuum, and the A(x,0) fields of
+    `sites`, built from exp(+-R) in one pass over the modes when the context
+    is created; exp(+-R) are not kept."""
 
-    def __init__(self, result, basis, lam):
-        self.model = result.model
-        if len(self.model.system.species) != 1:
+    def __init__(self, result, basis, lam, sites):
+        model = result.model
+        if len(model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
-        self.basis = basis
-        self.mh, mr, self.w_inv = dressing_matrices(result, basis, lam)
-        self.w = scipy.linalg.expm(mr)
-        psi = self.w_inv[:, basis.vacuum_index()]
+        self.mh, mr, w_inv = dressing_matrices(result, basis, lam)
+        psi = w_inv[:, basis.vacuum_index()]
         self.vacuum = psi / np.linalg.norm(psi)
-        self._fields0: dict = {}
+        sites = list(dict.fromkeys(sites))
+        self._fields = dict(zip(sites, field_at_origin_time_zero(
+            model, basis, w_inv, scipy.linalg.expm(mr), sites)))
         self._evolution: dict = {}
-
-    def field0(self, site):
-        if site not in self._fields0:
-            self._fields0[site] = field_at_origin_time_zero(
-                self.model, self.basis, self.w_inv, self.w, site)
-        return self._fields0[site]
 
     def field(self, site, t: float):
         if t == 0.0:
-            return self.field0(site)
+            return self._fields[site]
         if t not in self._evolution:
             self._evolution[t] = scipy.linalg.expm(1j * t * self.mh)
         u = self._evolution[t]
-        return u @ self.field0(site) @ u.conj().T
+        return u @ self._fields[site] @ u.conj().T
+
+    def commutator(self, x, tx: float, y, ty: float):
+        """[A(x,tx), A(y,ty)]."""
+        ax, ay = self.field(x, tx), self.field(y, ty)
+        return ax @ ay - ay @ ax
 
     def vev(self, m) -> float:
         return abs(np.vdot(self.vacuum, m @ self.vacuum))
@@ -236,14 +228,17 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
     for t in times:
         if abs(t) > horizon:
             raise ScanError(f"time {t} beyond the horizon {horizon}")
-    points = []
     pairs = [(_site_tuple(a), _site_tuple(b)) for a, b in site_pairs]
-    contexts = {lam: _LambdaContext(result, basis, lam) for lam in lambdas}
+    if not (times and lambdas and pairs):
+        raise ScanError("the equal-time scan has no point: it needs a time, "
+                        "a coupling and a site pair")
+    points = []
+    sites = [s for pair in pairs for s in pair]
+    contexts = {lam: _LambdaContext(result, basis, lam, sites) for lam in lambdas}
     for t in times:
         for lam, ctx in contexts.items():
             for x, y in pairs:
-                ax, ay = ctx.field(x, t), ctx.field(y, t)
-                c = ax @ ay - ay @ ax
+                c = ctx.commutator(x, t, y, t)
                 points.append(ScanPoint(
                     x=x, y=y,
                     separation=lat.min_image_distance(x, y),
@@ -280,14 +275,19 @@ def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
         entries.append((x, y, tau, sep))
 
     lambdas = list(lambdas)
-    contexts = {lam: _LambdaContext(result, basis, lam)
+    sites = [s for x, y, _, _ in entries for s in (x, y)]
+    contexts = {lam: _LambdaContext(result, basis, lam, sites)
                 for lam in set(lambdas) | {0.0}}
     points = []
+    # the points of each grid point; a repeated grid point adds to the list
+    # of its first appearance
+    series: dict = {}
     for x, y, tau, sep in entries:
-        m0 = _commutator_matrix(contexts[0.0], x, y, tau)
+        m0 = contexts[0.0].commutator(x, tau, y, 0.0)
         baseline = restricted_norm(m0, basis, block)
+        fit = series.setdefault((x, y, tau), [])
         for lam in lambdas:
-            c = _commutator_matrix(contexts[lam], x, y, tau)
+            c = contexts[lam].commutator(x, tau, y, 0.0)
             points.append(ScanPoint(
                 x=x, y=y, separation=sep, tau=tau, lam=lam,
                 magnitude=restricted_norm(c, basis, block),
@@ -295,27 +295,20 @@ def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                 baseline=baseline,
                 subtracted=restricted_norm(c - m0, basis, block),
             ))
+            fit.append(points[-1])
 
     # coupling-scaling fit at the grid point with the strongest signal
     best_slope = None
     best_signal = -1.0
-    for x, y, tau, _ in entries:
-        sel = [(p.lam, p.subtracted) for p in points
-               if p.x == x and p.y == y and p.tau == tau and p.lam > 0]
-        signal = max((s[1] for s in sel), default=0.0)
-        slope = _loglog_slope([s[0] for s in sel], [s[1] for s in sel])
+    for fit in series.values():
+        signal = max((p.subtracted for p in fit if p.lam > 0), default=0.0)
+        slope = _loglog_slope([p.lam for p in fit], [p.subtracted for p in fit])
         if slope is not None and signal > best_signal:
             best_signal = signal
             best_slope = slope
     floor = 1e-11 * max((p.baseline for p in points), default=1.0)
     return ScanReport(kind="spacelike", points=points,
                       slope=best_slope, noise_floor=max(floor, 1e-13))
-
-
-def _commutator_matrix(ctx: _LambdaContext, x, y, tau):
-    ax = ctx.field(x, tau)
-    ay = ctx.field0(y)
-    return ax @ ay - ay @ ax
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +325,14 @@ class BogoliubovReport:
     shrinks: bool
 
 
-def _single_mode_ladder(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for n in range(1, cutoff + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
-
-
 def _squeeze_deviation(chi: float, cutoff: int, block: int) -> tuple[float, float]:
-    a = _single_mode_ladder(cutoff)
+    system = ModeSystem(LatticeSpec(sites_per_dim=1), [FieldSpecies("phi", 1.0)])
+    basis = FockBasis(system, cutoff, cutoff)
+    (m,) = system.modes
+    a = matrix_of_terms({((), (m,)): 1.0}, basis).toarray()
     ad = a.conj().T
-    r = 0.5 * chi * (a @ a - ad @ ad)
-    w = scipy.linalg.expm(r)
-    lhs = w @ a @ w.conj().T
+    r = matrix_of_terms({((), (m, m)): 0.5 * chi, ((m, m), ()): -0.5 * chi}, basis)
+    lhs = conjugate_numeric(r, a)
     rhs = math.cosh(chi) * a + math.sinh(chi) * ad
     dev = float(np.abs((lhs - rhs)[:block, :block]).max())
     lhsd = lhs.conj().T

@@ -176,7 +176,7 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
             "lambdas": lams, "differences": diffs, "slope": _finite(slope),
         }
         verdicts.append(_verdict("oracle_equivalence_slope", n + 1, slope, tol,
-                                 _slope_ok(slope, n + 1, tol) or all(
+                                 _slope_ok(slope, n + 1, tol) or bool(diffs) and all(
                                      d < 1e-12 for d in diffs)))
 
     residuals = cfg.checks["residuals"]
@@ -192,7 +192,9 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
             "cutoff_sensitive": rep.cutoff_sensitive,
         }
         slopes = rep.all_slopes()
-        all_floor = all(v <= ZERO_FLOOR for v in rep.vacuum) and all(
+        # residuals all below the floor pass if a positive coupling was judged
+        all_floor = any(l > 0 for l in rep.lambdas) and all(
+            v <= ZERO_FLOOR for v in rep.vacuum) and all(
             v <= ZERO_FLOOR for r in rep.one_particle.values() for v in r)
         ok = all_floor or (
             bool(slopes) and all(abs(s - (n + 1)) <= tol for s in slopes))

@@ -60,8 +60,7 @@ class FockBasis:
             raise BasisError(
                 f"basis dimension {self.dimension} exceeds the limit {dimension_limit}"
             )
-        states = self._enumerate(n_modes, per_mode_cutoff, total_cutoff)
-        occupations = np.array(states, dtype=np.int64).reshape(self.dimension, n_modes)
+        occupations = self._enumerate(n_modes, per_mode_cutoff, total_cutoff)
         # a state's key reads its total quanta, then its occupation vector, as
         # mixed-radix digits, so the graded rows have ascending keys; with
         # many modes the keys outgrow int64 and are Python ints
@@ -87,11 +86,14 @@ class FockBasis:
                    for j in range(min(n_modes, total // (per_mode + 1)) + 1))
 
     @staticmethod
-    def _enumerate(n_modes, per_mode, total):
-        out = [()]
+    def _enumerate(n_modes, per_mode, total) -> np.ndarray:
+        """The occupation vectors in lexicographic order, one mode at a time:
+        each row repeats once per occupation q that keeps it within the cutoffs."""
+        out = np.zeros((1, 0), dtype=np.int64)
         for _ in range(n_modes):
-            out = [v + (q,) for v in out for q in range(per_mode + 1)
-                   if sum(v) + q <= total]
+            reps = np.minimum(per_mode, total - out.sum(axis=1)) + 1
+            q = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            out = np.column_stack([np.repeat(out, reps, axis=0), q])
         return out
 
     def index_of(self, occupation) -> int:
@@ -224,24 +226,24 @@ def dressing_matrices(result, basis: FockBasis, lam: float):
 
 
 def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
-                              w_inv: np.ndarray, w: np.ndarray, x_site) -> np.ndarray:
-    """The dressed field at time zero,
+                              w_inv: np.ndarray, w: np.ndarray, sites) -> list[np.ndarray]:
+    """The dressed field at time zero at each of `sites`, in their order,
 
     A(x,0) = volume^{-1/2} sum_k (2 E_k)^{-1/2}
              (e^{i p x} alpha_k + e^{-i p x} alpha_k^dagger)
 
-    with the dressed ladder matrices alpha = exp(-R) a exp(R).
+    with the dressed ladder matrices alpha = exp(-R) a exp(R), each formed
+    once and added into every site's field.
     """
     lat = model.system.lattice
     if len(model.system.species) != 1:
         raise ValueError("the Heisenberg field scan supports single-species models")
     sp_name = model.system.species[0].name
-    x = np.array(x_site, dtype=float) * lat.spacing
-    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    xs = [np.array(site, dtype=float) * lat.spacing for site in sites]
+    out = [np.zeros((basis.dimension, basis.dimension), dtype=complex) for _ in sites]
     for kvec in lat.k_vectors():
         mode = model.system.mode(sp_name, kvec)
         p = np.array(lat.momentum(kvec))
-        phase = np.exp(1j * float(np.dot(p, x)))
         # a ladder matrix has at most one nonzero per column, so w_inv @ a
         # is a scaled gather of w_inv's columns
         rows, cols, amps = basis.action((), (mode,))
@@ -249,7 +251,9 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
         left[:, cols] = w_inv[:, rows] * amps
         alpha = left @ w
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
-        out += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
+        for field, x in zip(out, xs):
+            phase = np.exp(1j * float(np.dot(p, x)))
+            field += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
     return out
 
 

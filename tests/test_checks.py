@@ -9,7 +9,6 @@ from latticedress.checks import (
     eigenstate_residuals,
     equal_time_scan,
     momentum_commutation_defect,
-    momentum_operator,
     spacelike_scan,
 )
 from latticedress.dressing import dress
@@ -37,13 +36,6 @@ def small_basis(small_model):
 
 # ---------------------------------------------------------------------------
 # momentum
-
-
-def test_momentum_operator_is_free_form(small_model):
-    (p,) = momentum_operator(small_model)
-    for (creators, annihilators), c in p.orders[0].items():
-        assert creators == annihilators and len(creators) == 1
-        assert c == pytest.approx(small_model.system.momentum(creators[0])[0])
 
 
 def test_transformed_hamiltonian_commutes_with_momentum(small_model, small_result):
@@ -140,6 +132,76 @@ def test_equal_time_scan_checks_times_before_any_matrix(monkeypatch, small_model
         equal_time_scan(small_model, small_basis, small_result,
                         times=[0.0, 1000.0], lambdas=[0.0, 0.1],
                         site_pairs=[((0,), (1,))])
+
+
+@pytest.mark.parametrize("times, lambdas, site_pairs", [
+    ([], [0.1], [((0,), (1,))]),
+    ([0.0], [], [((0,), (1,))]),
+    ([0.0], [0.1], []),
+], ids=["times", "lambdas", "site_pairs"])
+def test_equal_time_scan_without_points_is_refused(monkeypatch, small_model, small_basis,
+                                                   small_result, times, lambdas,
+                                                   site_pairs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dressing matrices built for a scan with no point")
+
+    monkeypatch.setattr(checks, "dressing_matrices", refuse)
+    with pytest.raises(ScanError, match="has no point"):
+        equal_time_scan(small_model, small_basis, small_result, times=times,
+                        lambdas=lambdas, site_pairs=site_pairs)
+
+
+def test_each_coupling_builds_its_fields_once(monkeypatch, small_model, small_result):
+    calls = []
+    build = checks.field_at_origin_time_zero
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "field_at_origin_time_zero", counted)
+    # three sites in three pairs, two couplings: one field build per coupling
+    basis = FockBasis(small_model.system, 3, 3)
+    equal_time_scan(small_model, basis, small_result, times=[0.0, 1.0],
+                    lambdas=[0.0, 0.1], site_pairs=[((0,), (1,)), ((0,), (2,)),
+                                                    ((1,), (2,))])
+    assert len(calls) == 2
+    assert all(args[-1] == [(0,), (1,), (2,)] for args in calls)
+    calls.clear()
+    # the baseline coupling 0 is added to the two given
+    spacelike_scan(small_model, basis, small_result, lambdas=[0.05, 0.1],
+                   grid=[((0,), (1,), 1.0), ((1,), (2,), -1.0)])
+    assert len(calls) == 3
+
+
+def _strongest_point_slope(rep):
+    """The slope fit read back from the points: each point's fit takes every
+    point at its (x, y, tau) with a positive coupling, and the first fit
+    with the largest subtracted magnitude wins."""
+    best_slope, best_signal = None, -1.0
+    for p in rep.points:
+        sel = [(q.lam, q.subtracted) for q in rep.points
+               if (q.x, q.y, q.tau) == (p.x, p.y, p.tau) and q.lam > 0]
+        signal = max((s for _, s in sel), default=0.0)
+        slope = checks._loglog_slope([l for l, _ in sel], [s for _, s in sel])
+        if slope is not None and signal > best_signal:
+            best_slope, best_signal = slope, signal
+    return best_slope
+
+
+def test_spacelike_repeated_grid_point_merges_into_one_fit(small_model, small_basis,
+                                                           small_result):
+    # the repeated point's couplings join the first copy's in one fit
+    lambdas = [0.05, 0.1, 0.2]
+    once = spacelike_scan(small_model, small_basis, small_result, lambdas=lambdas,
+                          grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
+    twice = spacelike_scan(small_model, small_basis, small_result, lambdas=lambdas,
+                           grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5),
+                                 ((0,), (1,), 1.0)])
+    assert len(twice.points) == 3 * len(lambdas)
+    assert twice.slope == _strongest_point_slope(twice)
+    assert once.slope == _strongest_point_slope(once)
+    assert twice.slope == pytest.approx(once.slope, abs=1e-9)
 
 
 def test_spacelike_scan_rejects_timelike_points(small_model, small_basis,

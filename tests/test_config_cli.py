@@ -311,6 +311,38 @@ def test_non_finite_number_in_the_report_fails_the_run(tmp_path):
     assert ": null" in text
 
 
+NO_ORACLE = "  oracle: {enabled: false}\n  residuals: {enabled: false}\n"
+VERIFY_S3 = ("model:\n  lattice: {sites_per_dim: 3}\n"
+             "numerics: {per_mode_cutoff: 3, total_cutoff: 3, lambdas: %s}\n")
+
+
+@pytest.mark.parametrize("text, command, failed", [
+    ("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\nchecks:\n" + NO_ORACLE
+     + "  equal_time: {enabled: true, lambdas: []}\n", "scan", "setup"),
+    ("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\nchecks:\n" + NO_ORACLE
+     + "  equal_time: {enabled: true, times: []}\n", "scan", "setup"),
+    ("model:\n  lattice: {sites_per_dim: 1}\nchecks:\n" + NO_ORACLE
+     + "  equal_time: {enabled: true}\n", "scan", "setup"),
+    (VERIFY_S3 % "[]", "verify", ["oracle_equivalence_slope", "residual_slopes"]),
+    (VERIFY_S3 % "[0.0]", "verify", ["oracle_equivalence_slope", "residual_slopes"]),
+], ids=["equal_time.lambdas", "equal_time.times", "one_site", "no_lambdas", "zero_lambda"])
+def test_nothing_to_judge_is_no_pass(tmp_path, text, command, failed):
+    # each of these runs used to pass a verdict that judged nothing
+    assert run(parse_config(text), command, tmp_path) == 1
+    report = _read_report(tmp_path / "report.json")
+    if failed == "setup":
+        assert "equal_time_locality" not in [v["check"] for v in report["verdicts"]]
+        (failure,) = report["failures"]
+        assert failure == {"check": "setup", "reason": "the equal-time scan has no "
+                           "point: it needs a time, a coupling and a site pair"}
+    else:
+        judged = {v["check"]: v for v in report["verdicts"]}
+        for check in failed:
+            assert not judged[check]["pass"]
+            assert judged[check]["got"] is None
+        assert report["failures"] == [{"check": c, "reason": "tolerance"} for c in failed]
+
+
 def test_repeated_coupling_fits_no_slope(tmp_path):
     text = FAST_YAML.replace("[0.02, 0.04, 0.08, 0.16]", "[1.0, 1.0]")
     assert run(parse_config(text), "verify", tmp_path) == 1

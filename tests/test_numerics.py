@@ -47,9 +47,22 @@ def test_graded_enumeration(system3):
     assert len(basis.block_indices(1)) == 4
     # the key order is the grading: total quanta, then lexicographic
     for per_mode, total in [(2, 2), (2, 4), (4, 3)]:
-        want = sorted(FockBasis._enumerate(3, per_mode, total), key=lambda v: (sum(v), v))
+        listed = map(tuple, FockBasis._enumerate(3, per_mode, total).tolist())
+        want = sorted(listed, key=lambda v: (sum(v), v))
         got = FockBasis(system3, per_mode, total).occupations.tolist()
         assert [tuple(v) for v in got] == want
+
+
+@pytest.mark.parametrize("n_modes, per_mode, total",
+                         [(5, 6, 6), (3, 2, 4), (1, 3, 0), (6, 4, 5), (4, 7, 3)])
+def test_enumerate_matches_tuple_listing(n_modes, per_mode, total):
+    # reference: extend every vector by each occupation that fits, in order
+    want = [()]
+    for _ in range(n_modes):
+        want = [v + (q,) for v in want for q in range(per_mode + 1) if sum(v) + q <= total]
+    got = FockBasis._enumerate(n_modes, per_mode, total)
+    assert got.dtype == np.int64 and got.shape == (len(want), n_modes)
+    assert [tuple(v) for v in got.tolist()] == want
 
 
 def test_per_mode_cutoff_binds(system1):
@@ -281,9 +294,11 @@ def test_dressing_matrices_are_consistent():
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
     mh, mr, w_inv = dressing_matrices(result, basis, 0.1)
-    ctx = _LambdaContext(result, basis, 0.1)
-    assert np.array_equal(ctx.w_inv, w_inv)
-    w = ctx.w
+    # the scan context's dressed vacuum is column 0 of this exp(-R)
+    ctx = _LambdaContext(result, basis, 0.1, sites=[])
+    psi = w_inv[:, basis.vacuum_index()]
+    assert np.array_equal(ctx.vacuum, psi / np.linalg.norm(psi))
+    w = scipy.linalg.expm(mr)
     assert np.allclose(w @ w_inv, np.eye(basis.dimension), atol=1e-12)
     assert np.abs(mr + mr.conj().T).max() < 1e-12
     assert np.abs(mh - mh.conj().T).max() < 1e-12
@@ -316,7 +331,7 @@ def test_field_is_hermitian_and_horizon_enforced():
                                                     physical_length=3.0))
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
-    a = _LambdaContext(result, basis, 0.1).field((1,), 0.5)
+    a = _LambdaContext(result, basis, 0.1, sites=[(1,)]).field((1,), 0.5)
     assert np.abs(a - a.conj().T).max() < 1e-10
     with pytest.raises(ScanError, match="horizon"):
         equal_time_scan(model, basis, result, times=[100.0], lambdas=[0.1],
@@ -327,18 +342,24 @@ def test_field_gather_equals_dense_conjugation():
     model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3,
                                                     physical_length=3.0))
     basis = FockBasis(model.system, 3, 3)
-    ctx = _LambdaContext(dress(model), basis, 0.3)
+    result = dress(model)
+    _, mr, w_inv = dressing_matrices(result, basis, 0.3)
+    w = scipy.linalg.expm(mr)
+    sites = [(0,), (1,)]
+    ctx = _LambdaContext(result, basis, 0.3, sites)
     lat = model.system.lattice
-    for site in [(0,), (1,)]:
+    fields = field_at_origin_time_zero(model, basis, w_inv, w, sites)
+    assert len(fields) == len(sites)
+    for site, got in zip(sites, fields):
+        assert np.array_equal(ctx.field(site, 0.0), got)
         x = np.array(site, dtype=float) * lat.spacing
         want = np.zeros((basis.dimension, basis.dimension), dtype=complex)
         for kvec in lat.k_vectors():
             m = model.system.mode("phi", kvec)
             phase = np.exp(1j * float(np.dot(np.array(lat.momentum(kvec)), x)))
-            alpha = ctx.w_inv @ _ladder_matrix(basis, m).toarray() @ ctx.w
+            alpha = w_inv @ _ladder_matrix(basis, m).toarray() @ w
             coeff = 1.0 / math.sqrt(2.0 * model.system.energy(m) * lat.volume)
             want += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
-        got = field_at_origin_time_zero(model, basis, ctx.w_inv, ctx.w, site)
         assert np.array_equal(got, want)
 
 
@@ -347,7 +368,7 @@ def test_field_rejects_multi_species():
     basis = FockBasis(model.system, 2, 2)
     eye = np.eye(basis.dimension)
     with pytest.raises(ValueError, match="single-species"):
-        field_at_origin_time_zero(model, basis, eye, eye, (0,))
+        field_at_origin_time_zero(model, basis, eye, eye, [(0,)])
 
 
 def test_restricted_norm_of_identity(system3):
