@@ -150,7 +150,12 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
 
 
 class OperatorSeries:
-    """A formal power series in the coupling over a fixed mode system."""
+    """A formal power series in the coupling over a fixed mode system.
+
+    Each order is kept in signature order.  A new series sorts and prunes
+    its orders, except where it keeps the order of a stored one (`scaled`,
+    `truncated`): those only prune.
+    """
 
     __slots__ = ("system", "orders", "max_order")
 
@@ -180,9 +185,23 @@ class OperatorSeries:
         s.orders[order] = canonicalize(raw_terms, system)
         return s
 
+    @classmethod
+    def _ordered(cls, system: ModeSystem, orders: list[TermMap]) -> "OperatorSeries":
+        """A series over `orders`, taken as they are: each must be in
+        signature order already, as every stored order is."""
+        s = object.__new__(cls)
+        s.system, s.orders, s.max_order = system, orders, len(orders) - 1
+        return s
+
     def truncated(self, max_order: int) -> "OperatorSeries":
-        return OperatorSeries(self.system, [dict(o) for o in self.orders[: max_order + 1]],
-                              max_order)
+        """The orders up to max_order, padded with empty orders beyond this
+        series' own; pruned, in the order they are stored."""
+        if max_order < 0:
+            raise AlgebraError(f"max_order must be >= 0, got {max_order}")
+        kept = [{s: c for s, c in o.items() if abs(c) > PRUNE_THRESHOLD}
+                for o in self.orders[: max_order + 1]]
+        return self._ordered(self.system,
+                             kept + [{} for _ in range(max_order + 1 - len(kept))])
 
     # ---- inspection ----
     def term_count(self) -> int:
@@ -241,11 +260,11 @@ class OperatorSeries:
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "OperatorSeries":
-        return OperatorSeries(
-            self.system,
-            [{s: factor * c for s, c in o.items()} for o in self.orders],
-            self.max_order,
-        )
+        """factor * self, pruned, in the order the terms are stored."""
+        return self._ordered(self.system, [
+            {s: y for s, c in o.items() if abs(y := factor * c) > PRUNE_THRESHOLD}
+            for o in self.orders
+        ])
 
 
 # ---- ring and Lie operations ----
@@ -342,14 +361,3 @@ def signature_json(sig: Signature) -> dict:
         "creators": [{"species": m.species, "k": list(m.k)} for m in creators],
         "annihilators": [{"species": m.species, "k": list(m.k)} for m in annihilators],
     }
-
-
-def term_rows(terms: TermMap, order: int) -> list[dict]:
-    """JSON-compatible term table of one order: one row per stored monomial."""
-    return [{"order": order, "type": list(term_type(sig)), **signature_json(sig),
-             "re": c.real, "im": c.imag} for sig, c in terms.items()]
-
-
-def series_rows(p: OperatorSeries) -> list[dict]:
-    """Term table of a whole series, order by order."""
-    return [row for n, o in enumerate(p.orders) for row in term_rows(o, n)]

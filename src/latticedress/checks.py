@@ -209,13 +209,13 @@ class _LambdaContext:
         u = self._evolution[t]
         return u @ self._fields[site] @ u.conj().T
 
-    def commutator(self, x, tx: float, y, ty: float):
-        """[A(x,tx), A(y,ty)]."""
-        ax, ay = self.field(x, tx), self.field(y, ty)
-        return ax @ ay - ay @ ax
-
     def vev(self, m) -> float:
         return abs(np.vdot(self.vacuum, m @ self.vacuum))
+
+
+def _commutator(ax, ay):
+    """[A(x,tx), A(y,ty)] of the two fields."""
+    return ax @ ay - ay @ ax
 
 
 def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
@@ -233,12 +233,15 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
         raise ScanError("the equal-time scan has no point: it needs a time, "
                         "a coupling and a site pair")
     points = []
-    sites = [s for pair in pairs for s in pair]
+    sites = list(dict.fromkeys(s for pair in pairs for s in pair))
     contexts = {lam: _LambdaContext(result, basis, lam, sites) for lam in lambdas}
     for t in times:
         for lam, ctx in contexts.items():
+            # each site's A(x,t) once for all its pairs, dropped before the
+            # next (time, coupling) forms its own
+            fields = {s: ctx.field(s, t) for s in sites}
             for x, y in pairs:
-                c = ctx.commutator(x, t, y, t)
+                c = _commutator(fields[x], fields[y])
                 points.append(ScanPoint(
                     x=x, y=y,
                     separation=lat.min_image_distance(x, y),
@@ -247,6 +250,7 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                     magnitude=restricted_norm(c, basis, block),
                     vev_modulus=ctx.vev(c),
                 ))
+            del fields
     return ScanReport(kind="equal_time", points=points)
 
 
@@ -283,11 +287,11 @@ def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
     # of its first appearance
     series: dict = {}
     for x, y, tau, sep in entries:
-        m0 = contexts[0.0].commutator(x, tau, y, 0.0)
+        m0 = _commutator(contexts[0.0].field(x, tau), contexts[0.0].field(y, 0.0))
         baseline = restricted_norm(m0, basis, block)
         fit = series.setdefault((x, y, tau), [])
         for lam in lambdas:
-            c = contexts[lam].commutator(x, tau, y, 0.0)
+            c = _commutator(contexts[lam].field(x, tau), contexts[lam].field(y, 0.0))
             points.append(ScanPoint(
                 x=x, y=y, separation=sep, tau=tau, lam=lam,
                 magnitude=restricted_norm(c, basis, block),

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import __version__
-from .algebra import bad_part, series_rows, signature_json, term_rows
+from .algebra import TermMap, bad_part, signature_json
 from .checks import (
     ZERO_FLOOR,
     ScanError,
@@ -111,13 +111,12 @@ def run_dress(model: ModelSpec, cfg: RunConfig, report: dict):
              "denominator": d["denominator"]}
             for d in result.diagnostics
         ],
-        "K": series_rows(result.K),
-        "generators": [series_rows(r) for r in result.generators],
+        "K": TermTable.of_series(result.K),
+        "generators": [TermTable.of_series(r) for r in result.generators],
         "removed": [
-            term_rows(terms, order=n + 1)
-            for n, terms in enumerate(result.removed)
+            TermTable([(n + 1, terms)]) for n, terms in enumerate(result.removed)
         ],
-        "bad_terms_left": series_rows(bad_part(result.K)),
+        "bad_terms_left": TermTable.of_series(bad_part(result.K)),
         "vacuum_energy_order2": _coeff_json(
             result.vacuum_energy_coefficient(2) if model.max_order >= 2 else 0j),
         "umklapp_count": len(model.umklapp_signatures),
@@ -311,23 +310,43 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
     return exit_code
 
 
+class TermTable:
+    """A term table, held as its term maps until the report is written.
+
+    It is written as the list of its rows, order by order: one object per
+    stored monomial, {"annihilators": [...], "creators": [...], "im",
+    "order", "re", "type": [m, n]}, each mode as {"k": [...], "species"}.
+    """
+
+    __slots__ = ("orders",)
+
+    def __init__(self, orders: list[tuple[int, TermMap]]):
+        self.orders = orders
+
+    @classmethod
+    def of_series(cls, p) -> "TermTable":
+        return cls(list(enumerate(p.orders)))
+
+
 def report_json(obj) -> tuple[str, bool]:
     """(text, finite): the text of json.dumps(obj, indent=2, sort_keys=True),
     built in one join with the stdlib's own formatters, except that a
     non-finite float is written as null; `finite` says there was none.
 
     Types are tested in the order the stdlib's encoder tests them, so float
-    subclasses such as numpy.float64 come out as floats.  A key that is not
-    a string, or a value of any other type, raises TypeError.
+    subclasses such as numpy.float64 come out as floats.  A `TermTable` is
+    written as its list of rows.  A key that is not a string, or a value of
+    any other type, raises TypeError.
     """
     chunks: list[str] = []
     nonfinite: list[float] = []
-    _put_json(obj, "", "\n", chunks.append, nonfinite)
+    _put_json(obj, "", "\n", chunks.append, nonfinite, {})
     return "".join(chunks), not nonfinite
 
 
-def _put_json(o, head: str, newline: str, put, nonfinite: list) -> None:
-    """put(head + the text of o); `newline` starts o's own line.  A module
+def _put_json(o, head: str, newline: str, put, nonfinite: list, texts: dict) -> None:
+    """put(head + the text of o); `newline` starts o's own line, and `texts`
+    keeps the term tables' signature texts for one report.  A module
     function, not a closure: a recursive closure is a reference cycle that
     would keep every chunk alive until the cyclic garbage collector runs."""
     if isinstance(o, str):
@@ -341,11 +360,7 @@ def _put_json(o, head: str, newline: str, put, nonfinite: list) -> None:
     elif isinstance(o, int):
         put(head + int.__repr__(o))
     elif isinstance(o, float):
-        if math.isfinite(o):
-            put(head + float.__repr__(o))
-        else:
-            nonfinite.append(o)
-            put(head + "null")
+        put(head + _float_text(o, nonfinite))
     elif isinstance(o, (list, tuple)):
         if not o:
             put(head + "[]")
@@ -353,7 +368,7 @@ def _put_json(o, head: str, newline: str, put, nonfinite: list) -> None:
         inner = newline + "  "
         head += "[" + inner
         for item in o:
-            _put_json(item, head, inner, put, nonfinite)
+            _put_json(item, head, inner, put, nonfinite, texts)
             head = "," + inner
         put(newline + "]")
     elif isinstance(o, dict):
@@ -365,11 +380,68 @@ def _put_json(o, head: str, newline: str, put, nonfinite: list) -> None:
         for key, item in sorted(o.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            _put_json(item, head + _encode_str(key) + ": ", inner, put, nonfinite)
+            _put_json(item, head + _encode_str(key) + ": ", inner, put, nonfinite,
+                      texts)
             head = "," + inner
         put(newline + "}")
+    elif isinstance(o, TermTable):
+        _put_rows(o, head, newline, put, nonfinite, texts)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _put_rows(table: TermTable, head: str, newline: str, put, nonfinite: list,
+              texts: dict) -> None:
+    """_put_json of a term table: each row from one template, with the text
+    around its coefficients made once per signature and indent."""
+    inner = newline + "  "
+    key = inner + "  "
+    around, mode_texts = texts.setdefault(inner, ({}, {}))
+    comma = "," + inner
+    sep = head + "[" + inner
+    for order, terms in table.orders:
+        middle = f',{key}"order": {order},{key}"re": '
+        for sig, c in terms.items():
+            if sig not in around:
+                around[sig] = _signature_text(sig, inner, mode_texts)
+            before, after = around[sig]
+            put(sep + before + _float_text(c.imag, nonfinite) + middle
+                + _float_text(c.real, nonfinite) + after)
+            sep = comma
+    put(newline + "]" if sep is comma else head + "[]")
+
+
+def _float_text(x: float, nonfinite: list) -> str:
+    """repr(x), or null for a non-finite x, which goes into `nonfinite`."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    nonfinite.append(x)
+    return "null"
+
+
+def _signature_text(sig, inner: str, mode_texts: dict) -> tuple[str, str]:
+    """The text of a term row at newline `inner` before its "im" value and
+    after its "re" value; `mode_texts` keeps each mode's text at this indent."""
+    key = inner + "  "
+    item = key + "  "
+
+    def modes(ms) -> str:
+        if not ms:
+            return "[]"
+        for m in ms:
+            if m not in mode_texts:
+                field = item + "  "
+                digits = f",{field}  ".join(map(int.__repr__, m.k))
+                mode_texts[m] = (f'{item}{{{field}"k": [{field}  {digits}{field}],'
+                                 f'{field}"species": {_encode_str(m.species)}{item}}}')
+        return "[" + ",".join([mode_texts[m] for m in ms]) + key + "]"
+
+    creators, annihilators = sig
+    before = (f'{{{key}"annihilators": {modes(annihilators)},'
+              f'{key}"creators": {modes(creators)},{key}"im": ')
+    after = (f',{key}"type": [{key}  {len(creators)},{key}  {len(annihilators)}'
+             f'{key}]{inner}}}')
+    return before, after
 
 
 def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:

@@ -118,13 +118,33 @@ def solve_generator(bad: TermMap, model: ModelSpec,
     return terms, min_den, near
 
 
+def _relabel(sig, label) -> tuple:
+    """The signature with every mode m replaced by label[m]."""
+    get = label.__getitem__
+    return tuple(map(get, sig[0])), tuple(map(get, sig[1]))
+
+
+def _relabel_terms(terms: TermMap, label) -> TermMap:
+    return {_relabel(sig, label): c for sig, c in terms.items()}
+
+
+def _relabel_series(p: OperatorSeries, label) -> OperatorSeries:
+    return OperatorSeries._ordered(p.system, [_relabel_terms(o, label) for o in p.orders])
+
+
 def dress(model: ModelSpec) -> DressingResult:
-    """Run the order-by-order elimination up to model.max_order."""
+    """Run the order-by-order elimination up to model.max_order.
+
+    The loop runs on mode ids (positions in the sorted `system.modes`), which
+    sort as their modes do, so every map keeps its order; the result, and a
+    ZeroDenominatorError, name the modes again.
+    """
     n_max = model.max_order
     if n_max < 1:
         raise ValueError(f"dressing order must be >= 1, got {n_max}")
-    h = model.hamiltonian(n_max)
     system = model.system
+    modes = system.modes
+    h = _relabel_series(model.hamiltonian(n_max), {m: i for i, m in enumerate(modes)})
 
     r = OperatorSeries.zero(system, n_max)
     generators: list[OperatorSeries] = []
@@ -135,7 +155,12 @@ def dress(model: ModelSpec) -> DressingResult:
     for n in range(1, n_max + 1):
         k = bch_conjugate(r, h, n)
         target = _target_terms(k.orders[n], model.policy)
-        rn_terms, den, near = solve_generator(target, model, order=n)
+        try:
+            rn_terms, den, near = solve_generator(target, model, order=n)
+        except ZeroDenominatorError as exc:
+            raise ZeroDenominatorError(
+                exc.order, exc.policy,
+                [(_relabel(sig, modes), de) for sig, de in exc.signatures]) from None
         min_den = min(min_den, den)
         diagnostics.extend(near)
         removed.append(target)
@@ -152,12 +177,14 @@ def dress(model: ModelSpec) -> DressingResult:
     for n, target in enumerate(removed, start=1):
         for sig in target:
             k.orders[n].pop(sig, None)
+    for d in diagnostics:
+        d["signature"] = _relabel(d["signature"], modes)
     return DressingResult(
         model=model,
-        generators=generators,
-        generator=r,
-        K=k,
-        removed=removed,
+        generators=[_relabel_series(rn, modes) for rn in generators],
+        generator=_relabel_series(r, modes),
+        K=_relabel_series(k, modes),
+        removed=[_relabel_terms(target, modes) for target in removed],
         min_denominator=min_den,
         diagnostics=diagnostics,
     )

@@ -3,6 +3,8 @@
 Everything downstream (the operator algebra, the Fock-space numerics) works
 with `ModeIndex` labels drawn from a `ModeSystem`, which couples a periodic
 momentum lattice to a set of bosonic species with relativistic dispersion.
+Inside the dressing loop a mode is its integer id instead: its position in
+the sorted `ModeSystem.modes`, so ids sort as their modes do.
 """
 
 from __future__ import annotations
@@ -139,7 +141,10 @@ class ModeSystem:
             for k in lattice.k_vectors()
         ))
         self._mode_set = frozenset(self.modes)
-        self._energy = {m: self._dispersion(m) for m in self.modes}
+        # one table for a mode's energy, keyed by the mode and by its id, the
+        # mode's position in the sorted `modes`
+        energies = [self._dispersion(m) for m in self.modes]
+        self._energy = {**dict(zip(self.modes, energies)), **dict(enumerate(energies))}
 
     def _dispersion(self, mode: ModeIndex) -> float:
         m = self._by_name[mode.species].mass
@@ -149,7 +154,8 @@ class ModeSystem:
     def contains(self, mode: ModeIndex) -> bool:
         return mode in self._mode_set
 
-    def energy(self, mode: ModeIndex) -> float:
+    def energy(self, mode: ModeIndex | int) -> float:
+        """E(k) of a mode, given as its `ModeIndex` or as its id."""
         return self._energy[mode]
 
     def momentum(self, mode: ModeIndex) -> tuple[float, ...]:

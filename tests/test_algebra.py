@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from itertools import product as iter_product
@@ -7,6 +8,7 @@ import pytest
 
 from latticedress.algebra import (
     AlgebraError,
+    PRUNE_THRESHOLD,
     OperatorSeries,
     _contractions,
     ad_h0,
@@ -17,9 +19,9 @@ from latticedress.algebra import (
     is_bad_type,
     normal_order_product,
     product_terms,
-    series_rows,
     term_type,
 )
+from latticedress.cli import TermTable, report_json
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 
 from conftest import mode
@@ -118,6 +120,34 @@ def test_product_grading_truncates(system3):
     result = normal_order_product(p, q)
     # order 2 exceeds max_order 1: everything truncated away
     assert result.is_zero()
+
+
+def test_scaled_and_truncated_prune_and_keep_the_order(system3):
+    # both keep the stored signature order instead of sorting again, and
+    # still drop a coefficient that falls to the prune threshold
+    m, z, p = system3.modes
+    raw = [((m,), (p,), 1.0), ((z,), (), 5 * PRUNE_THRESHOLD),
+           ((), (z, m), 0.5j), ((p, p), (z,), -2.0), ((), (), 0.25)]
+    s = OperatorSeries.from_terms(system3, raw, order=1, max_order=1)
+    assert len(s.orders[1]) == 5
+    small = ((z,), ())
+
+    half = s.scaled(0.1)
+    assert list(half.orders[1]) == [sig for sig in s.orders[1] if sig != small]
+    assert list(half.orders[1].values()) == [0.1 * c for sig, c in s.orders[1].items()
+                                            if sig != small]
+    assert list(s.scaled(1.0).orders[1].items()) == list(s.orders[1].items())
+    backwards = s.truncated(1)
+    backwards.orders[1] = dict(reversed(s.orders[1].items()))
+    assert list(backwards.scaled(-1.0).orders[1]) == list(backwards.orders[1])
+
+    wider = s.truncated(3)
+    assert wider.max_order == 3 and wider.orders[2:] == [{}, {}]
+    assert list(wider.orders[1].items()) == list(s.orders[1].items())
+    assert wider.orders[1] is not s.orders[1]
+    assert s.truncated(0).orders == [{}]
+    with pytest.raises(AlgebraError, match="max_order"):
+        s.truncated(-1)
 
 
 def test_product_rejects_mismatched_systems(system3, system5):
@@ -297,8 +327,9 @@ def test_series_rows_schema(system3):
     p = OperatorSeries.from_terms(
         system3, [((p1,), (z,), 1.5 + 0.5j)], order=1, max_order=2
     )
-    rows = series_rows(p)
-    assert rows == [{
+    text, finite = report_json({"K": TermTable.of_series(p)})
+    assert finite
+    assert json.loads(text)["K"] == [{
         "order": 1,
         "type": [1, 1],
         "creators": [{"species": "phi", "k": [1]}],

@@ -174,6 +174,43 @@ def test_each_coupling_builds_its_fields_once(monkeypatch, small_model, small_re
     assert len(calls) == 3
 
 
+def test_equal_time_scan_evolves_each_site_once_per_time_and_coupling(monkeypatch):
+    # 5 sites in 10 pairs, two nonzero times, two couplings: 20 evolved
+    # fields u A(x,0) u^H, where evolving per pair formed 80; the rows keep
+    # every bit of the per-pair evaluation
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=5,
+                                                    physical_length=5.0))
+    result = dress(model)
+    basis = FockBasis(model.system, 3, 3)
+    sites = model.system.lattice.sites()
+    pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
+    times, lambdas = [0.0, 1.0, 2.0], [0.0, 0.1]
+
+    evolved = []
+    field = checks._LambdaContext.field
+
+    def counted(self, site, t):
+        if t != 0.0:
+            evolved.append((site, t))
+        return field(self, site, t)
+
+    monkeypatch.setattr(checks._LambdaContext, "field", counted)
+    rep = equal_time_scan(model, basis, result, times=times, lambdas=lambdas,
+                          site_pairs=pairs, block=2)
+    assert len(evolved) == 20
+    assert len(set(evolved)) == 10
+
+    expected = []
+    contexts = {lam: checks._LambdaContext(result, basis, lam, sites) for lam in lambdas}
+    for t in times:
+        for lam, ctx in contexts.items():
+            for x, y in pairs:
+                ax, ay = field(ctx, x, t), field(ctx, y, t)
+                c = ax @ ay - ay @ ax
+                expected.append((checks.restricted_norm(c, basis, 2), ctx.vev(c)))
+    assert [(p.magnitude, p.vev_modulus) for p in rep.points] == expected
+
+
 def _strongest_point_slope(rep):
     """The slope fit read back from the points: each point's fit takes every
     point at its (x, y, tau) with a positive coupling, and the first fit

@@ -518,6 +518,31 @@ def test_golden_dress_report_phi3_full_2d(tmp_path):
     assert digest == "ebd3fabfea06029286eb3435a63be07ef6bb273bb3fb3c4940811b89fdfcd2c4"
 
 
+WEIDLICH_ORDER2_YAML = """
+model:
+  lattice: {sites_per_dim: 5, physical_length: 5.0}
+  interaction: {name: phi3}
+  policy: weidlich
+  order: 2
+output:
+  formats: [json]
+"""
+
+
+def test_golden_zero_denominator_report(tmp_path):
+    # the failure path: the elastic (2,2) signatures of the zero-denominator
+    # failure, named by their modes, in the order the dressing met them
+    path = tmp_path / "weidlich.yaml"
+    path.write_text(WEIDLICH_ORDER2_YAML)
+    code = main(["--config", str(path), "--command", "dress",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["failures"][-1]["reason"] == "zero_denominator"
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "ad0a693e1469a4e124699541c115ba30a56419cec28c3fe6595281565a7c3d3f"
+
+
 GOLDEN_VERIFY_YAML = """
 model:
   lattice: {sites_per_dim: 5, physical_length: 5.0}

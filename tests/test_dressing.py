@@ -1,8 +1,18 @@
+import math
+
 import pytest
 
-from latticedress.algebra import bad_part, energy_denominator, term_type
+from latticedress.algebra import (
+    OperatorSeries,
+    bad_part,
+    commutator,
+    energy_denominator,
+    term_type,
+)
+from latticedress import dressing
 from latticedress.dressing import (
     ZeroDenominatorError,
+    _target_terms,
     antihermiticity_defect,
     bch_conjugate,
     dress,
@@ -179,3 +189,100 @@ def test_no_bad_terms_left_at_large_coupling(name, sites, order, g):
                         g=g, max_order=order)
     result = dress(model)
     assert bad_part(result.K).term_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# the loop on mode ids against the same loop on ModeIndex labels
+
+
+def _reference_bch(r, h, max_order):
+    """bch_conjugate with every intermediate series sorted again."""
+    def series(p, orders):
+        return OperatorSeries(p.system, orders, len(orders) - 1)
+
+    r = series(r, [dict(o) for o in r.orders[: max_order + 1]])
+    acc = series(h, [dict(o) for o in h.orders[: max_order + 1]])
+    nested = acc
+    for j in range(1, max_order + 1):
+        factor = 1.0 / j
+        c = commutator(r, nested)
+        nested = series(c, [{s: factor * x for s, x in o.items()} for o in c.orders])
+        if nested.is_zero():
+            break
+        acc = acc + nested
+    return acc
+
+
+def _reference_dress(model):
+    """The order-by-order loop run on `ModeIndex` labels throughout."""
+    n_max = model.max_order
+    h = model.hamiltonian(n_max)
+    system = model.system
+    r = OperatorSeries.zero(system, n_max)
+    generators, removed, diagnostics = [], [], []
+    min_den = math.inf
+    for n in range(1, n_max + 1):
+        k = _reference_bch(r, h, n)
+        target = _target_terms(k.orders[n], model.policy)
+        rn_terms, den, near = solve_generator(target, model, order=n)
+        min_den = min(min_den, den)
+        diagnostics.extend(near)
+        removed.append(target)
+        rn = OperatorSeries.zero(system, n_max)
+        rn.orders[n] = dict(sorted(rn_terms.items()))
+        generators.append(rn)
+        r = r + rn
+    k = k + commutator(rn, h)
+    for n, target in enumerate(removed, start=1):
+        for sig in target:
+            k.orders[n].pop(sig, None)
+    return generators, r, k, removed, min_den, diagnostics
+
+
+def _items(p):
+    return [list(o.items()) for o in p.orders]
+
+
+DRESS_CASES = [
+    ("scalar-yukawa", 7, 2, "shirokov"), ("scalar-yukawa", 5, 3, "shirokov"),
+    ("scalar-yukawa", 3, 3, "shirokov"), ("scalar-yukawa", 5, 1, "weidlich"),
+    ("scalar-yukawa", 5, 2, "weidlich"),
+    ("phi3", 5, 3, "shirokov"), ("phi3", 7, 3, "shirokov"), ("phi3", 5, 2, "shirokov"),
+    ("phi3", 5, 1, "shirokov"), ("phi3", 3, 3, "shirokov"), ("phi3", 5, 1, "weidlich"),
+    ("phi3", 5, 3, "weidlich"),
+    ("phi3-full", 5, 3, "shirokov"), ("phi3-full", 5, 1, "weidlich"),
+    ("phi3-full", 3, 3, "weidlich"), ("phi3-full", 5, 2, "weidlich"),
+]
+
+
+@pytest.mark.parametrize("name, sites, order, policy", DRESS_CASES)
+def test_dress_on_mode_ids_matches_the_modeindex_loop(monkeypatch, name, sites, order,
+                                                     policy):
+    # bit for bit and in dict order: K, every R_n, R, removed, the minimum
+    # denominator and the near resonances, or the zero-denominator error;
+    # the built-in models have no near resonance, so the warning threshold is
+    # raised until some denominators are reported
+    monkeypatch.setattr(dressing, "NEAR_RESONANCE_WARN", 0.6)
+    model = build_model(name, lattice=LatticeSpec(dim=1, sites_per_dim=sites,
+                                                  physical_length=sites + 0.7),
+                        g=1.1, max_order=order, policy=policy)
+    try:
+        expected = _reference_dress(model)
+    except ZeroDenominatorError as exc:
+        with pytest.raises(ZeroDenominatorError) as got:
+            dress(model)
+        assert (got.value.order, got.value.policy, got.value.signatures) == \
+            (exc.order, exc.policy, exc.signatures)
+        assert str(got.value) == str(exc)
+        return
+    generators, r, k, removed, min_den, diagnostics = expected
+    result = dress(model)
+    assert [_items(rn) for rn in result.generators] == [_items(rn) for rn in generators]
+    assert _items(result.generator) == _items(r)
+    assert _items(result.K) == _items(k)
+    assert [list(t.items()) for t in result.removed] == [list(t.items()) for t in removed]
+    assert result.min_denominator == min_den
+    assert result.diagnostics == diagnostics
+    assert isinstance(next(iter(result.K.orders[0])), tuple)
+    modes = set(model.system.modes)
+    assert all(set(c + a) <= modes for o in result.K.orders for c, a in o)

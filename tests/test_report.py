@@ -9,13 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticedress import cli
-from latticedress.cli import report_json
+from latticedress.algebra import OperatorSeries, signature_json, term_type
+from latticedress.cli import TermTable, report_json
+from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
 
 from conftest import phi3_config
 
 
 def _reference(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def term_rows(terms, order: int) -> list[dict]:
+    """The rows of one order's term map, built as dicts: the reference for
+    the text the writer makes straight from a `TermTable`."""
+    return [{"order": order, "type": list(term_type(sig)), **signature_json(sig),
+             "re": c.real, "im": c.imag} for sig, c in terms.items()]
+
+
+def _expand(obj):
+    """obj with every term table replaced by its reference rows."""
+    if isinstance(obj, TermTable):
+        return [row for n, terms in obj.orders for row in term_rows(terms, n)]
+    if isinstance(obj, dict):
+        return {k: _expand(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_expand(v) for v in obj]
+    return obj
 
 
 STRINGS = st.one_of(
@@ -95,7 +115,70 @@ def test_live_reports_match_json_dumps(tmp_path, monkeypatch, command, changes):
     monkeypatch.setattr(cli, "emit_report", capture)
     cli.run(phi3_config(changes), command, tmp_path)
     (report,) = seen
-    assert (tmp_path / "report.json").read_text() == _reference(report) + "\n"
+    assert isinstance(report["dressing"]["K"], TermTable)
+    assert (tmp_path / "report.json").read_text() == _reference(_expand(report)) + "\n"
     if command == "scan":
         # the scan rows carry numpy floats, which must print as floats
         assert np.float64 in _types(report)
+
+
+# ---------------------------------------------------------------------------
+# term tables, written straight from their term maps
+
+
+def _series(system, orders) -> OperatorSeries:
+    return OperatorSeries(system, orders, len(orders) - 1)
+
+
+def _tables():
+    system = ModeSystem(LatticeSpec(dim=2, sites_per_dim=3),
+                        [FieldSpecies("N", 1.0), FieldSpecies("ph\u00ee \"x\"", 0.5)])
+    a, b, c = system.modes[0], system.modes[4], system.modes[13]
+    series = _series(system, [
+        {((), ()): -0.25 + 0j},
+        {},
+        {((a,), (b,)): 1.5 + 0.5j, ((a, a), ()): 1e-300 - 1e16j,
+         ((), (b, c, c)): complex(-0.0, 2.0)},
+        {},
+    ])
+    return [
+        TermTable.of_series(series),
+        TermTable.of_series(_series(system, [{}, {}])),
+        TermTable([]),
+        TermTable([(3, {}), (2, series.orders[2])]),
+        TermTable([(1, {((c,), (a, b)): 2.0 - 3.0j})]),
+    ]
+
+
+def test_term_tables_match_json_dumps_of_their_rows():
+    # every depth a report holds a table at, and deeper; the same signature
+    # in several tables and at several indents
+    tables = _tables()
+    for obj in [
+        tables[0],
+        tables,
+        {"dressing": {"K": tables[0], "generators": tables, "removed": tables[2:],
+                      "bad_terms_left": tables[1]}},
+        {"a": [[{"b": tables}], tables[3]], "c": (tables[4], [])},
+    ]:
+        assert report_json(obj) == (_reference(_expand(obj)), True)
+
+
+def test_empty_term_tables_are_empty_lists():
+    for table in _tables()[1:3]:
+        assert report_json({"K": table}) == ('{\n  "K": []\n}', True)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(2.0, math.inf),
+                                 complex(-math.inf, math.nan)])
+def test_non_finite_term_coefficient_is_written_as_null(bad):
+    system = ModeSystem(LatticeSpec(sites_per_dim=3), [FieldSpecies("phi", 1.0)])
+    m = system.modes[1]
+    terms = {((m,), ()): 1.0 + 0j, ((m,), (m,)): bad}
+    table = TermTable([(2, terms)])
+    text, finite = report_json({"dressing": {"K": table}})
+    rows = term_rows(terms, 2)
+    rows[1] = {**rows[1], **{part: None for part in ("re", "im")
+                             if not math.isfinite(rows[1][part])}}
+    assert text == _reference({"dressing": {"K": rows}})
+    assert not finite
