@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 from .modes import ModeIndex, ModeSystem
 
-# Coefficients below this magnitude are dropped after every canonicalization.
+# Coefficients below this magnitude are dropped after every canonicalization;
+# a NaN is kept, so that an overflow shows.
 PRUNE_THRESHOLD = 1e-14
 
 Signature = tuple[tuple[ModeIndex, ...], tuple[ModeIndex, ...]]
@@ -49,7 +50,7 @@ def canonicalize(
 
 
 def _sorted_map(terms: TermMap) -> TermMap:
-    return {s: c for s, c in sorted(terms.items()) if abs(c) > PRUNE_THRESHOLD}
+    return {s: c for s, c in sorted(terms.items()) if not abs(c) <= PRUNE_THRESHOLD}
 
 
 def dagger_signature(sig: Signature) -> Signature:
@@ -198,7 +199,7 @@ class OperatorSeries:
         series' own; pruned, in the order they are stored."""
         if max_order < 0:
             raise AlgebraError(f"max_order must be >= 0, got {max_order}")
-        kept = [{s: c for s, c in o.items() if abs(c) > PRUNE_THRESHOLD}
+        kept = [{s: c for s, c in o.items() if not abs(c) <= PRUNE_THRESHOLD}
                 for o in self.orders[: max_order + 1]]
         return self._ordered(self.system,
                              kept + [{} for _ in range(max_order + 1 - len(kept))])
@@ -262,7 +263,7 @@ class OperatorSeries:
     def scaled(self, factor: complex) -> "OperatorSeries":
         """factor * self, pruned, in the order the terms are stored."""
         return self._ordered(self.system, [
-            {s: y for s, c in o.items() if abs(y := factor * c) > PRUNE_THRESHOLD}
+            {s: y for s, c in o.items() if not abs(y := factor * c) <= PRUNE_THRESHOLD}
             for o in self.orders
         ])
 

@@ -22,6 +22,7 @@ from .dressing import DressingResult
 from .models import ModelSpec, momentum_defect
 from .modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 from .numerics import (
+    CouplingMatrices,
     FockBasis,
     conjugate_numeric,
     dressing_matrices,
@@ -109,18 +110,22 @@ def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
 
 
 def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingResult,
-                         lambdas, check_cutoff: bool = False) -> ResidualReport:
+                         lambdas, check_cutoff: bool = False,
+                         matrices: CouplingMatrices | None = None) -> ResidualReport:
     """Residuals of the dressed vacuum exp(-R)|0> and one-particle states
     exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value;
-    each dressed state is a column of exp(-R)."""
+    each dressed state is a column of exp(-R).  `matrices`, of this result
+    and basis, shares H(lam) and R(lam) with other checks."""
     lambdas = list(lambdas)
+    if matrices is None:
+        matrices = CouplingMatrices(result, basis)
     vac_res: list[float] = []
     one_res: dict[ModeIndex, list[float]] = {m: [] for m in model.system.modes}
     vac_idx = basis.vacuum_index()
     one_idx = {m: basis.index_of([int(n == m) for n in basis.modes])
                for m in model.system.modes}
     for lam in lambdas:
-        mh, _, w_inv = dressing_matrices(result, basis, lam)
+        mh, _, w_inv = dressing_matrices(matrices, lam)
         vac_res.append(_state_residual(mh, w_inv[:, vac_idx]))
         for m, i in one_idx.items():
             one_res[m].append(_state_residual(mh, w_inv[:, i]))
@@ -138,7 +143,7 @@ def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingRes
         bigger = FockBasis(model.system, basis.per_mode_cutoff * 2,
                            basis.total_cutoff * 2)
         lam = max(lambdas)
-        mh, _, w_inv = dressing_matrices(result, bigger, lam)
+        mh, _, w_inv = dressing_matrices(CouplingMatrices(result, bigger), lam)
         ref = vac_res[lambdas.index(lam)]
         new = _state_residual(mh, w_inv[:, bigger.vacuum_index()])
         if ref > ZERO_FLOOR and abs(new - ref) > 0.1 * ref:
@@ -189,11 +194,11 @@ class _LambdaContext:
     `sites`, built from exp(+-R) in one pass over the modes when the context
     is created; exp(+-R) are not kept."""
 
-    def __init__(self, result, basis, lam, sites):
-        model = result.model
+    def __init__(self, matrices: CouplingMatrices, lam, sites):
+        model, basis = matrices.result.model, matrices.basis
         if len(model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
-        self.mh, mr, w_inv = dressing_matrices(result, basis, lam)
+        self.mh, mr, w_inv = dressing_matrices(matrices, lam)
         psi = w_inv[:, basis.vacuum_index()]
         self.vacuum = psi / np.linalg.norm(psi)
         sites = list(dict.fromkeys(sites))
@@ -220,9 +225,11 @@ def _commutator(ax, ay):
 
 def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                     times, lambdas, site_pairs, block: int = 2,
-                    horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
+                    horizon_units: float = DEFAULT_TIME_HORIZON_UNITS,
+                    matrices: CouplingMatrices | None = None) -> ScanReport:
     """|| [A(x,t), A(y,t)] || restricted to the low-quanta block, for every
-    requested site pair, time and coupling."""
+    requested site pair, time and coupling; `matrices` as in
+    `eigenstate_residuals`."""
     lat = model.system.lattice
     horizon = horizon_units * lat.spacing
     for t in times:
@@ -234,7 +241,9 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                         "a coupling and a site pair")
     points = []
     sites = list(dict.fromkeys(s for pair in pairs for s in pair))
-    contexts = {lam: _LambdaContext(result, basis, lam, sites) for lam in lambdas}
+    if matrices is None:
+        matrices = CouplingMatrices(result, basis)
+    contexts = {lam: _LambdaContext(matrices, lam, sites) for lam in lambdas}
     for t in times:
         for lam, ctx in contexts.items():
             # each site's A(x,t) once for all its pairs, dropped before the
@@ -256,9 +265,10 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
 
 def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                    lambdas, grid, block: int = 2,
-                   horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
+                   horizon_units: float = DEFAULT_TIME_HORIZON_UNITS,
+                   matrices: CouplingMatrices | None = None) -> ScanReport:
     """Baseline-subtracted commutator C(lam) = [A(x,tau), A(y,0)] over a grid
-    of (x, y, tau) points.
+    of (x, y, tau) points; `matrices` as in `eigenstate_residuals`.
 
     The free-lattice baseline C(0) is subtracted so the reported magnitude
     isolates the interaction-induced piece; its coupling scaling is fitted.
@@ -280,7 +290,9 @@ def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
 
     lambdas = list(lambdas)
     sites = [s for x, y, _, _ in entries for s in (x, y)]
-    contexts = {lam: _LambdaContext(result, basis, lam, sites)
+    if matrices is None:
+        matrices = CouplingMatrices(result, basis)
+    contexts = {lam: _LambdaContext(matrices, lam, sites)
                 for lam in set(lambdas) | {0.0}}
     points = []
     # the points of each grid point; a repeated grid point adds to the list

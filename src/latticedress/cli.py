@@ -42,6 +42,7 @@ from .models import VERTICES, FieldSpecies, ModelError, ModelSpec, build_model
 from .modes import LatticeSpec
 from .numerics import (
     BasisError,
+    CouplingMatrices,
     FockBasis,
     conjugate_numeric,
     matrix_of,
@@ -142,9 +143,11 @@ def _coeff_json(c):
     return {"re": c.real, "im": c.imag}
 
 
-def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
+def run_verify(model: ModelSpec, cfg: RunConfig, report: dict,
+               result) -> CouplingMatrices:
     """Oracle, residual and momentum checks; each verdict goes into the report
-    as soon as it is computed, so a later setup failure keeps it."""
+    as soon as it is computed, so a later setup failure keeps it.  Returns
+    the basis's H(lam) and R(lam), which the two oracle checks share."""
     verdicts = report["verdicts"]
     n = model.max_order
 
@@ -156,6 +159,7 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
                                  defect <= tol))
 
     basis = _basis_from_config(model, cfg)
+    matrices = CouplingMatrices(result, basis)
     report["verify"] = {"basis_dimension": basis.dimension}
 
     oracle = cfg.checks["oracle"]
@@ -165,8 +169,7 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
         lams = [l for l in cfg.lambdas if l > 0]
         diffs = []
         for lam in lams:
-            mh = matrix_of(model.hamiltonian(), basis, lam)
-            mr = matrix_of(result.generator, basis, lam)
+            mh, mr = matrices(lam)
             mk = matrix_of(result.K, basis, lam).toarray()
             conj = conjugate_numeric(mr, mh)
             diffs.append(restricted_norm(conj - mk, basis, block))
@@ -181,7 +184,8 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
     residuals = cfg.checks["residuals"]
     if residuals.enabled:
         tol = residuals.params["slope_tolerance"]
-        rep = eigenstate_residuals(model, basis, result, cfg.lambdas)
+        rep = eigenstate_residuals(model, basis, result, cfg.lambdas,
+                                   matrices=matrices)
         report["verify"]["residuals"] = {
             "rows": rep.rows(),
             "vacuum_slope": _finite(rep.vacuum_slope),
@@ -204,12 +208,17 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
             worst0 = max([rep.vacuum[i]] + [r[i] for r in rep.one_particle.values()])
             verdicts.append(_verdict("residuals_at_zero_coupling", 0.0, worst0,
                                      1e-12, worst0 < 1e-12))
+    return matrices
 
 
-def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
-    """Equal-time and spacelike scans; verdicts go into the report as computed."""
+def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result,
+             matrices: CouplingMatrices | None = None) -> None:
+    """Equal-time and spacelike scans; verdicts go into the report as computed.
+    `matrices`, from `run_verify`, brings its basis and H(lam), R(lam)."""
     verdicts = report["verdicts"]
-    basis = _basis_from_config(model, cfg)
+    if matrices is None:
+        matrices = CouplingMatrices(result, _basis_from_config(model, cfg))
+    basis = matrices.basis
     report.setdefault("scan", {})
 
     et = cfg.checks["equal_time"]
@@ -221,7 +230,8 @@ def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
                               lambdas=et.params["lambdas"],
                               site_pairs=pairs,
                               block=et.params["block"],
-                              horizon_units=cfg.time_horizon)
+                              horizon_units=cfg.time_horizon,
+                              matrices=matrices)
         worst = max((p.magnitude for p in rep.points), default=0.0)
         tol = et.params["tolerance"]
         report["scan"]["equal_time"] = {"rows": rep.rows(), "max_magnitude": worst}
@@ -235,7 +245,8 @@ def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result) -> None:
         rep = spacelike_scan(model, basis, result,
                              lambdas=sl.params["lambdas"], grid=grid,
                              block=sl.params["block"],
-                             horizon_units=cfg.time_horizon)
+                             horizon_units=cfg.time_horizon,
+                             matrices=matrices)
         report["scan"]["spacelike"] = {
             "rows": rep.rows(),
             "slope": _finite(rep.slope),
@@ -280,10 +291,11 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
     try:
         model = model_from_config(cfg)
         result = run_dress(model, cfg, report)
+        matrices = None     # one basis per run, and one H(lam), R(lam) per coupling
         if command in ("verify", "all"):
-            run_verify(model, cfg, report, result)
+            matrices = run_verify(model, cfg, report, result)
         if command in ("scan", "all"):
-            run_scan(model, cfg, report, result)
+            run_scan(model, cfg, report, result, matrices)
     except ZeroDenominatorError as exc:
         failure = {
             "check": "dressing",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .algebra import (
     OperatorSeries,
@@ -133,7 +134,8 @@ def _relabel_series(p: OperatorSeries, label) -> OperatorSeries:
 
 
 def dress(model: ModelSpec) -> DressingResult:
-    """Run the order-by-order elimination up to model.max_order.
+    """Run the order-by-order elimination up to model.max_order; a
+    non-finite coefficient of R or K above order 0 raises ArithmeticError.
 
     The loop runs on mode ids (positions in the sorted `system.modes`), which
     sort as their modes do, so every map keeps its order; the result, and a
@@ -177,6 +179,13 @@ def dress(model: ModelSpec) -> DressingResult:
     for n, target in enumerate(removed, start=1):
         for sig in target:
             k.orders[n].pop(sig, None)
+    # order 0 is H0 as given; a non-finite coefficient above it is an
+    # overflow of the expansion, which the pruning keeps.  cmath is imported
+    # here, off the import path of the command line.
+    import cmath
+    for n in range(1, n_max + 1):
+        if not all(map(cmath.isfinite, chain(k.orders[n].values(), r.orders[n].values()))):
+            raise ArithmeticError(f"dressing order {n} holds a non-finite coefficient")
     for d in diagnostics:
         d["signature"] = _relabel(d["signature"], modes)
     return DressingResult(

@@ -8,10 +8,13 @@ yields zero amplitude (projection); comparisons against symbolic results
 must therefore be restricted to low-quanta sub-blocks with a safety margin.
 
 Each basis caches, per monomial signature, the monomial's action on every
-basis state, (rows, cols, amps), computed on first use with numpy over the
-whole occupation array; rows are found by integer state keys, the one row
-lookup.  Matrix assembly then only scales and concatenates the cached
-arrays, in the order of the term map.
+basis state, (rows, cols, amps).  The signatures a term map misses are
+computed together, one numpy pass over (signatures x states) per operator
+shape, under a fixed element budget; rows are found by integer state keys,
+the one row lookup.  Matrix assembly then forms all its entries in one
+product of the repeated coefficients with the cached amplitudes, in the
+order of the term map.  `CouplingMatrices` assembles H(lam) and R(lam) once
+per coupling for every check that needs them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .models import ModelSpec
 DEFAULT_DIMENSION_LIMIT = 200_000
 ANTIHERM_TOL = 1e-10
 UNITARITY_TOL = 1e-8
+_BATCH_ELEMENTS = 1 << 16    # (signature, state) elements per batched action pass
 
 
 class BasisError(ValueError):
@@ -67,8 +71,9 @@ class FockBasis:
         radix = min(per_mode_cutoff, total_cutoff) + 1
         top = radix ** n_modes      # the weight of the total quanta
         dtype = np.int64 if (total_cutoff + 1) * top <= np.iinfo(np.int64).max else object
-        self._weights = [top + radix ** (n_modes - 1 - i) for i in range(n_modes)]
-        keys = occupations.astype(dtype) @ np.array(self._weights, dtype=dtype)
+        self._weights = np.array([top + radix ** (n_modes - 1 - i) for i in range(n_modes)],
+                                 dtype=dtype)
+        keys = occupations.astype(dtype) @ self._weights
         order = np.argsort(keys)
         self.occupations = occupations[order]
         self.occupations.flags.writeable = False
@@ -100,7 +105,7 @@ class FockBasis:
         """Row of an occupation vector, found by its key as in `action`;
         BasisError if it is no basis state."""
         occ = [int(n) for n in occupation]
-        key = sum(n * w for n, w in zip(occ, self._weights))
+        key = sum(n * w for n, w in zip(occ, self._weights.tolist()))
         row = min(int(np.searchsorted(self._keys, key)), self.dimension - 1)
         if self.occupations[row].tolist() != occ:
             raise BasisError(f"occupation {tuple(occ)} is not a state of this basis")
@@ -114,40 +119,68 @@ class FockBasis:
         pushed above a cutoff is dropped (projection).  The arrays are
         cached per signature and read-only.
         """
-        sig = (creators, annihilators)
-        if sig in self._actions:
-            return self._actions[sig]
-        try:
-            positions = [self._positions[m] for m in annihilators + creators]
-        except KeyError as exc:
-            raise BasisError(f"mode {exc.args[0]} unknown to the basis system") from None
-        slot = {p: j for j, p in enumerate(dict.fromkeys(positions))}
-        sub = self.occupations[:, list(slot)]     # the modes involved
-        cols = np.arange(self.dimension)
-        amps = np.ones(self.dimension)
-        # same factors in the same order as applying the monomial state by
-        # state: annihilators first, then creators
-        for p in positions[:len(annihilators)]:
-            j = slot[p]
-            live = sub[:, j] > 0
-            cols, amps, sub = cols[live], amps[live], sub[live]
-            amps *= np.sqrt(sub[:, j])
-            sub[:, j] -= 1
-        total = self.totals[cols] - len(annihilators)
-        for p in positions[len(annihilators):]:
-            j = slot[p]
-            live = (sub[:, j] < self.per_mode_cutoff) & (total < self.total_cutoff)
-            cols, amps, sub, total = cols[live], amps[live], sub[live], total[live]
-            sub[:, j] += 1
-            amps *= np.sqrt(sub[:, j])
-            total += 1
-        shift = sum(self._weights[p] for p in positions[len(annihilators):]) \
-            - sum(self._weights[p] for p in positions[:len(annihilators)])
-        rows = np.searchsorted(self._keys, self._keys[cols] + shift)
+        return self.actions([(creators, annihilators)])[0]
+
+    def actions(self, signatures) -> list:
+        """`action` of each (creators, annihilators) signature, in order; the
+        signatures may be a term map's keys.  Those not cached yet are
+        computed together, one pass per shape (annihilators, creators) of at
+        most _BATCH_ELEMENTS (signature, state) elements."""
+        cached = self._actions
+        shapes: dict = {}       # shape -> [(signature, mode positions), ...]
+        for sig in dict.fromkeys(sig for sig in signatures if sig not in cached):
+            creators, annihilators = sig
+            try:
+                positions = [self._positions[m] for m in annihilators + creators]
+            except KeyError as exc:
+                raise BasisError(f"mode {exc.args[0]} unknown to the basis system") from None
+            shapes.setdefault((len(annihilators), len(creators)), []).append((sig, positions))
+        step = max(1, _BATCH_ELEMENTS // self.dimension)
+        for (n_ann, _), group in shapes.items():
+            for i in range(0, len(group), step):
+                self._act(group[i:i + step], n_ann)
+        return list(map(cached.__getitem__, signatures))
+
+    def _act(self, batch, n_ann: int) -> None:
+        """Cache the actions of (signature, mode positions) pairs of one shape
+        with n_ann annihilators, over every basis state at once.
+
+        Step k of a signature acts on mode pos[:, k], whose occupation there
+        is the state's own plus off[:, k], the net count of the signature's
+        earlier steps on that mode.  A live element gets the same sqrt
+        factors in the same order as applying the monomial state by state:
+        annihilators first, then creators.
+        """
+        pos = np.array([p for _, p in batch], dtype=np.intp)     # (signatures, steps)
+        n_steps = pos.shape[1]
+        off = np.zeros_like(pos)
+        for k in range(n_steps):
+            for j in range(k):
+                off[:, k] += (pos[:, j] == pos[:, k]) * (-1 if j < n_ann else 1)
+        by_mode = self.occupations.T
+        live = np.ones((len(batch), self.dimension), dtype=bool)
+        amps = np.ones((len(batch), self.dimension))
+        for k in range(n_steps):
+            creator = k >= n_ann
+            # the occupation under the sqrt: before an annihilator, after a creator
+            n = by_mode[pos[:, k]] + (off[:, k] + creator)[:, None]
+            live &= (n <= self.per_mode_cutoff) if creator else (n > 0)
+            amps *= np.sqrt(np.maximum(n, 0))
+        if n_steps > n_ann:
+            live &= self.totals - n_ann + (n_steps - n_ann) <= self.total_cutoff
+        # the key change; int64 sums may wrap, which leaves every shift that
+        # a live state uses exact
+        weights = self._weights[pos]
+        shift = weights[:, n_ann:].sum(axis=1) - weights[:, :n_ann].sum(axis=1)
+        sig_of, cols = np.nonzero(live)     # cols ascending within each signature
+        rows = np.searchsorted(self._keys, self._keys[cols] + shift[sig_of])
+        amps = amps[sig_of, cols]
         for a in (rows, cols, amps):
-            a.flags.writeable = False
-        self._actions[sig] = rows, cols, amps
-        return self._actions[sig]
+            a.flags.writeable = False       # and so are their slices
+        counts = live.sum(axis=1)
+        ends = np.cumsum(counts)
+        for (sig, _), start, end in zip(batch, ends - counts, ends):
+            self._actions[sig] = rows[start:end], cols[start:end], amps[start:end]
 
     def vacuum_index(self) -> int:
         return 0    # the grading puts the only zero-quanta state first
@@ -159,17 +192,15 @@ class FockBasis:
 
 def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     """Sparse matrix of a flat term map in the given basis; a non-finite
-    matrix element raises OracleError."""
-    rows, cols, vals = [], [], []
-    for (creators, annihilators), coeff in terms.items():
-        r, c, amps = basis.action(creators, annihilators)
-        rows.append(r)
-        cols.append(c)
-        vals.append(coeff * amps)
+    matrix element raises OracleError.  Each term's entries are its
+    coefficient times its cached amplitudes, in the order of the map."""
     n = basis.dimension
-    if not vals:
+    if not terms:
         return sp.csr_matrix((n, n), dtype=complex)
-    data = np.concatenate(vals)
+    rows, cols, amps = zip(*basis.actions(terms))
+    counts = np.fromiter(map(len, amps), dtype=np.intp, count=len(amps))
+    coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+    data = np.repeat(coeffs, counts) * np.concatenate(amps)
     if not np.isfinite(data).all():
         raise OracleError("the Fock-space matrix of a term map has a non-finite element")
     return sp.csr_matrix(
@@ -207,16 +238,43 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray) 
     return w @ hd @ w.conj().T
 
 
-def dressing_matrices(result, basis: FockBasis, lam: float):
-    """(H(lam), R(lam), exp(-R(lam))) dense matrices for a dressing result.
+class CouplingMatrices:
+    """The sparse H(lam) and R(lam) of a dressing result in a basis.  A pair
+    is assembled once per coupling and kept until `pop` hands it to its
+    last user, so that the checks at one coupling share it and no pair
+    outlives them; H is the model's Hamiltonian, built once."""
+
+    def __init__(self, result, basis: FockBasis):
+        self.result = result
+        self.basis = basis
+        self._hamiltonian = result.model.hamiltonian()
+        self._kept: dict = {}
+
+    def __call__(self, lam: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        if lam not in self._kept:
+            self._kept[lam] = self._assemble(lam)
+        return self._kept[lam]
+
+    def pop(self, lam: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The pair at lam, no longer kept: the kept one, or a new one."""
+        return self._kept.pop(lam) if lam in self._kept else self._assemble(lam)
+
+    def _assemble(self, lam):
+        return (matrix_of(self._hamiltonian, self.basis, lam),
+                matrix_of(self.result.generator, self.basis, lam))
+
+
+def dressing_matrices(matrices: CouplingMatrices, lam: float):
+    """(H(lam), R(lam), exp(-R(lam))) dense matrices of the dressing result
+    of `matrices`.
 
     With K = exp(R) H exp(-R), the approximate eigenvectors of H are the
     dressed states exp(-R)|i>: the dressed state of basis state i is column
-    i of exp(-R).  An exp(-R) that is not finite or not unitary raises
+    i of exp(-R).  The caller is the last user of H(lam) and R(lam), which
+    leave `matrices`.  An exp(-R) that is not finite or not unitary raises
     OracleError.
     """
-    mh = matrix_of(result.model.hamiltonian(), basis, lam).toarray()
-    mr = matrix_of(result.generator, basis, lam).toarray()
+    mh, mr = (m.toarray() for m in matrices.pop(lam))
     w_inv = scipy.linalg.expm(-mr)
     name = f"exp(-R) at coupling {lam!r}"
     if not np.isfinite(w_inv).all():

@@ -201,7 +201,8 @@ def test_equal_time_scan_evolves_each_site_once_per_time_and_coupling(monkeypatc
     assert len(set(evolved)) == 10
 
     expected = []
-    contexts = {lam: checks._LambdaContext(result, basis, lam, sites) for lam in lambdas}
+    matrices = checks.CouplingMatrices(result, basis)
+    contexts = {lam: checks._LambdaContext(matrices, lam, sites) for lam in lambdas}
     for t in times:
         for lam, ctx in contexts.items():
             for x, y in pairs:

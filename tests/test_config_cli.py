@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticedress import cli, numerics
 from latticedress.cli import NONFINITE_FAILURE, main, model_from_config, run
 from latticedress.config import ConfigError, load_config, parse_config
 from latticedress.models import VERTICES
@@ -147,6 +148,38 @@ def test_zero_denominator_exits_one(tmp_path):
     assert failure["reason"] == "zero_denominator"
     assert failure["order"] == 2
     assert failure["signatures"]
+
+
+def test_verify_assembles_each_coupling_once(tmp_path, monkeypatch):
+    # the verify-phi3 benchmark job (phi3 S=5, order 3, cutoffs 4, four
+    # couplings): the oracle and residual checks share H(lam) and R(lam), so
+    # each coupling assembles H, R and K once, 12 matrices in place of 20
+    calls = []
+    assemble = numerics.matrix_of_terms
+
+    def counted(terms, basis):
+        calls.append(len(terms))
+        return assemble(terms, basis)
+
+    monkeypatch.setattr(numerics, "matrix_of_terms", counted)
+    assert run(phi3_config({"model.order": 3}), "verify", tmp_path) == 0
+    assert len(calls) == 12
+
+
+def test_all_builds_one_basis(tmp_path, monkeypatch):
+    # verify and scan share the basis, and with it every cached action
+    built = []
+    basis_class = cli.FockBasis
+
+    def counted(*args, **kwargs):
+        built.append(basis_class(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "FockBasis", counted)
+    assert run(phi3_config({"checks.spacelike.enabled": True}), "all", tmp_path) == 0
+    assert len(built) == 1
+    report = _read_report(tmp_path / "report.json")
+    assert "spacelike" in report["scan"]
 
 
 def test_scan_command_writes_csv(tmp_path):
@@ -288,8 +321,14 @@ def _read_report(path):
                   "checks:\n  oracle: {enabled: false}\n"),
      "verify", ["no_bad_terms", "momentum_commutation"],
      "exp(-R) at coupling 10000000000.0 failed unitarity check"),
+    # the order-2 products of g = 1e160 overflow to inf and then NaN, which
+    # the prune used to drop: K kept its order-0 terms alone, and
+    # no_bad_terms passed
+    (parse_config("model:\n  lattice: {sites_per_dim: 5}\n"
+                  "  interaction: {name: phi3, coupling_strength: 1.0e+160}\n  order: 3\n"),
+     "dress", [], "dressing order 2 holds a non-finite coefficient"),
 ], ids=["numerics.lambdas", "coupling_strength", "residuals", "matrix", "field",
-        "spacelike_unitarity", "residuals_unitarity"])
+        "spacelike_unitarity", "residuals_unitarity", "dressing"])
 def test_non_finite_oracle_is_a_setup_failure(tmp_path, cfg, command, verdicts, reason):
     assert run(cfg, command, tmp_path) == 1
     report = _read_report(tmp_path / "report.json")
@@ -355,6 +394,9 @@ def test_repeated_coupling_fits_no_slope(tmp_path):
 # its positive part
 FLOAT_MENU = [-0.5, 0.0, 1.0e-300, 0.02, 0.3, 1.0, 2.5, 1.0e+10, 1.0e+300]
 POSITIVE_MENU = [x for x in FLOAT_MENU if x > 0]
+# a vertex strength whose square overflows: the model builds, and the
+# expansion goes non-finite inside the dressing
+NEAR_OVERFLOW = 1.0e+160
 
 
 @st.composite
@@ -371,7 +413,8 @@ def _small_configs(draw):
             "lattice": {"dim": dim,
                         "sites_per_dim": draw(st.sampled_from([1, 3, 5] if dim == 1 else [1, 3])),
                         "physical_length": draw(positive)},
-            "interaction": {"name": interaction, "coupling_strength": draw(real)},
+            "interaction": {"name": interaction, "coupling_strength": draw(
+                st.sampled_from(FLOAT_MENU + [NEAR_OVERFLOW]))},
             "coupling": draw(real),
             "policy": draw(st.sampled_from(["shirokov", "weidlich"])),
             "order": draw(st.integers(1, 3)),

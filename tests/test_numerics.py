@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from latticedress import numerics
 from latticedress.checks import ScanError, _LambdaContext, equal_time_scan
 from latticedress.dressing import dress
 from latticedress.models import build_model, free_hamiltonian
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
 from latticedress.numerics import (
     BasisError,
+    CouplingMatrices,
     FockBasis,
     conjugate_numeric,
     dressing_matrices,
@@ -220,18 +223,123 @@ def test_cached_action_matches_state_by_state_loop(per_mode, total, seed):
         rows[:] = 0
 
 
-def test_state_keys_past_int64_still_find_rows():
-    # 65 modes at total cutoff 1: 2**65 keys overflow int64
+def _action_state_by_state(basis, creators, annihilators):
+    """Reference action: (rows, cols, amps) of a monomial applied to each
+    basis state in turn, cols ascending."""
+    states = [tuple(v) for v in basis.occupations.tolist()]
+    row_of = {v: i for i, v in enumerate(states)}
+    rows, cols, amps = [], [], []
+    for col, state in enumerate(states):
+        hit = _apply_term(basis, creators, annihilators, state)
+        if hit is not None:
+            rows.append(row_of[hit[1]])
+            cols.append(col)
+            amps.append(hit[0])
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(amps)
+
+
+def _matrix_per_term(terms, basis):
+    """Reference assembly: one coeff * amps product per term, concatenated in
+    the order of the map."""
+    rows, cols, vals = [], [], []
+    for (creators, annihilators), coeff in terms.items():
+        r, c, amps = basis.action(creators, annihilators)
+        rows.append(r)
+        cols.append(c)
+        vals.append(coeff * amps)
+    n = basis.dimension
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n), dtype=complex)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind in "fc":
+        a, b = a.view(np.int64), b.view(np.int64)
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _multisets(pool, max_size):
+    return [()] + [tuple(sorted(c)) for n in range(1, max_size + 1)
+                   for c in itertools.combinations_with_replacement(pool, n)]
+
+
+def test_state_keys_past_int64_still_find_rows(monkeypatch):
+    # 65 modes: 3**65 keys overflow int64 and are Python ints; the batched
+    # actions run two signatures per pass
     system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=65), [FieldSpecies("phi", 1.0)])
-    basis = FockBasis(system, 1, 1)
-    a, b = system.modes[0], system.modes[-1]
-    terms = {((a,), (b,)): 1.0 + 0j, ((b,), ()): 2.0 + 0j, ((), ()): 0.5 + 0j}
+    basis = FockBasis(system, 2, 2)
+    assert basis._keys.dtype == object
+    monkeypatch.setattr(numerics, "_BATCH_ELEMENTS", 2 * basis.dimension)
+    a, b, c = system.modes[0], system.modes[31], system.modes[-1]
+    terms = {((a,), (c,)): 1.0 + 0j, ((c,), ()): 2.0 + 0j, ((), ()): 0.5 + 0j,
+             ((c, c), ()): -1j, ((), (a, b)): 0.25, ((b,), (b,)): 3.0,
+             ((a, c), (b,)): 1 - 1j, ((), (c, c)): 2j, ((b, b), (a, a)): -0.5}
+    for sig, got in zip(terms, basis.actions(terms)):
+        want = _action_state_by_state(basis, *sig)
+        assert all(_same_bits(g, w) for g, w in zip(got, want)), sig
     got = matrix_of_terms(terms, basis)
     want = _matrix_state_by_state(terms, basis)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
     assert basis.index_of(basis.occupations[-1]) == basis.dimension - 1
+
+
+@pytest.mark.parametrize("budget", [1, "three", None],
+                         ids=["one_per_pass", "three_per_pass", "default"])
+def test_batched_actions_match_state_by_state_loop(monkeypatch, budget):
+    # every shape up to (3, 3) over three modes of two species, so modes
+    # repeat within a signature; a budget below a shape's size splits it
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=3),
+                        [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)])
+    basis = FockBasis(system, 2, 3)
+    if budget == "three":
+        budget = 3 * basis.dimension
+    if budget is not None:
+        monkeypatch.setattr(numerics, "_BATCH_ELEMENTS", budget)
+    pool = [system.modes[i] for i in (0, 2, 5)]
+    sigs = [(c, a) for c in _multisets(pool, 3) for a in _multisets(pool, 3)]
+    assert len(sigs) == 400
+    for sig, got in zip(sigs, basis.actions(sigs)):
+        want = _action_state_by_state(basis, *sig)
+        assert all(_same_bits(g, w) for g, w in zip(got, want)), sig
+    rng = np.random.default_rng(7)
+    terms = {sigs[i]: complex(*rng.normal(size=2)) for i in rng.permutation(400)[:60]}
+    got = matrix_of_terms(terms, basis)
+    for want in (_matrix_state_by_state(terms, basis), _matrix_per_term(terms, basis)):
+        assert _same_bits(got.indptr, want.indptr)
+        assert _same_bits(got.indices, want.indices)
+        assert _same_bits(got.data, want.data)
+
+
+def test_matrix_of_terms_matches_per_term_products(system3):
+    # complex, real, negative and integer coefficients: the one product over
+    # the repeated coefficients keeps every bit of the per-term products
+    basis = FockBasis(system3, 3, 4)
+    z, p, q = system3.modes
+    terms = {((z,), (p,)): 0.3 - 1.7j, ((p, p), ()): -2.5, ((), (q,)): 3,
+             ((z, q), (p,)): -0.0 + 1e-3j, ((), ()): 1.25 + 0j, ((q,), (q, z)): -1j}
+    got = matrix_of_terms(terms, basis)
+    want = _matrix_per_term(terms, basis)
+    assert _same_bits(got.indptr, want.indptr)
+    assert _same_bits(got.indices, want.indices)
+    assert _same_bits(got.data, want.data)
+
+
+def test_actions_refuse_unknown_modes_and_are_read_only(system3, system5):
+    basis = FockBasis(system3, 2, 2)
+    z = mode(system3, 0)
+    with pytest.raises(BasisError, match="unknown"):
+        basis.actions([((z,), ()), ((z,), (mode(system5, 2),))])
+    first = basis.actions([((z,), (z,)), ((), (z,))])
+    # a later lookup returns the cached arrays, which no caller can write
+    assert all(x is y for x, y in zip(first[1], basis.action((), (z,))))
+    for arrays in first:
+        for x in arrays:
+            with pytest.raises(ValueError):
+                x[:0] = 0
+            assert not x.flags.writeable
 
 
 def test_matrix_of_series_evaluates_coupling(system1):
@@ -293,15 +401,35 @@ def test_dressing_matrices_are_consistent():
     model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
-    mh, mr, w_inv = dressing_matrices(result, basis, 0.1)
+    matrices = CouplingMatrices(result, basis)
+    mh, mr, w_inv = dressing_matrices(matrices, 0.1)
     # the scan context's dressed vacuum is column 0 of this exp(-R)
-    ctx = _LambdaContext(result, basis, 0.1, sites=[])
+    ctx = _LambdaContext(matrices, 0.1, sites=[])
     psi = w_inv[:, basis.vacuum_index()]
     assert np.array_equal(ctx.vacuum, psi / np.linalg.norm(psi))
     w = scipy.linalg.expm(mr)
     assert np.allclose(w @ w_inv, np.eye(basis.dimension), atol=1e-12)
     assert np.abs(mr + mr.conj().T).max() < 1e-12
     assert np.abs(mh - mh.conj().T).max() < 1e-12
+
+
+def test_coupling_matrices_assemble_once_and_keep_nothing_past_pop(monkeypatch):
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
+    matrices = CouplingMatrices(dress(model), FockBasis(model.system, 3, 3))
+    calls = []
+    assemble = numerics.matrix_of_terms
+
+    def counted(terms, basis):
+        calls.append(len(terms))
+        return assemble(terms, basis)
+
+    monkeypatch.setattr(numerics, "matrix_of_terms", counted)
+    kept = matrices(0.1)
+    assert matrices(0.1) is kept and len(calls) == 2
+    assert matrices.pop(0.1) is kept and len(calls) == 2
+    # a pair no one kept is assembled for its one user and not stored
+    assert matrices.pop(0.1) is not kept and len(calls) == 4
+    assert matrices(0.1) is not kept and len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +459,7 @@ def test_field_is_hermitian_and_horizon_enforced():
                                                     physical_length=3.0))
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
-    a = _LambdaContext(result, basis, 0.1, sites=[(1,)]).field((1,), 0.5)
+    a = _LambdaContext(CouplingMatrices(result, basis), 0.1, sites=[(1,)]).field((1,), 0.5)
     assert np.abs(a - a.conj().T).max() < 1e-10
     with pytest.raises(ScanError, match="horizon"):
         equal_time_scan(model, basis, result, times=[100.0], lambdas=[0.1],
@@ -343,10 +471,11 @@ def test_field_gather_equals_dense_conjugation():
                                                     physical_length=3.0))
     basis = FockBasis(model.system, 3, 3)
     result = dress(model)
-    _, mr, w_inv = dressing_matrices(result, basis, 0.3)
+    matrices = CouplingMatrices(result, basis)
+    _, mr, w_inv = dressing_matrices(matrices, 0.3)
     w = scipy.linalg.expm(mr)
     sites = [(0,), (1,)]
-    ctx = _LambdaContext(result, basis, 0.3, sites)
+    ctx = _LambdaContext(matrices, 0.3, sites)
     lat = model.system.lattice
     fields = field_at_origin_time_zero(model, basis, w_inv, w, sites)
     assert len(fields) == len(sites)
