@@ -7,6 +7,9 @@
 * the interaction induces a spacelike nonlocality scaling as coupling^2,
 * the single-mode squeezing exponential reproduces the hyperbolic linear
   transformation of the ladder operators.
+
+The residual and scan checks read the dressing result and the basis they
+judge from one `numerics.CouplingMatrices`, and share its H(lam), R(lam).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import OperatorSeries
-from .dressing import DressingResult
 from .models import ModelSpec, momentum_defect
 from .modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 from .numerics import (
@@ -32,6 +34,7 @@ from .numerics import (
 )
 
 DEFAULT_TIME_HORIZON_UNITS = 6.0
+DEFAULT_BLOCK = 2       # the scans' and the oracle's low-quanta block
 ZERO_FLOOR = 1e-12      # a residual at or below this is zero
 
 
@@ -109,21 +112,20 @@ def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
     return float(np.linalg.norm(mh @ psi - mean * psi))
 
 
-def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingResult,
-                         lambdas, check_cutoff: bool = False,
-                         matrices: CouplingMatrices | None = None) -> ResidualReport:
+def eigenstate_residuals(matrices: CouplingMatrices, lambdas,
+                         check_cutoff: bool = False) -> ResidualReport:
     """Residuals of the dressed vacuum exp(-R)|0> and one-particle states
-    exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value;
-    each dressed state is a column of exp(-R).  `matrices`, of this result
-    and basis, shares H(lam) and R(lam) with other checks."""
+    exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value,
+    for the dressing result and basis of `matrices`; each dressed state is
+    a column of exp(-R)."""
     lambdas = list(lambdas)
-    if matrices is None:
-        matrices = CouplingMatrices(result, basis)
+    result, basis = matrices.result, matrices.basis
+    system = result.model.system
     vac_res: list[float] = []
-    one_res: dict[ModeIndex, list[float]] = {m: [] for m in model.system.modes}
+    one_res: dict[ModeIndex, list[float]] = {m: [] for m in system.modes}
     vac_idx = basis.vacuum_index()
     one_idx = {m: basis.index_of([int(n == m) for n in basis.modes])
-               for m in model.system.modes}
+               for m in system.modes}
     for lam in lambdas:
         mh, _, w_inv = dressing_matrices(matrices, lam)
         vac_res.append(_state_residual(mh, w_inv[:, vac_idx]))
@@ -140,7 +142,7 @@ def eigenstate_residuals(model: ModelSpec, basis: FockBasis, result: DressingRes
 
     if check_cutoff and lambdas:
         # double the total cutoff once; residuals should move by < 10%
-        bigger = FockBasis(model.system, basis.per_mode_cutoff * 2,
+        bigger = FockBasis(system, basis.per_mode_cutoff * 2,
                            basis.total_cutoff * 2)
         lam = max(lambdas)
         mh, _, w_inv = dressing_matrices(CouplingMatrices(result, bigger), lam)
@@ -223,14 +225,13 @@ def _commutator(ax, ay):
     return ax @ ay - ay @ ax
 
 
-def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
-                    times, lambdas, site_pairs, block: int = 2,
-                    horizon_units: float = DEFAULT_TIME_HORIZON_UNITS,
-                    matrices: CouplingMatrices | None = None) -> ScanReport:
+def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
+                    block: int = DEFAULT_BLOCK,
+                    horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
     """|| [A(x,t), A(y,t)] || restricted to the low-quanta block, for every
-    requested site pair, time and coupling; `matrices` as in
-    `eigenstate_residuals`."""
-    lat = model.system.lattice
+    requested site pair, time and coupling, of the dressing result and basis
+    of `matrices`."""
+    basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
     for t in times:
         if abs(t) > horizon:
@@ -241,8 +242,6 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
                         "a coupling and a site pair")
     points = []
     sites = list(dict.fromkeys(s for pair in pairs for s in pair))
-    if matrices is None:
-        matrices = CouplingMatrices(result, basis)
     contexts = {lam: _LambdaContext(matrices, lam, sites) for lam in lambdas}
     for t in times:
         for lam, ctx in contexts.items():
@@ -263,17 +262,16 @@ def equal_time_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
     return ScanReport(kind="equal_time", points=points)
 
 
-def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
-                   lambdas, grid, block: int = 2,
-                   horizon_units: float = DEFAULT_TIME_HORIZON_UNITS,
-                   matrices: CouplingMatrices | None = None) -> ScanReport:
+def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
+                   block: int = DEFAULT_BLOCK,
+                   horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
     """Baseline-subtracted commutator C(lam) = [A(x,tau), A(y,0)] over a grid
-    of (x, y, tau) points; `matrices` as in `eigenstate_residuals`.
+    of (x, y, tau) points, for the dressing result and basis of `matrices`.
 
     The free-lattice baseline C(0) is subtracted so the reported magnitude
     isolates the interaction-induced piece; its coupling scaling is fitted.
     """
-    lat = model.system.lattice
+    basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
     entries = []
     for x, y, tau in grid:
@@ -290,8 +288,6 @@ def spacelike_scan(model: ModelSpec, basis: FockBasis, result: DressingResult,
 
     lambdas = list(lambdas)
     sites = [s for x, y, _, _ in entries for s in (x, y)]
-    if matrices is None:
-        matrices = CouplingMatrices(result, basis)
     contexts = {lam: _LambdaContext(matrices, lam, sites)
                 for lam in set(lambdas) | {0.0}}
     points = []

@@ -52,6 +52,7 @@ from .numerics import (
 SCHEMA_VERSION = 1
 COMMANDS = ("dress", "verify", "scan", "all")
 NONFINITE_FAILURE = {"check": "report", "reason": "non-finite number in the report"}
+BAD_TERMS_TOL = 1e-10   # the norm of the bad terms the shirokov policy may leave
 
 
 def _finite(x):
@@ -99,7 +100,7 @@ def _slope_ok(slope, target, tol):
     return slope is not None and abs(slope - target) <= tol
 
 
-def run_dress(model: ModelSpec, cfg: RunConfig, report: dict):
+def run_dress(model: ModelSpec, report: dict):
     """Dress the model, write the `dressing` section and its verdict; return
     the dressing result."""
     result = dress(model)
@@ -135,7 +136,7 @@ def run_dress(model: ModelSpec, cfg: RunConfig, report: dict):
     if model.policy == "shirokov":
         left = residual_bad_norm(result)
         report["verdicts"].append(
-            _verdict("no_bad_terms", 0.0, left, 1e-10, left <= 1e-10))
+            _verdict("no_bad_terms", 0.0, left, BAD_TERMS_TOL, left <= BAD_TERMS_TOL))
     return result
 
 
@@ -143,11 +144,11 @@ def _coeff_json(c):
     return {"re": c.real, "im": c.imag}
 
 
-def run_verify(model: ModelSpec, cfg: RunConfig, report: dict,
-               result) -> CouplingMatrices:
-    """Oracle, residual and momentum checks; each verdict goes into the report
-    as soon as it is computed, so a later setup failure keeps it.  Returns
-    the basis's H(lam) and R(lam), which the two oracle checks share."""
+def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
+    """Oracle, residual and momentum checks of a dressing result; each verdict
+    goes into the report as soon as it is computed, so a later setup failure
+    keeps it.  Returns the result's `CouplingMatrices` in the config's basis."""
+    model = result.model
     verdicts = report["verdicts"]
     n = model.max_order
 
@@ -179,13 +180,12 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict,
         }
         verdicts.append(_verdict("oracle_equivalence_slope", n + 1, slope, tol,
                                  _slope_ok(slope, n + 1, tol) or bool(diffs) and all(
-                                     d < 1e-12 for d in diffs)))
+                                     d < ZERO_FLOOR for d in diffs)))
 
     residuals = cfg.checks["residuals"]
     if residuals.enabled:
         tol = residuals.params["slope_tolerance"]
-        rep = eigenstate_residuals(model, basis, result, cfg.lambdas,
-                                   matrices=matrices)
+        rep = eigenstate_residuals(matrices, cfg.lambdas)
         report["verify"]["residuals"] = {
             "rows": rep.rows(),
             "vacuum_slope": _finite(rep.vacuum_slope),
@@ -200,38 +200,37 @@ def run_verify(model: ModelSpec, cfg: RunConfig, report: dict,
             v <= ZERO_FLOOR for v in rep.vacuum) and all(
             v <= ZERO_FLOOR for r in rep.one_particle.values() for v in r)
         ok = all_floor or (
-            bool(slopes) and all(abs(s - (n + 1)) <= tol for s in slopes))
+            bool(slopes) and all(_slope_ok(s, n + 1, tol) for s in slopes))
         got = min(slopes, default=None)
         verdicts.append(_verdict("residual_slopes", n + 1, got, tol, ok))
         if 0.0 in cfg.lambdas:
             i = cfg.lambdas.index(0.0)
             worst0 = max([rep.vacuum[i]] + [r[i] for r in rep.one_particle.values()])
             verdicts.append(_verdict("residuals_at_zero_coupling", 0.0, worst0,
-                                     1e-12, worst0 < 1e-12))
+                                     ZERO_FLOOR, worst0 < ZERO_FLOOR))
     return matrices
 
 
-def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result,
+def run_scan(cfg: RunConfig, report: dict, result,
              matrices: CouplingMatrices | None = None) -> None:
     """Equal-time and spacelike scans; verdicts go into the report as computed.
     `matrices`, from `run_verify`, brings its basis and H(lam), R(lam)."""
+    model = result.model
     verdicts = report["verdicts"]
     if matrices is None:
         matrices = CouplingMatrices(result, _basis_from_config(model, cfg))
-    basis = matrices.basis
     report.setdefault("scan", {})
 
     et = cfg.checks["equal_time"]
     if et.enabled:
         sites = model.system.lattice.sites()
         pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
-        rep = equal_time_scan(model, basis, result,
+        rep = equal_time_scan(matrices,
                               times=et.params["times"],
                               lambdas=et.params["lambdas"],
                               site_pairs=pairs,
                               block=et.params["block"],
-                              horizon_units=cfg.time_horizon,
-                              matrices=matrices)
+                              horizon_units=cfg.time_horizon)
         worst = max((p.magnitude for p in rep.points), default=0.0)
         tol = et.params["tolerance"]
         report["scan"]["equal_time"] = {"rows": rep.rows(), "max_magnitude": worst}
@@ -242,11 +241,10 @@ def run_scan(model: ModelSpec, cfg: RunConfig, report: dict, result,
         grid = [tuple(g) for g in sl.params["grid"]]
         if not grid:
             grid = [_default_spacelike_point(model)]
-        rep = spacelike_scan(model, basis, result,
+        rep = spacelike_scan(matrices,
                              lambdas=sl.params["lambdas"], grid=grid,
                              block=sl.params["block"],
-                             horizon_units=cfg.time_horizon,
-                             matrices=matrices)
+                             horizon_units=cfg.time_horizon)
         report["scan"]["spacelike"] = {
             "rows": rep.rows(),
             "slope": _finite(rep.slope),
@@ -290,12 +288,12 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
     failure = None
     try:
         model = model_from_config(cfg)
-        result = run_dress(model, cfg, report)
+        result = run_dress(model, report)
         matrices = None     # one basis per run, and one H(lam), R(lam) per coupling
         if command in ("verify", "all"):
-            matrices = run_verify(model, cfg, report, result)
+            matrices = run_verify(cfg, report, result)
         if command in ("scan", "all"):
-            run_scan(model, cfg, report, result, matrices)
+            run_scan(cfg, report, result, matrices)
     except ZeroDenominatorError as exc:
         failure = {
             "check": "dressing",

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import yaml
 
-from .checks import DEFAULT_TIME_HORIZON_UNITS
+from .checks import DEFAULT_BLOCK, DEFAULT_TIME_HORIZON_UNITS
 from .models import BUILTIN_INTERACTIONS, DEFAULT_COUPLING_STRENGTH, POLICIES, ModelSpec
 from .modes import LatticeSpec
 from .numerics import DEFAULT_DIMENSION_LIMIT
@@ -183,14 +183,14 @@ SCHEMA = (
     ("checks.residuals.enabled",      _bool,     True,            None),
     ("checks.residuals.slope_tolerance", _float, 0.4,             _at_least(0)),
     ("checks.oracle.enabled",         _bool,     True,            None),
-    ("checks.oracle.block",           _int,      2,               _at_least(0)),
+    ("checks.oracle.block",           _int,      DEFAULT_BLOCK,   _at_least(0)),
     ("checks.oracle.slope_tolerance", _float,    0.4,             _at_least(0)),
     ("checks.momentum.enabled",       _bool,     True,            None),
     ("checks.momentum.tolerance",     _float,    1e-10,           _at_least(0)),
     ("checks.equal_time.enabled",     _bool,     False,           None),
     ("checks.equal_time.times",       _floats,   [0.0, 1.0, 2.0], None),
     ("checks.equal_time.lambdas",     _floats,   [0.0, 0.1],      None),
-    ("checks.equal_time.block",       _int,      2,               _at_least(0)),
+    ("checks.equal_time.block",       _int,      DEFAULT_BLOCK,   _at_least(0)),
     ("checks.equal_time.tolerance",   _float,    1e-8,            _at_least(0)),
     ("checks.spacelike.enabled",      _bool,     False,           None),
     # empty grid: x = origin, y = the most distant site, tau = one spacing, or
@@ -198,7 +198,7 @@ SCHEMA = (
     ("checks.spacelike.grid",         _list_of(_triple, "[x, y, tau] triples"), [], None),
     ("checks.spacelike.lambdas",      _floats,   [0.05, 0.1, 0.2],
      lambda v: None if v else "must not be empty"),
-    ("checks.spacelike.block",        _int,      2,               _at_least(0)),
+    ("checks.spacelike.block",        _int,      DEFAULT_BLOCK,   _at_least(0)),
     ("checks.spacelike.slope",        _float,    2.0,             None),
     ("checks.spacelike.slope_tolerance", _float, 0.3,             _at_least(0)),
     # report.json is always written; json stays accepted for existing configs

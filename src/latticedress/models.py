@@ -105,16 +105,11 @@ class ModelSpec:
                 f"interaction is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
             )
 
-    def free_hamiltonian(self, max_order: int | None = None) -> OperatorSeries:
-        if max_order is None:
-            max_order = self.max_order
-        return free_hamiltonian(self.system, max_order)
-
     def hamiltonian(self, max_order: int | None = None) -> OperatorSeries:
         """H = H0 (order 0) + V (order 1) as a graded series."""
         if max_order is None:
             max_order = self.max_order
-        return self.free_hamiltonian(max_order) + self.interaction.truncated(max_order)
+        return free_hamiltonian(self.system, max_order) + self.interaction.truncated(max_order)
 
 
 def free_hamiltonian(system: ModeSystem, max_order: int) -> OperatorSeries:
@@ -126,7 +121,13 @@ def _kernel(system: ModeSystem, g: float, *modes: ModeIndex) -> float:
     prod = 1.0
     for m in modes:
         prod *= 2.0 * system.energy(m)
-    return g / math.sqrt(prod * system.lattice.volume)
+    volume = system.lattice.volume
+    if prod * volume == 0.0:
+        legs = ", ".join(f"{m!r} (E = {system.energy(m)!r})" for m in modes)
+        raise ZeroDivisionError(
+            f"vertex kernel of the legs {legs}: the product of 2E over the legs "
+            f"times the lattice volume {volume!r} is 0")
+    return g / math.sqrt(prod * volume)
 
 
 def _interaction(system: ModeSystem, vertex: Vertex, g: float) -> tuple[OperatorSeries, list]:

@@ -26,6 +26,7 @@ from latticedress.dressing import (
 from latticedress.models import build_model
 from latticedress.modes import LatticeSpec
 from latticedress.numerics import (
+    CouplingMatrices,
     FockBasis,
     conjugate_numeric,
     matrix_of,
@@ -120,7 +121,7 @@ def test_c04_eigenstate_residual_slopes():
         model = build_model("phi3-full", lattice=lattice, max_order=n)
         result = dress(model)
         basis = FockBasis(model.system, 12, 12)
-        rep = eigenstate_residuals(model, basis, result, [0.0] + LAMBDAS)
+        rep = eigenstate_residuals(CouplingMatrices(result, basis), [0.0] + LAMBDAS)
         slopes = rep.all_slopes()
         at_zero = max([rep.vacuum[0]] + [r[0] for r in rep.one_particle.values()])
         ok = ok and len(slopes) == 1 + len(model.system.modes)
@@ -172,7 +173,7 @@ def test_c08_equal_time_locality():
     basis = FockBasis(model.system, 8, 8)
     sites = model.system.lattice.sites()
     pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
-    rep = equal_time_scan(model, basis, result, times=[0.0, 1.0, 2.0],
+    rep = equal_time_scan(CouplingMatrices(result, basis), times=[0.0, 1.0, 2.0],
                           lambdas=[0.0, 0.1], site_pairs=pairs, block=2)
     worst = max(p.magnitude for p in rep.points)
     ok = worst < 1e-8
@@ -185,7 +186,7 @@ def test_c09_spacelike_nonlocality():
                                                     physical_length=5.0))
     result = dress(model)
     basis = FockBasis(model.system, 7, 7)
-    rep = spacelike_scan(model, basis, result, lambdas=[0.05, 0.1, 0.2],
+    rep = spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
                          grid=[((0,), (2,), 1.0)], block=2)
     signal = min(p.subtracted for p in rep.points if p.lam >= 0.1)
     ok = (rep.slope is not None and abs(rep.slope - 2.0) <= 0.3

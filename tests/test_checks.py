@@ -14,7 +14,7 @@ from latticedress.checks import (
 from latticedress.dressing import dress
 from latticedress.models import build_model
 from latticedress.modes import LatticeSpec
-from latticedress.numerics import FockBasis
+from latticedress.numerics import CouplingMatrices, FockBasis
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +78,14 @@ def test_free_model_residuals_sit_at_floor():
     model = build_model("free", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
-    rep = eigenstate_residuals(model, basis, result, [0.0, 0.1])
+    rep = eigenstate_residuals(CouplingMatrices(result, basis), [0.0, 0.1])
     assert max(rep.vacuum) < 1e-12
     assert all(max(r) < 1e-12 for r in rep.one_particle.values())
     assert rep.vacuum_slope is None
 
 
 def test_residual_rows_schema(small_model, small_basis, small_result):
-    rep = eigenstate_residuals(small_model, small_basis, small_result, [0.1])
+    rep = eigenstate_residuals(CouplingMatrices(small_result, small_basis), [0.1])
     rows = rep.rows()
     assert len(rows) == 1 + len(small_model.system.modes)
     assert rows[0]["state"] == "vacuum"
@@ -94,7 +94,7 @@ def test_residual_rows_schema(small_model, small_basis, small_result):
 
 def test_cutoff_insensitive_when_converged(small_model, small_result):
     basis = FockBasis(small_model.system, 3, 3)
-    rep = eigenstate_residuals(small_model, basis, small_result, [0.05],
+    rep = eigenstate_residuals(CouplingMatrices(small_result, basis), [0.05],
                                check_cutoff=True)
     assert not rep.cutoff_sensitive
 
@@ -105,7 +105,7 @@ def test_cutoff_insensitive_when_converged(small_model, small_result):
 
 def test_equal_time_scan_vanishes(small_model, small_result):
     basis = FockBasis(small_model.system, 6, 6)
-    rep = equal_time_scan(small_model, basis, small_result,
+    rep = equal_time_scan(CouplingMatrices(small_result, basis),
                           times=[0.0], lambdas=[0.0, 0.1],
                           site_pairs=[((0,), (1,))], block=2)
     assert rep.kind == "equal_time"
@@ -114,22 +114,22 @@ def test_equal_time_scan_vanishes(small_model, small_result):
     assert all(p.tau == 0.0 for p in rep.points)
 
 
-def test_equal_time_scan_horizon(small_model, small_basis, small_result):
+def test_equal_time_scan_horizon(small_basis, small_result):
     with pytest.raises(ScanError, match="horizon"):
-        equal_time_scan(small_model, small_basis, small_result,
+        equal_time_scan(CouplingMatrices(small_result, small_basis),
                         times=[1000.0], lambdas=[0.0],
                         site_pairs=[((0,), (1,))])
 
 
-def test_equal_time_scan_checks_times_before_any_matrix(monkeypatch, small_model,
-                                                        small_basis, small_result):
+def test_equal_time_scan_checks_times_before_any_matrix(monkeypatch, small_basis,
+                                                        small_result):
     # a time past the horizon is refused before any coupling's exp(-R) is built
     def refuse(*args, **kwargs):
         raise AssertionError("dressing matrices built before the times were checked")
 
     monkeypatch.setattr(checks, "dressing_matrices", refuse)
     with pytest.raises(ScanError, match="horizon"):
-        equal_time_scan(small_model, small_basis, small_result,
+        equal_time_scan(CouplingMatrices(small_result, small_basis),
                         times=[0.0, 1000.0], lambdas=[0.0, 0.1],
                         site_pairs=[((0,), (1,))])
 
@@ -139,7 +139,7 @@ def test_equal_time_scan_checks_times_before_any_matrix(monkeypatch, small_model
     ([0.0], [], [((0,), (1,))]),
     ([0.0], [0.1], []),
 ], ids=["times", "lambdas", "site_pairs"])
-def test_equal_time_scan_without_points_is_refused(monkeypatch, small_model, small_basis,
+def test_equal_time_scan_without_points_is_refused(monkeypatch, small_basis,
                                                    small_result, times, lambdas,
                                                    site_pairs):
     def refuse(*args, **kwargs):
@@ -147,7 +147,7 @@ def test_equal_time_scan_without_points_is_refused(monkeypatch, small_model, sma
 
     monkeypatch.setattr(checks, "dressing_matrices", refuse)
     with pytest.raises(ScanError, match="has no point"):
-        equal_time_scan(small_model, small_basis, small_result, times=times,
+        equal_time_scan(CouplingMatrices(small_result, small_basis), times=times,
                         lambdas=lambdas, site_pairs=site_pairs)
 
 
@@ -162,14 +162,14 @@ def test_each_coupling_builds_its_fields_once(monkeypatch, small_model, small_re
     monkeypatch.setattr(checks, "field_at_origin_time_zero", counted)
     # three sites in three pairs, two couplings: one field build per coupling
     basis = FockBasis(small_model.system, 3, 3)
-    equal_time_scan(small_model, basis, small_result, times=[0.0, 1.0],
+    equal_time_scan(CouplingMatrices(small_result, basis), times=[0.0, 1.0],
                     lambdas=[0.0, 0.1], site_pairs=[((0,), (1,)), ((0,), (2,)),
                                                     ((1,), (2,))])
     assert len(calls) == 2
     assert all(args[-1] == [(0,), (1,), (2,)] for args in calls)
     calls.clear()
     # the baseline coupling 0 is added to the two given
-    spacelike_scan(small_model, basis, small_result, lambdas=[0.05, 0.1],
+    spacelike_scan(CouplingMatrices(small_result, basis), lambdas=[0.05, 0.1],
                    grid=[((0,), (1,), 1.0), ((1,), (2,), -1.0)])
     assert len(calls) == 3
 
@@ -195,13 +195,13 @@ def test_equal_time_scan_evolves_each_site_once_per_time_and_coupling(monkeypatc
         return field(self, site, t)
 
     monkeypatch.setattr(checks._LambdaContext, "field", counted)
-    rep = equal_time_scan(model, basis, result, times=times, lambdas=lambdas,
+    rep = equal_time_scan(CouplingMatrices(result, basis), times=times, lambdas=lambdas,
                           site_pairs=pairs, block=2)
     assert len(evolved) == 20
     assert len(set(evolved)) == 10
 
     expected = []
-    matrices = checks.CouplingMatrices(result, basis)
+    matrices = CouplingMatrices(result, basis)
     contexts = {lam: checks._LambdaContext(matrices, lam, sites) for lam in lambdas}
     for t in times:
         for lam, ctx in contexts.items():
@@ -227,13 +227,12 @@ def _strongest_point_slope(rep):
     return best_slope
 
 
-def test_spacelike_repeated_grid_point_merges_into_one_fit(small_model, small_basis,
-                                                           small_result):
+def test_spacelike_repeated_grid_point_merges_into_one_fit(small_basis, small_result):
     # the repeated point's couplings join the first copy's in one fit
     lambdas = [0.05, 0.1, 0.2]
-    once = spacelike_scan(small_model, small_basis, small_result, lambdas=lambdas,
+    once = spacelike_scan(CouplingMatrices(small_result, small_basis), lambdas=lambdas,
                           grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
-    twice = spacelike_scan(small_model, small_basis, small_result, lambdas=lambdas,
+    twice = spacelike_scan(CouplingMatrices(small_result, small_basis), lambdas=lambdas,
                            grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5),
                                  ((0,), (1,), 1.0)])
     assert len(twice.points) == 3 * len(lambdas)
@@ -242,17 +241,15 @@ def test_spacelike_repeated_grid_point_merges_into_one_fit(small_model, small_ba
     assert twice.slope == pytest.approx(once.slope, abs=1e-9)
 
 
-def test_spacelike_scan_rejects_timelike_points(small_model, small_basis,
-                                                small_result):
+def test_spacelike_scan_rejects_timelike_points(small_basis, small_result):
     # coincident sites: separation 0 <= |tau|
     with pytest.raises(ScanError, match="spacelike"):
-        spacelike_scan(small_model, small_basis, small_result,
+        spacelike_scan(CouplingMatrices(small_result, small_basis),
                        lambdas=[0.1], grid=[((0,), (0,), 1.0)])
 
 
-def test_spacelike_scan_records_baseline_and_subtraction(small_model, small_basis,
-                                                         small_result):
-    rep = spacelike_scan(small_model, small_basis, small_result,
+def test_spacelike_scan_records_baseline_and_subtraction(small_basis, small_result):
+    rep = spacelike_scan(CouplingMatrices(small_result, small_basis),
                          lambdas=[0.05, 0.1], grid=[((0,), (1,), 1.0)], block=2)
     assert rep.kind == "spacelike"
     assert len(rep.points) == 2

@@ -203,9 +203,12 @@ output:
      "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
      "checks:\n  equal_time: {enabled: true, times: [0.0]}\n", "scan",
      "the field scans support single-species"),
-    # a tiny mass divides by zero while the model is built; the reason names the step
+    # a tiny mass makes a mode energy 0 while the model is built; the reason
+    # names the step and the vertex legs whose kernel divides by zero
     ("model:\n  species: [{name: phi, mass: 1.0e-300}]\n", "dress",
-     "model build: float division by zero"),
+     "model build: vertex kernel of the legs phi[2] (E = 2.0), phi[0] (E = 0.0), "
+     "phi[-2] (E = 2.0): the product of 2E over the legs times the lattice volume "
+     "6.283185307179586 is 0"),
     ("model:\n  lattice: {dim: 2, sites_per_dim: 1, physical_length: 1.0e+300}\n"
      "  interaction: {name: scalar-yukawa}\n", "dress",
      "model build: lattice volume physical_length**dim = 1e+300**2 overflows a float"),
@@ -403,15 +406,17 @@ NEAR_OVERFLOW = 1.0e+160
 def _small_configs(draw):
     """A config document that passes the schema, and a command.  A 2-D
     lattice has 1 or 3 sites per dimension and a total cutoff of at most 2,
-    which keeps its basis small."""
+    which keeps its basis small.  The spacelike grid has up to two [x, y, tau]
+    points on lattice sites, spacelike or not, within the horizon or not."""
     real = st.sampled_from(FLOAT_MENU)
     positive = st.sampled_from(POSITIVE_MENU)
     dim = draw(st.sampled_from([1, 2]))
+    sites_per_dim = draw(st.sampled_from([1, 3, 5] if dim == 1 else [1, 3]))
+    site = st.lists(st.integers(0, sites_per_dim - 1), min_size=dim, max_size=dim)
     interaction = draw(st.sampled_from(list(VERTICES)))
     doc = {
         "model": {
-            "lattice": {"dim": dim,
-                        "sites_per_dim": draw(st.sampled_from([1, 3, 5] if dim == 1 else [1, 3])),
+            "lattice": {"dim": dim, "sites_per_dim": sites_per_dim,
                         "physical_length": draw(positive)},
             "interaction": {"name": interaction, "coupling_strength": draw(
                 st.sampled_from(FLOAT_MENU + [NEAR_OVERFLOW]))},
@@ -428,6 +433,8 @@ def _small_configs(draw):
                            "times": draw(st.lists(real, max_size=2)),
                            "lambdas": draw(st.lists(real, max_size=2))},
             "spacelike": {"enabled": draw(st.booleans()),
+                          "grid": draw(st.lists(st.tuples(site, site, real).map(list),
+                                                max_size=2)),
                           "lambdas": draw(st.lists(real, min_size=1, max_size=3))},
         },
         "output": {"formats": ["json", "csv"]},

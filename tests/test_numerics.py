@@ -462,7 +462,7 @@ def test_field_is_hermitian_and_horizon_enforced():
     a = _LambdaContext(CouplingMatrices(result, basis), 0.1, sites=[(1,)]).field((1,), 0.5)
     assert np.abs(a - a.conj().T).max() < 1e-10
     with pytest.raises(ScanError, match="horizon"):
-        equal_time_scan(model, basis, result, times=[100.0], lambdas=[0.1],
+        equal_time_scan(CouplingMatrices(result, basis), times=[100.0], lambdas=[0.1],
                         site_pairs=[((0,), (1,))])
 
 
