@@ -10,15 +10,17 @@
 
 The residual and scan checks read the dressing result and the basis they
 judge from one `numerics.CouplingMatrices`, and share its H(lam), R(lam).
+
+As in `numerics`, numpy and scipy are imported inside the functions that
+use them, so that importing the command line, and running its symbolic
+path, loads no numerical stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-import scipy.linalg
+from typing import TYPE_CHECKING
 
 from .algebra import OperatorSeries
 from .models import ModelSpec, momentum_defect
@@ -32,6 +34,9 @@ from .numerics import (
     matrix_of_terms,
     restricted_norm,
 )
+
+if TYPE_CHECKING:     # the annotations' names
+    import numpy as np
 
 DEFAULT_TIME_HORIZON_UNITS = 6.0
 DEFAULT_BLOCK = 2       # the scans' and the oracle's low-quanta block
@@ -95,6 +100,8 @@ def _loglog_slope(lambdas, values, floor=1e-13) -> float | None:
     """Least-squares slope of log(value) vs log(lambda); None if fewer than
     two distinct couplings have values above the numerical floor (nothing
     to fit)."""
+    import numpy as np
+
     xs, ys = [], []
     for lam, v in zip(lambdas, values):
         if lam > 0 and v > floor:
@@ -107,6 +114,8 @@ def _loglog_slope(lambdas, values, floor=1e-13) -> float | None:
 
 
 def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
+    import numpy as np
+
     psi = psi / np.linalg.norm(psi)
     mean = np.vdot(psi, mh @ psi)
     return float(np.linalg.norm(mh @ psi - mean * psi))
@@ -197,6 +206,9 @@ class _LambdaContext:
     is created; exp(+-R) are not kept."""
 
     def __init__(self, matrices: CouplingMatrices, lam, sites):
+        import numpy as np
+        import scipy.linalg
+
         model, basis = matrices.result.model, matrices.basis
         if len(model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
@@ -209,6 +221,8 @@ class _LambdaContext:
         self._evolution: dict = {}
 
     def field(self, site, t: float):
+        import scipy.linalg
+
         if t == 0.0:
             return self._fields[site]
         if t not in self._evolution:
@@ -217,6 +231,8 @@ class _LambdaContext:
         return u @ self._fields[site] @ u.conj().T
 
     def vev(self, m) -> float:
+        import numpy as np
+
         return abs(np.vdot(self.vacuum, m @ self.vacuum))
 
 
@@ -338,6 +354,8 @@ class BogoliubovReport:
 
 
 def _squeeze_deviation(chi: float, cutoff: int, block: int) -> tuple[float, float]:
+    import numpy as np
+
     system = ModeSystem(LatticeSpec(sites_per_dim=1), [FieldSpecies("phi", 1.0)])
     basis = FockBasis(system, cutoff, cutoff)
     (m,) = system.modes

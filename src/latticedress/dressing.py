@@ -172,10 +172,11 @@ def dress(model: ModelSpec) -> DressingResult:
         r = r + rn
 
     # R_N is purely order N, so up to order N it enters exp(R) H exp(-R) only
-    # through [R_N, H_0]: the last expansion plus that commutator is all of K.
-    k = k + commutator(rn, h)
-    # [R_n, H_0] cancels the removed terms of K_n exactly; what the sum leaves
-    # is rounding residue, above the absolute prune at large couplings
+    # through [R_N, H_0], which lives on R_N's signatures, those of the
+    # order-N removed terms, and cancels them.  So K is the last expansion
+    # without the removed terms: at order N they are popped uncancelled, and
+    # below N popping drops the rounding residue their cancellation leaves,
+    # above the absolute prune at large couplings
     for n, target in enumerate(removed, start=1):
         for sig in target:
             k.orders[n].pop(sig, None)

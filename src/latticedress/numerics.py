@@ -15,19 +15,26 @@ the one row lookup.  Matrix assembly then forms all its entries in one
 product of the repeated coefficients with the cached amplitudes, in the
 order of the term map.  `CouplingMatrices` assembles H(lam) and R(lam) once
 per coupling for every check that needs them.
+
+numpy and scipy are imported inside the functions that use them, not at
+module level: the command line imports this module for its names, and the
+symbolic path (`--command dress`, config errors, `--help`) then starts
+without loading the numerical stack, which takes most of a cold start's
+time and memory.  The oracle commands load it on first use.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
 from .algebra import OperatorSeries, TermMap
 from .modes import ModeSystem
 from .models import ModelSpec
+
+if TYPE_CHECKING:     # the annotations' names
+    import numpy as np
+    import scipy.sparse as sp
 
 DEFAULT_DIMENSION_LIMIT = 200_000
 ANTIHERM_TOL = 1e-10
@@ -50,6 +57,8 @@ class FockBasis:
 
     def __init__(self, system: ModeSystem, per_mode_cutoff: int, total_cutoff: int,
                  dimension_limit: int = DEFAULT_DIMENSION_LIMIT):
+        import numpy as np
+
         if per_mode_cutoff < 1 or total_cutoff < 0:
             raise BasisError(
                 f"need per_mode_cutoff >= 1 and total_cutoff >= 0, got "
@@ -94,6 +103,8 @@ class FockBasis:
     def _enumerate(n_modes, per_mode, total) -> np.ndarray:
         """The occupation vectors in lexicographic order, one mode at a time:
         each row repeats once per occupation q that keeps it within the cutoffs."""
+        import numpy as np
+
         out = np.zeros((1, 0), dtype=np.int64)
         for _ in range(n_modes):
             reps = np.minimum(per_mode, total - out.sum(axis=1)) + 1
@@ -104,6 +115,8 @@ class FockBasis:
     def index_of(self, occupation) -> int:
         """Row of an occupation vector, found by its key as in `action`;
         BasisError if it is no basis state."""
+        import numpy as np
+
         occ = [int(n) for n in occupation]
         key = sum(n * w for n, w in zip(occ, self._weights.tolist()))
         row = min(int(np.searchsorted(self._keys, key)), self.dimension - 1)
@@ -151,6 +164,8 @@ class FockBasis:
         factors in the same order as applying the monomial state by state:
         annihilators first, then creators.
         """
+        import numpy as np
+
         pos = np.array([p for _, p in batch], dtype=np.intp)     # (signatures, steps)
         n_steps = pos.shape[1]
         off = np.zeros_like(pos)
@@ -187,6 +202,8 @@ class FockBasis:
 
     def block_indices(self, max_quanta: int) -> np.ndarray:
         """Indices of all states with total quanta <= max_quanta."""
+        import numpy as np
+
         return np.nonzero(self.totals <= max_quanta)[0]
 
 
@@ -194,6 +211,9 @@ def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     """Sparse matrix of a flat term map in the given basis; a non-finite
     matrix element raises OracleError.  Each term's entries are its
     coefficient times its cached amplitudes, in the order of the map."""
+    import numpy as np
+    import scipy.sparse as sp
+
     n = basis.dimension
     if not terms:
         return sp.csr_matrix((n, n), dtype=complex)
@@ -217,6 +237,8 @@ def matrix_of(series: OperatorSeries, basis: FockBasis, lam: float) -> sp.csr_ma
 
 def _check_unitary(w: np.ndarray, name: str) -> None:
     """Raise OracleError unless w w^H = 1 to within UNITARITY_TOL."""
+    import numpy as np
+
     defect = np.abs(w @ w.conj().T - np.eye(w.shape[0])).max()
     if not defect <= UNITARITY_TOL:     # a NaN defect fails too
         raise OracleError(f"{name} failed unitarity check (defect {defect:.3e})")
@@ -228,6 +250,10 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray) 
     r must be anti-Hermitian; the unitarity of exp(r) is verified, and
     OracleError is raised when it fails.
     """
+    import numpy as np
+    import scipy.linalg
+    import scipy.sparse as sp
+
     rd = r.toarray() if sp.issparse(r) else np.asarray(r, dtype=complex)
     hd = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=complex)
     defect = np.abs(rd + rd.conj().T).max()
@@ -274,6 +300,9 @@ def dressing_matrices(matrices: CouplingMatrices, lam: float):
     leave `matrices`.  An exp(-R) that is not finite or not unitary raises
     OracleError.
     """
+    import numpy as np
+    import scipy.linalg
+
     mh, mr = (m.toarray() for m in matrices.pop(lam))
     w_inv = scipy.linalg.expm(-mr)
     name = f"exp(-R) at coupling {lam!r}"
@@ -293,6 +322,8 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
     with the dressed ladder matrices alpha = exp(-R) a exp(R), each formed
     once and added into every site's field.
     """
+    import numpy as np
+
     lat = model.system.lattice
     if len(model.system.species) != 1:
         raise ValueError("the Heisenberg field scan supports single-species models")
@@ -318,6 +349,8 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
 def restricted_norm(m: np.ndarray, basis: FockBasis, max_quanta: int) -> float:
     """Spectral norm of a matrix restricted to the <= max_quanta sub-block;
     a non-finite sub-block raises OracleError."""
+    import numpy as np
+
     idx = basis.block_indices(max_quanta)
     sub = np.asarray(m)[np.ix_(idx, idx)]
     if not np.isfinite(sub).all():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticedress import cli, numerics
@@ -450,8 +450,33 @@ def _small_configs(draw):
     return doc, draw(st.sampled_from(["dress", "verify", "scan", "all"]))
 
 
+def _spacelike_scan_case(time_horizon):
+    """A 1-D phi3 scan on 5 sites of spacing 0.5 whose one grid point is
+    spacelike (separation 1.0, tau 0.3), within the horizon of
+    time_horizon * spacing or beyond it: the drawn cases seldom reach the
+    spacelike scan with such a point."""
+    doc = {
+        "model": {
+            "lattice": {"dim": 1, "sites_per_dim": 5, "physical_length": 2.5},
+            "interaction": {"name": "phi3", "coupling_strength": 1.0},
+            "coupling": 1.0, "policy": "shirokov", "order": 2,
+        },
+        "numerics": {"per_mode_cutoff": 2, "total_cutoff": 2, "lambdas": [],
+                     "time_horizon": time_horizon},
+        "checks": {
+            "equal_time": {"enabled": False, "times": [], "lambdas": []},
+            "spacelike": {"enabled": True, "grid": [[[0], [2], 0.3]],
+                          "lambdas": [0.02, 0.3]},
+        },
+        "output": {"formats": ["json", "csv"]},
+    }
+    return doc, "scan"
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(_small_configs())
+@example(_spacelike_scan_case(2.5))     # scanned: tau within the horizon 1.25
+@example(_spacelike_scan_case(0.3))     # a setup failure: beyond the horizon 0.15
 def test_cli_contract_holds_on_small_configs(case):
     # exit 0, 1 or 2 and no exception; exit 0 or 1 leaves a report that is
     # valid JSON, with no NaN or Infinity in it
@@ -616,13 +641,14 @@ output:
 """
 
 
-def _run_module(args):
-    """`python -m latticedress` in a fresh interpreter with one BLAS thread."""
+def _run_python(args):
+    """`python` with `args` in a fresh interpreter with `src` on its path and
+    one BLAS thread."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "latticedress", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -658,14 +684,46 @@ def test_golden_oracle_report(tmp_path, command, text, digest):
     if text is not None:
         path = tmp_path / "run.yaml"
         path.write_text(text)
-    proc = _run_module(["--config", str(path), "--command", command,
-                        "--out-dir", str(tmp_path / "out")])
+    proc = _run_python(["-m", "latticedress", "--config", str(path),
+                        "--command", command, "--out-dir", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     got = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert got == digest
 
 
 def test_python_dash_m_entry_point():
-    proc = _run_module(["--help"])
+    proc = _run_python(["-m", "latticedress", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert "--command" in proc.stdout
+
+
+# the symbolic path in a fresh interpreter: every step but the last must
+# leave numpy and scipy unloaded
+IMPORT_GUARD_SCRIPT = """
+import json, sys
+from latticedress import FockBasis
+from latticedress.cli import main
+
+good, bad, out = sys.argv[1:]
+steps = [("dress", main(["--config", good, "--command", "dress", "--out-dir", out]))]
+steps.append(("schema error", main(["--config", bad, "--command", "dress"])))
+steps.append(("help", main(["--help"])))
+loaded = [sorted(m for m in ("numpy", "scipy") if m in sys.modules)]
+steps.append(("verify", main(["--config", good, "--command", "verify", "--out-dir", out])))
+loaded.append(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+print(json.dumps({"steps": steps, "loaded": loaded, "basis": FockBasis.__name__}))
+"""
+
+
+def test_symbolic_path_loads_no_numerical_stack(tmp_path):
+    good, bad = tmp_path / "run.yaml", tmp_path / "bad.yaml"
+    good.write_text(FAST_YAML)
+    bad.write_text("model:\n  policy: frobnicate\n")
+    proc = _run_python(["-c", IMPORT_GUARD_SCRIPT, str(good), str(bad),
+                        str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["steps"] == [["dress", 0], ["schema error", 2], ["help", 0],
+                            ["verify", 0]]
+    assert got["loaded"] == [[], ["numpy", "scipy"]]
+    assert got["basis"] == "FockBasis"

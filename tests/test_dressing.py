@@ -167,8 +167,9 @@ def test_scalar_yukawa_dresses_clean():
 @pytest.mark.parametrize("order, policy", [(2, "shirokov"), (3, "shirokov"),
                                            (1, "weidlich")])
 def test_dressed_K_equals_full_reexpansion(name, order, policy):
-    # dress() adds [R_N, H] to the loop's last expansion instead of expanding
-    # again with the whole generator; the two must agree bit for bit
+    # dress() takes K from the loop's last expansion less the removed terms,
+    # where [R_N, H] would only cancel the last removed ones, instead of
+    # expanding again with the whole generator; the two must agree bit for bit
     model = build_model(name, lattice=LatticeSpec(dim=1, sites_per_dim=5,
                                                   physical_length=5.0),
                         max_order=order, policy=policy)
