@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .algebra import (
     OperatorSeries,
     canonicalize,
-    classify,
     commutator,
     dagger,
     normal_order_product,
@@ -19,7 +18,6 @@ from .numerics import FockBasis
 __all__ = [
     "OperatorSeries",
     "canonicalize",
-    "classify",
     "commutator",
     "dagger",
     "normal_order_product",

@@ -310,42 +310,11 @@ def dagger(p: OperatorSeries) -> OperatorSeries:
     return OperatorSeries(p.system, out, p.max_order)
 
 
-def classify(p: OperatorSeries) -> dict[tuple[int, int], OperatorSeries]:
-    """Partition p into disjoint sub-series keyed by term type (m, n)."""
-    buckets: dict[tuple[int, int], list[TermMap]] = {}
-    for n_ord, o in enumerate(p.orders):
-        for sig, c in o.items():
-            t = term_type(sig)
-            if t not in buckets:
-                buckets[t] = [{} for _ in range(p.max_order + 1)]
-            buckets[t][n_ord][sig] = c
-    return {
-        t: OperatorSeries(p.system, orders, p.max_order)
-        for t, orders in sorted(buckets.items())
-    }
-
-
 def bad_part(p: OperatorSeries) -> OperatorSeries:
     out = [
         {sig: c for sig, c in o.items() if is_bad_type(*term_type(sig))}
         for o in p.orders
     ]
-    return OperatorSeries(p.system, out, p.max_order)
-
-
-def ad_h0(p: OperatorSeries, energy: Callable[[ModeIndex], float]) -> OperatorSeries:
-    """[p, H0] for diagonal H0 = sum_k E(k) a+_k a_k.
-
-    Each term's coefficient picks up (sum_annihilators E - sum_creators E);
-    signatures are unchanged.
-    """
-    out = []
-    for o in p.orders:
-        new: TermMap = {}
-        for (creators, annihilators), c in o.items():
-            de = sum(energy(m) for m in annihilators) - sum(energy(m) for m in creators)
-            new[(creators, annihilators)] = c * de
-        out.append(new)
     return OperatorSeries(p.system, out, p.max_order)
 
 

@@ -4,9 +4,7 @@
 * the dressed vacuum and one-particle states are eigenstates of H up to
   the truncation order (residual ~ coupling^(N+1)),
 * the dressed field commutes at equal times,
-* the interaction induces a spacelike nonlocality scaling as coupling^2,
-* the single-mode squeezing exponential reproduces the hyperbolic linear
-  transformation of the ladder operators.
+* the interaction induces a spacelike nonlocality scaling as coupling^2.
 
 The residual and scan checks read the dressing result and the basis they
 judge from one `numerics.CouplingMatrices`, and share its H(lam), R(lam).
@@ -24,14 +22,12 @@ from typing import TYPE_CHECKING
 
 from .algebra import OperatorSeries
 from .models import ModelSpec, momentum_defect
-from .modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
+from .modes import ModeIndex
 from .numerics import (
     CouplingMatrices,
     FockBasis,
-    conjugate_numeric,
     dressing_matrices,
     field_at_origin_time_zero,
-    matrix_of_terms,
     restricted_norm,
 )
 
@@ -41,6 +37,7 @@ if TYPE_CHECKING:     # the annotations' names
 DEFAULT_TIME_HORIZON_UNITS = 6.0
 DEFAULT_BLOCK = 2       # the scans' and the oracle's low-quanta block
 ZERO_FLOOR = 1e-12      # a residual at or below this is zero
+SLOPE_FLOOR = 1e-13     # a value at or below this is left out of a slope fit
 
 
 class ScanError(ValueError):
@@ -96,15 +93,15 @@ class ResidualReport:
         return out
 
 
-def _loglog_slope(lambdas, values, floor=1e-13) -> float | None:
+def _loglog_slope(lambdas, values) -> float | None:
     """Least-squares slope of log(value) vs log(lambda); None if fewer than
-    two distinct couplings have values above the numerical floor (nothing
-    to fit)."""
+    two distinct couplings have values above `SLOPE_FLOOR` (nothing to
+    fit)."""
     import numpy as np
 
     xs, ys = [], []
     for lam, v in zip(lambdas, values):
-        if lam > 0 and v > floor:
+        if lam > 0 and v > SLOPE_FLOOR:
             xs.append(math.log(lam))
             ys.append(math.log(v))
     if len(set(xs)) < 2:
@@ -338,51 +335,3 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     return ScanReport(kind="spacelike", points=points,
                       slope=best_slope, noise_floor=max(floor, 1e-13))
 
-
-# ---------------------------------------------------------------------------
-# single-mode squeezing (hyperbolic linear transformation) check
-
-
-@dataclass
-class BogoliubovReport:
-    chi: float
-    cutoff: int
-    deviation: float            # vs cosh*a + sinh*a+ on the half-cutoff block
-    deviation_doubled: float    # same at twice the cutoff
-    ccr_deviation: float        # canonical commutator preserved on the block
-    shrinks: bool
-
-
-def _squeeze_deviation(chi: float, cutoff: int, block: int) -> tuple[float, float]:
-    import numpy as np
-
-    system = ModeSystem(LatticeSpec(sites_per_dim=1), [FieldSpecies("phi", 1.0)])
-    basis = FockBasis(system, cutoff, cutoff)
-    (m,) = system.modes
-    a = matrix_of_terms({((), (m,)): 1.0}, basis).toarray()
-    ad = a.conj().T
-    r = matrix_of_terms({((), (m, m)): 0.5 * chi, ((m, m), ()): -0.5 * chi}, basis)
-    lhs = conjugate_numeric(r, a)
-    rhs = math.cosh(chi) * a + math.sinh(chi) * ad
-    dev = float(np.abs((lhs - rhs)[:block, :block]).max())
-    lhsd = lhs.conj().T
-    ccr = lhs @ lhsd - lhsd @ lhs
-    eye = np.eye(cutoff + 1)
-    ccr_dev = float(np.abs((ccr - eye)[:block, :block]).max())
-    return dev, ccr_dev
-
-
-def bogoliubov_check(chi: float, cutoff: int = 40) -> BogoliubovReport:
-    """exp(R) a exp(-R) with R = (chi/2)(aa - a+a+) against the closed-form
-    cosh(chi) a + sinh(chi) a+, on the half-cutoff sub-block.
-
-    The deviation (measured on the same sub-block) must shrink when the
-    cutoff doubles, otherwise the truncation is flagged as unreliable.
-    """
-    block = cutoff // 2 + 1
-    dev, ccr = _squeeze_deviation(chi, cutoff, block)
-    dev2, _ = _squeeze_deviation(chi, cutoff * 2, block)
-    shrinks = dev2 <= dev or dev < 1e-12
-    return BogoliubovReport(chi=chi, cutoff=cutoff, deviation=dev,
-                            deviation_doubled=dev2, ccr_deviation=ccr,
-                            shrinks=shrinks)

@@ -37,7 +37,12 @@ from .checks import (
     spacelike_scan,
 )
 from .config import ConfigError, RunConfig, load_config
-from .dressing import ZeroDenominatorError, dress, residual_bad_norm
+from .dressing import (
+    ZeroDenominatorError,
+    dress,
+    extract_energy_correction,
+    residual_bad_norm,
+)
 from .models import VERTICES, FieldSpecies, ModelError, ModelSpec, build_model
 from .modes import LatticeSpec
 from .numerics import (
@@ -124,7 +129,6 @@ def run_dress(model: ModelSpec, report: dict):
         "umklapp_count": len(model.umklapp_signatures),
     }
     if model.max_order >= 2 and model.name in VERTICES and VERTICES[model.name].legs:
-        from .dressing import extract_energy_correction
         table = []
         for m in model.system.modes:
             table.append({

@@ -19,7 +19,6 @@ from .algebra import (
     TermMap,
     bad_part,
     commutator,
-    dagger,
     energy_denominator,
     is_bad_type,
     term_type,
@@ -198,29 +197,6 @@ def dress(model: ModelSpec) -> DressingResult:
         min_denominator=min_den,
         diagnostics=diagnostics,
     )
-
-
-def generator_consistency_defect(result: DressingResult) -> float:
-    """max termwise |[R_n, H0] + removed_n| over all orders (should be ~0)."""
-    from .algebra import ad_h0
-
-    energy = result.model.system.energy
-    worst = 0.0
-    for n, rn in enumerate(result.generators, start=1):
-        lhs = ad_h0(rn, energy)
-        target = result.removed[n - 1]
-        sigs = set(lhs.orders[n]) | set(target)
-        for sig in sigs:
-            worst = max(worst, abs(lhs.orders[n].get(sig, 0j) + target.get(sig, 0j)))
-    return worst
-
-
-def antihermiticity_defect(result: DressingResult) -> float:
-    """max termwise |R_n + R_n^dagger| over all generators."""
-    worst = 0.0
-    for rn in result.generators:
-        worst = max(worst, (rn + dagger(rn)).max_abs())
-    return worst
 
 
 def residual_bad_norm(result: DressingResult) -> float:

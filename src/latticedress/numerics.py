@@ -314,7 +314,8 @@ def dressing_matrices(matrices: CouplingMatrices, lam: float):
 
 def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
                               w_inv: np.ndarray, w: np.ndarray, sites) -> list[np.ndarray]:
-    """The dressed field at time zero at each of `sites`, in their order,
+    """The dressed field at time zero of a single-species model (the scans
+    reject any other) at each of `sites`, in their order,
 
     A(x,0) = volume^{-1/2} sum_k (2 E_k)^{-1/2}
              (e^{i p x} alpha_k + e^{-i p x} alpha_k^dagger)
@@ -325,8 +326,6 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
     import numpy as np
 
     lat = model.system.lattice
-    if len(model.system.species) != 1:
-        raise ValueError("the Heisenberg field scan supports single-species models")
     sp_name = model.system.species[0].name
     xs = [np.array(site, dtype=float) * lat.spacing for site in sites]
     out = [np.zeros((basis.dimension, basis.dimension), dtype=complex) for _ in sites]

@@ -9,9 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from latticedress.algebra import classify, is_bad_type, term_type
+from latticedress.algebra import bad_part, term_type
 from latticedress.checks import (
-    bogoliubov_check,
     eigenstate_residuals,
     equal_time_scan,
     momentum_commutation_defect,
@@ -21,7 +20,6 @@ from latticedress.dressing import (
     ZeroDenominatorError,
     dress,
     extract_energy_correction,
-    generator_consistency_defect,
 )
 from latticedress.models import build_model
 from latticedress.modes import LatticeSpec
@@ -33,7 +31,12 @@ from latticedress.numerics import (
     restricted_norm,
 )
 
-from conftest import rspt2_shift, run_property_suite
+from conftest import (
+    generator_consistency_defect,
+    rspt2_shift,
+    run_property_suite,
+    squeeze_deviation,
+)
 
 LAMBDAS = [0.02, 0.04, 0.08, 0.16]
 LATTICE5 = LatticeSpec(dim=1, sites_per_dim=5)
@@ -70,9 +73,7 @@ def test_c01_bad_term_elimination(dressed_n3):
         result_n3, seconds = dressed_n3[name]
         slowest = max(slowest, seconds)
         for result in (result_n2, result_n3):
-            for t, part in classify(result.K).items():
-                if is_bad_type(*t):
-                    worst = max(worst, part.max_abs())
+            worst = max(worst, bad_part(result.K).max_abs())
     ok = worst <= 1e-10 and slowest < 60.0
     _line(1, ok, f"max residual bad coefficient {worst:.2e} (tol 1e-10), "
                  f"slowest order-3 dressing {slowest:.1f}s (< 60s)")
@@ -134,11 +135,12 @@ def test_c04_eigenstate_residual_slopes():
 
 
 def test_c05_bogoliubov_squeezing():
-    rep = bogoliubov_check(0.1, cutoff=40)
-    ok = rep.deviation < 1e-6 and rep.shrinks
-    _line(5, ok, f"squeezing deviation {rep.deviation:.2e} (tol 1e-6) on the "
-                 f"low block, {rep.deviation_doubled:.2e} at doubled cutoff "
-                 f"(shrinks: {rep.shrinks})")
+    dev, ccr = squeeze_deviation(0.1, cutoff=40, block=21)
+    dev_doubled, _ = squeeze_deviation(0.1, cutoff=80, block=21)
+    ok = dev < 1e-6 and ccr < 1e-6 and dev_doubled <= dev
+    _line(5, ok, f"squeezing deviation {dev:.2e} (tol 1e-6) on the low block, "
+                 f"{dev_doubled:.2e} at doubled cutoff (no larger), "
+                 f"commutator deviation {ccr:.2e} (tol 1e-6)")
 
 
 def test_c06_energy_correction_matches_perturbation_theory():
@@ -220,4 +222,4 @@ def test_c11_algebra_property_suite(system3):
     checked = run_property_suite(system3, basis, n_instances=200, seed=20260824)
     _line(11, checked == 200,
           f"{checked} randomized instances: associativity, Jacobi, dagger "
-          f"anti-homomorphism, matrix homomorphism, free-commutator shortcut")
+          f"anti-homomorphism, matrix homomorphism")

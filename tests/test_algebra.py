@@ -11,9 +11,7 @@ from latticedress.algebra import (
     PRUNE_THRESHOLD,
     OperatorSeries,
     _contractions,
-    ad_h0,
     canonicalize,
-    classify,
     commutator,
     dagger,
     is_bad_type,
@@ -253,69 +251,19 @@ def test_trilinear_interaction_is_all_bad(system5):
     from latticedress.models import build_model
 
     model = build_model("phi3", lattice=system5.lattice)
-    parts = classify(model.interaction)
-    assert set(parts) == {(2, 1), (1, 2)}
-    assert all(is_bad_type(*t) for t in parts)
+    types = {term_type(s) for o in model.interaction.orders for s in o}
+    assert types == {(2, 1), (1, 2)}
+    assert all(is_bad_type(*t) for t in types)
 
 
 def test_quartic_good_and_h0_good(system3):
     z, p1 = mode(system3, 0), mode(system3, 1)
     quartic = single(system3, (z, p1), (z, p1))
-    assert set(classify(quartic)) == {(2, 2)}
+    assert {term_type(s) for s in quartic.orders[0]} == {(2, 2)}
     assert not is_bad_type(2, 2)
     from latticedress.models import free_hamiltonian
 
-    assert set(classify(free_hamiltonian(system3, 0))) == {(1, 1)}
-
-
-def test_classify_partition_is_disjoint_and_complete(system3):
-    z, p1 = mode(system3, 0), mode(system3, 1)
-    p = OperatorSeries.from_terms(
-        system3,
-        [((z, p1), (), 1.0), ((z,), (z,), 2.0), ((), (), 3.0)],
-        order=0,
-    )
-    parts = classify(p)
-    total = sum(len(o) for s in parts.values() for o in s.orders)
-    assert total == 3
-    assert set(parts) == {(2, 0), (1, 1), (0, 0)}
-
-
-# ---------------------------------------------------------------------------
-# ad_h0
-
-
-def test_ad_h0_pure_creation_pair(system3):
-    p1, m1 = mode(system3, 1), mode(system3, -1)
-    p = single(system3, (p1, m1), ())
-    result = ad_h0(p, system3.energy)
-    e = system3.energy(p1) + system3.energy(m1)
-    assert result.orders[0] == {((tuple(sorted((p1, m1)))), ()): pytest.approx(-e)}
-
-
-def test_ad_h0_kills_h0_and_number_terms(system3):
-    from latticedress.models import free_hamiltonian
-
-    h0 = free_hamiltonian(system3, 0)
-    assert ad_h0(h0, system3.energy).is_zero()
-    p1 = mode(system3, 1)
-    n1 = single(system3, (p1,), (p1,))
-    assert ad_h0(n1, system3.energy).is_zero()
-
-
-def test_ad_h0_agrees_with_generic_commutator(system3):
-    from latticedress.models import free_hamiltonian
-
-    z, p1 = mode(system3, 0), mode(system3, 1)
-    p = OperatorSeries.from_terms(
-        system3,
-        [((z, p1), (p1,), 0.7 + 0.1j), ((z,), (z, z), -0.4j)],
-        order=0,
-    )
-    h0 = free_hamiltonian(system3, 0)
-    direct = ad_h0(p, system3.energy)
-    generic = commutator(p, h0)
-    assert (direct - generic).max_abs() < 1e-12
+    assert {term_type(s) for s in free_hamiltonian(system3, 0).orders[0]} == {(1, 1)}
 
 
 # ---------------------------------------------------------------------------

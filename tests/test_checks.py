@@ -5,7 +5,6 @@ from latticedress import checks
 from latticedress.checks import (
     ScanError,
     _loglog_slope,
-    bogoliubov_check,
     eigenstate_residuals,
     equal_time_scan,
     momentum_commutation_defect,
@@ -263,20 +262,3 @@ def test_spacelike_scan_records_baseline_and_subtraction(small_basis, small_resu
             "baseline", "subtracted", "spacelike"} <= set(rows[0])
     assert all(row["spacelike"] is True for row in rows)
 
-
-# ---------------------------------------------------------------------------
-# squeezing
-
-
-def test_bogoliubov_small_chi():
-    rep = bogoliubov_check(0.1, cutoff=40)
-    assert rep.deviation < 1e-6
-    assert rep.ccr_deviation < 1e-6
-    assert rep.shrinks
-    assert rep.deviation_doubled <= rep.deviation
-
-
-def test_bogoliubov_zero_chi_is_exact():
-    rep = bogoliubov_check(0.0, cutoff=20)
-    assert rep.deviation == pytest.approx(0.0, abs=1e-14)
-    assert rep.shrinks

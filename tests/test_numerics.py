@@ -23,7 +23,7 @@ from latticedress.numerics import (
     restricted_norm,
 )
 
-from conftest import mode, rspt2_shift
+from conftest import mode, rspt2_shift, squeeze_deviation
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +397,16 @@ def test_conjugate_numeric_preserves_spectrum():
     assert np.allclose(np.sort(np.linalg.eigvalsh(k)), np.diag(h).real)
 
 
+def test_conjugate_numeric_squeezes_like_the_closed_form():
+    # block 21 is cutoff 40's half-cutoff block; doubling the cutoff must not
+    # move the deviation there up
+    dev, ccr = squeeze_deviation(0.1, cutoff=40, block=21)
+    dev_doubled, _ = squeeze_deviation(0.1, cutoff=80, block=21)
+    assert dev < 1e-6 and ccr < 1e-6
+    assert dev_doubled <= dev
+    assert squeeze_deviation(0.0, cutoff=20, block=11)[0] == 0.0
+
+
 def test_dressing_matrices_are_consistent():
     model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     result = dress(model)
@@ -490,14 +500,6 @@ def test_field_gather_equals_dense_conjugation():
             coeff = 1.0 / math.sqrt(2.0 * model.system.energy(m) * lat.volume)
             want += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
         assert np.array_equal(got, want)
-
-
-def test_field_rejects_multi_species():
-    model = build_model("scalar-yukawa", lattice=LatticeSpec(dim=1, sites_per_dim=3))
-    basis = FockBasis(model.system, 2, 2)
-    eye = np.eye(basis.dimension)
-    with pytest.raises(ValueError, match="single-species"):
-        field_at_origin_time_zero(model, basis, eye, eye, [(0,)])
 
 
 def test_restricted_norm_of_identity(system3):
