@@ -15,6 +15,8 @@ from latticedress.models import build_model
 from latticedress.modes import LatticeSpec
 from latticedress.numerics import CouplingMatrices, FockBasis
 
+from conftest import squeeze_deviation
+
 
 @pytest.fixture(scope="module")
 def small_model():
@@ -262,3 +264,21 @@ def test_spacelike_scan_records_baseline_and_subtraction(small_basis, small_resu
             "baseline", "subtracted", "spacelike"} <= set(rows[0])
     assert all(row["spacelike"] is True for row in rows)
 
+
+# ---------------------------------------------------------------------------
+# squeezing (through conjugate_numeric, on the half-cutoff block)
+
+
+def test_bogoliubov_small_chi():
+    dev, ccr = squeeze_deviation(0.1, cutoff=40, block=21)
+    dev_doubled, _ = squeeze_deviation(0.1, cutoff=80, block=21)
+    assert dev < 1e-6
+    assert ccr < 1e-6
+    assert dev_doubled <= dev
+
+
+def test_bogoliubov_zero_chi_is_exact():
+    dev, _ = squeeze_deviation(0.0, cutoff=20, block=11)
+    dev_doubled, _ = squeeze_deviation(0.0, cutoff=40, block=11)
+    assert dev == pytest.approx(0.0, abs=1e-14)
+    assert dev_doubled <= dev or dev < 1e-12

@@ -23,7 +23,7 @@ from latticedress.numerics import (
     restricted_norm,
 )
 
-from conftest import mode, rspt2_shift, squeeze_deviation
+from conftest import mode, rspt2_shift
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +395,6 @@ def test_conjugate_numeric_preserves_spectrum():
     h = np.diag([0.0, 1.0, 1.0, 2.0, 3.0]).astype(complex)
     k = conjugate_numeric(r, h)
     assert np.allclose(np.sort(np.linalg.eigvalsh(k)), np.diag(h).real)
-
-
-def test_conjugate_numeric_squeezes_like_the_closed_form():
-    # block 21 is cutoff 40's half-cutoff block; doubling the cutoff must not
-    # move the deviation there up
-    dev, ccr = squeeze_deviation(0.1, cutoff=40, block=21)
-    dev_doubled, _ = squeeze_deviation(0.1, cutoff=80, block=21)
-    assert dev < 1e-6 and ccr < 1e-6
-    assert dev_doubled <= dev
-    assert squeeze_deviation(0.0, cutoff=20, block=11)[0] == 0.0
 
 
 def test_dressing_matrices_are_consistent():
