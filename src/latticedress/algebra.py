@@ -270,35 +270,31 @@ class OperatorSeries:
 
 # ---- ring and Lie operations ----
 
-def normal_order_product(p: OperatorSeries, q: OperatorSeries) -> OperatorSeries:
-    """Fully normal-ordered product p*q, coupling-graded and truncated."""
+def _graded(p: OperatorSeries, q: OperatorSeries, products) -> OperatorSeries:
+    """The coupling-graded series whose order n sums products(p_i, q_j, out_n)
+    over i + j = n, truncated at the lower max_order of the two."""
     p._check_system(q)
     n = min(p.max_order, q.max_order)
     out: list[TermMap] = [{} for _ in range(n + 1)]
-    for i, oi in enumerate(p.orders):
-        if i > n:
-            break
-        for j, oj in enumerate(q.orders):
-            if i + j > n:
-                break
-            product_terms(oi, oj, out=out[i + j])
+    for i, oi in enumerate(p.orders[: n + 1]):
+        for j, oj in enumerate(q.orders[: n + 1 - i]):
+            products(oi, oj, out[i + j])
     return OperatorSeries(p.system, out, n)
+
+
+def normal_order_product(p: OperatorSeries, q: OperatorSeries) -> OperatorSeries:
+    """Fully normal-ordered product p*q, coupling-graded and truncated."""
+    return _graded(p, q, lambda a, b, out: product_terms(a, b, out=out))
+
+
+def _commuted(a: TermMap, b: TermMap, out: TermMap) -> None:
+    product_terms(a, b, min_contractions=1, out=out)
+    product_terms(b, a, min_contractions=1, out=out, scale=-1.0)
 
 
 def commutator(p: OperatorSeries, q: OperatorSeries) -> OperatorSeries:
     """[p, q] = pq - qp.  Zero-contraction terms cancel and are skipped."""
-    p._check_system(q)
-    n = min(p.max_order, q.max_order)
-    out: list[TermMap] = [{} for _ in range(n + 1)]
-    for i, oi in enumerate(p.orders):
-        if i > n:
-            break
-        for j, oj in enumerate(q.orders):
-            if i + j > n:
-                break
-            product_terms(oi, oj, min_contractions=1, out=out[i + j])
-            product_terms(oj, oi, min_contractions=1, out=out[i + j], scale=-1.0)
-    return OperatorSeries(p.system, out, n)
+    return _graded(p, q, _commuted)
 
 
 def dagger(p: OperatorSeries) -> OperatorSeries:
@@ -310,12 +306,13 @@ def dagger(p: OperatorSeries) -> OperatorSeries:
     return OperatorSeries(p.system, out, p.max_order)
 
 
+def bad_terms(terms: TermMap) -> TermMap:
+    """The terms of a map whose type `is_bad_type`, in the map's order."""
+    return {sig: c for sig, c in terms.items() if is_bad_type(*term_type(sig))}
+
+
 def bad_part(p: OperatorSeries) -> OperatorSeries:
-    out = [
-        {sig: c for sig, c in o.items() if is_bad_type(*term_type(sig))}
-        for o in p.orders
-    ]
-    return OperatorSeries(p.system, out, p.max_order)
+    return OperatorSeries(p.system, [bad_terms(o) for o in p.orders], p.max_order)
 
 
 def energy_denominator(sig: Signature, energy: Callable[[ModeIndex], float]) -> float:

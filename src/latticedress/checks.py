@@ -114,8 +114,8 @@ def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
     import numpy as np
 
     psi = psi / np.linalg.norm(psi)
-    mean = np.vdot(psi, mh @ psi)
-    return float(np.linalg.norm(mh @ psi - mean * psi))
+    h_psi = mh @ psi
+    return float(np.linalg.norm(h_psi - np.vdot(psi, h_psi) * psi))
 
 
 def eigenstate_residuals(matrices: CouplingMatrices, lambdas,

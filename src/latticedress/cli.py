@@ -37,13 +37,8 @@ from .checks import (
     spacelike_scan,
 )
 from .config import ConfigError, RunConfig, load_config
-from .dressing import (
-    ZeroDenominatorError,
-    dress,
-    extract_energy_correction,
-    residual_bad_norm,
-)
-from .models import VERTICES, FieldSpecies, ModelError, ModelSpec, build_model
+from .dressing import ZeroDenominatorError, dress, extract_energy_correction
+from .models import VERTICES, ModelError, ModelSpec, build_model
 from .modes import LatticeSpec
 from .numerics import (
     BasisError,
@@ -69,14 +64,11 @@ def _finite(x):
 def model_from_config(cfg: RunConfig) -> ModelSpec:
     lattice = LatticeSpec(dim=cfg.dim, sites_per_dim=cfg.sites_per_dim,
                           physical_length=cfg.physical_length)
-    species = None
-    if cfg.species is not None:
-        species = [FieldSpecies(s.name, s.mass) for s in cfg.species]
     try:
         return build_model(
             cfg.interaction,
             lattice=lattice,
-            species=species,
+            species=cfg.species,
             g=cfg.coupling_strength,
             coupling=cfg.coupling,
             max_order=cfg.order,
@@ -109,6 +101,7 @@ def run_dress(model: ModelSpec, report: dict):
     """Dress the model, write the `dressing` section and its verdict; return
     the dressing result."""
     result = dress(model)
+    bad = bad_part(result.K)
     report["dressing"] = {
         "policy": model.policy,
         "order": model.max_order,
@@ -123,7 +116,7 @@ def run_dress(model: ModelSpec, report: dict):
         "removed": [
             TermTable([(n + 1, terms)]) for n, terms in enumerate(result.removed)
         ],
-        "bad_terms_left": TermTable.of_series(bad_part(result.K)),
+        "bad_terms_left": TermTable.of_series(bad),
         "vacuum_energy_order2": _coeff_json(
             result.vacuum_energy_coefficient(2) if model.max_order >= 2 else 0j),
         "umklapp_count": len(model.umklapp_signatures),
@@ -138,7 +131,7 @@ def run_dress(model: ModelSpec, report: dict):
         report["dressing"]["energy_corrections"] = table
 
     if model.policy == "shirokov":
-        left = residual_bad_norm(result)
+        left = bad.max_abs()
         report["verdicts"].append(
             _verdict("no_bad_terms", 0.0, left, BAD_TERMS_TOL, left <= BAD_TERMS_TOL))
     return result

@@ -14,18 +14,12 @@ import yaml
 
 from .checks import DEFAULT_BLOCK, DEFAULT_TIME_HORIZON_UNITS
 from .models import BUILTIN_INTERACTIONS, DEFAULT_COUPLING_STRENGTH, POLICIES, ModelSpec
-from .modes import LatticeSpec
+from .modes import FieldSpecies, LatticeSpec
 from .numerics import DEFAULT_DIMENSION_LIMIT
 
 
 class ConfigError(ValueError):
     """Schema violation, reported with the offending key path."""
-
-
-@dataclass
-class SpeciesConfig:
-    name: str
-    mass: float
 
 
 @dataclass
@@ -42,7 +36,7 @@ class RunConfig:
     dim: int
     sites_per_dim: int
     physical_length: float
-    species: list[SpeciesConfig] | None
+    species: list[FieldSpecies] | None
     interaction: str
     coupling_strength: float
     coupling: float
@@ -126,10 +120,12 @@ def _species(value, path):
     """One `{name, mass}` entry of `model.species`."""
     entry = _mapping(value, ("name", "mass"), path)
     name = _str(entry.get("name"), f"{path}.name")
+    if not name:
+        raise ConfigError(f"{path}.name: must be non-empty")
     mass = _float(entry.get("mass"), f"{path}.mass")
     if mass <= 0:
         raise ConfigError(f"{path} ({name!r}): mass must be a positive number, got {mass}")
-    return SpeciesConfig(name=name, mass=mass)
+    return FieldSpecies(name, mass)
 
 
 # ---- constraints: value -> what is wrong with it, or a falsy value ----
@@ -149,7 +145,7 @@ def _odd(v):
 
 def _distinct_names(species):
     names = [s.name for s in species]
-    return None if names and all(names) and len(set(names)) == len(names) else \
+    return None if names and len(set(names)) == len(names) else \
         f"need one or more species with distinct non-empty names, got {names}"
 
 

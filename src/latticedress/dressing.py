@@ -17,10 +17,9 @@ from itertools import chain
 from .algebra import (
     OperatorSeries,
     TermMap,
-    bad_part,
+    bad_terms,
     commutator,
     energy_denominator,
-    is_bad_type,
     term_type,
 )
 from .models import ModelSpec
@@ -85,7 +84,7 @@ def bch_conjugate(r: OperatorSeries, h: OperatorSeries, max_order: int) -> Opera
 def _target_terms(kn: TermMap, policy: str) -> TermMap:
     """The part of an order's term map the policy wants eliminated."""
     if policy == "shirokov":
-        return {sig: c for sig, c in kn.items() if is_bad_type(*term_type(sig))}
+        return bad_terms(kn)
     # weidlich: keep only the free-form (1,1) terms and the c-number
     return {sig: c for sig, c in kn.items() if term_type(sig) not in ((0, 0), (1, 1))}
 
@@ -145,7 +144,7 @@ def dress(model: ModelSpec) -> DressingResult:
         raise ValueError(f"dressing order must be >= 1, got {n_max}")
     system = model.system
     modes = system.modes
-    h = _relabel_series(model.hamiltonian(n_max), {m: i for i, m in enumerate(modes)})
+    h = _relabel_series(model.hamiltonian(), {m: i for i, m in enumerate(modes)})
 
     r = OperatorSeries.zero(system, n_max)
     generators: list[OperatorSeries] = []
@@ -197,11 +196,6 @@ def dress(model: ModelSpec) -> DressingResult:
         min_denominator=min_den,
         diagnostics=diagnostics,
     )
-
-
-def residual_bad_norm(result: DressingResult) -> float:
-    """Largest bad-term coefficient magnitude left anywhere in K."""
-    return bad_part(result.K).max_abs()
 
 
 def extract_energy_correction(result: DressingResult, species: str, k) -> float:

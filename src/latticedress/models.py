@@ -105,11 +105,10 @@ class ModelSpec:
                 f"interaction is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
             )
 
-    def hamiltonian(self, max_order: int | None = None) -> OperatorSeries:
-        """H = H0 (order 0) + V (order 1) as a graded series."""
-        if max_order is None:
-            max_order = self.max_order
-        return free_hamiltonian(self.system, max_order) + self.interaction.truncated(max_order)
+    def hamiltonian(self) -> OperatorSeries:
+        """H = H0 (order 0) + V (order 1) as a series graded up to max_order."""
+        n = self.max_order
+        return free_hamiltonian(self.system, n) + self.interaction.truncated(n)
 
 
 def free_hamiltonian(system: ModeSystem, max_order: int) -> OperatorSeries:

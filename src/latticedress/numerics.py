@@ -37,6 +37,7 @@ if TYPE_CHECKING:     # the annotations' names
     import scipy.sparse as sp
 
 DEFAULT_DIMENSION_LIMIT = 200_000
+DENSE_DIMENSION_LIMIT = 4096    # 256 MiB per dense complex matrix
 ANTIHERM_TOL = 1e-10
 UNITARITY_TOL = 1e-8
 _BATCH_ELEMENTS = 1 << 16    # (signature, state) elements per batched action pass
@@ -268,9 +269,17 @@ class CouplingMatrices:
     """The sparse H(lam) and R(lam) of a dressing result in a basis.  A pair
     is assembled once per coupling and kept until `pop` hands it to its
     last user, so that the checks at one coupling share it and no pair
-    outlives them; H is the model's Hamiltonian, built once."""
+    outlives them; H is the model's Hamiltonian, built once.  A basis over
+    DENSE_DIMENSION_LIMIT is refused with BasisError, before any matrix:
+    the checks form dense matrices of its dimension."""
 
     def __init__(self, result, basis: FockBasis):
+        n = basis.dimension
+        if n > DENSE_DIMENSION_LIMIT:
+            raise BasisError(
+                f"basis dimension {n} exceeds the dense oracle's limit "
+                f"{DENSE_DIMENSION_LIMIT} (a dense matrix would take "
+                f"{16 * n * n / 2**30:.1f} GiB)")
         self.result = result
         self.basis = basis
         self._hamiltonian = result.model.hamiltonian()

@@ -90,6 +90,7 @@ def test_echo_round_trips_all_sections():
      "checks.spacelike.grid[0]: sites need 1"),
     ("model:\n  species: [{name: a, mass: 1.0}, {name: a, mass: 0.5}]",
      "model.species: need one or more species"),
+    ("model:\n  species: [{name: '', mass: 1.0}]", "model.species[0].name: must be non-empty"),
     ("model:\n  coupling: 1.0e300", "got '1.0e300' (YAML reads it as a string; "
      "write 1.0e+300)"),
     ("numerics:\n  lambdas: [0.1, 2e-2]", "numerics.lambdas[1]: expected float, "
@@ -247,6 +248,31 @@ def test_setup_failure_keeps_computed_verdicts(tmp_path):
     (failure,) = report["failures"]
     assert failure["check"] == "setup"
     assert "exceeds the limit 10" in failure["reason"]
+
+
+@pytest.mark.parametrize("command, verdicts", [
+    ("verify", ["no_bad_terms", "momentum_commutation"]),
+    ("scan", ["no_bad_terms"]),
+    ("all", ["no_bad_terms", "momentum_commutation"]),
+])
+def test_dense_oracle_refuses_a_basis_it_cannot_hold(tmp_path, monkeypatch, command,
+                                                     verdicts):
+    # phi3 S=5 at cutoffs 20 has 53,130 states, under numerics.dimension_limit,
+    # but one dense complex matrix of them takes 42 GiB: the oracle refuses
+    # the basis before it assembles any matrix
+    def assemble(terms, basis):
+        raise AssertionError("a matrix was assembled")
+
+    monkeypatch.setattr(numerics, "matrix_of_terms", assemble)
+    text = "numerics: {per_mode_cutoff: 20, total_cutoff: 20}\n"
+    assert run(parse_config(text), command, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [v["check"] for v in report["verdicts"]] == verdicts
+    assert all(v["pass"] for v in report["verdicts"])
+    (failure,) = report["failures"]
+    assert failure["check"] == "setup"
+    assert failure["reason"].startswith("basis dimension 53130 exceeds the dense "
+                                        "oracle's limit 4096")
 
 
 def test_default_spacelike_point_on_three_sites(tmp_path):
@@ -641,13 +667,14 @@ output:
 """
 
 
-def _run_python(args):
-    """`python` with `args` in a fresh interpreter with `src` on its path and
-    one BLAS thread."""
+def _run_python(args, **env):
+    """`python` with `args` in a fresh interpreter with `src` on its path,
+    one BLAS thread and the variables `env`."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               **env)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -689,6 +716,32 @@ def test_golden_oracle_report(tmp_path, command, text, digest):
     assert proc.returncode == 0, proc.stderr
     got = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert got == digest
+
+
+HASH_SEED_YAML = """
+model:
+  lattice: {sites_per_dim: 3}
+  interaction: {name: scalar-yukawa}
+  order: 3
+numerics: {per_mode_cutoff: 3, total_cutoff: 3}
+"""
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # each interpreter salts its string hashes, which orders sets and
+    # dicts of strings, such as species names; two species, so that the
+    # order of their names could reach the report
+    path = tmp_path / "run.yaml"
+    path.write_text(HASH_SEED_YAML)
+    reports = []
+    for seed in ("1", "977"):
+        out = tmp_path / f"seed{seed}"
+        proc = _run_python(["-m", "latticedress", "--config", str(path),
+                            "--command", "all", "--out-dir", str(out)],
+                           PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_python_dash_m_entry_point():
