@@ -87,17 +87,10 @@ def _contractions(
     (signature, weight) for every contraction count between the left
     factor's annihilators and the right factor's creators.  Within a mode
     carrying m annihilators against n creators, k contractions come with
-    weight C(m,k)*C(n,k)*k! (bosonic Wick combinatorics).
+    weight C(m,k)*C(n,k)*k! (bosonic Wick combinatorics).  `product_terms`
+    calls it once per pattern, with empty `c1` and `a2`.
     """
     common = [m for m in ca1 if m in cc2]
-    if min_contractions == 1 and len(common) == 1:
-        (mode,) = common
-        if ca1[mode] == 1 or cc2[mode] == 1:
-            # the one possible contraction, weight C(m,1)*C(n,1)*1! = m*n
-            i, j = c2.index(mode), a1.index(mode)
-            return [((tuple(sorted(c1 + c2[:i] + c2[i + 1:])),
-                      tuple(sorted(a1[:j] + a1[j + 1:] + a2))),
-                     float(ca1[mode] * cc2[mode]))]
     out = []
     per_mode = [range(min(ca1[m], cc2[m]) + 1) for m in common]
     for ks in iter_product(*per_mode):
@@ -117,6 +110,13 @@ def _contractions(
     return out
 
 
+# The contraction patterns: per (a1, c2, min_contractions), the (remaining
+# c2, remaining a1, weight) of each contraction count, each side sorted.
+# They depend on nothing else, so they hold for any modes; `dress` empties
+# the table when it ends.
+_patterns: dict = {}
+
+
 def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
                   out: TermMap | None = None, scale: complex = 1.0) -> TermMap:
     """Accumulate the normal-ordered product of two term maps into `out`.
@@ -124,7 +124,9 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
     With `min_contractions >= 1` only the pairs where an annihilator of the
     left term meets a creator of the right term are visited, still in the
     order of `q`, so every coefficient sums its contributions in the same
-    order as the all-pairs loop.
+    order as the all-pairs loop.  A pair's contractions are read from the
+    pattern table, filled by `_contractions` on a miss; a side with nothing
+    left of the pattern is the term's own, already sorted.
     """
     acc: TermMap = {} if out is None else out
     # mode multiplicities, keyed in signature (mode) order
@@ -145,7 +147,15 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
         for j in visit:
             c2, a2, y, cc2 = qs[j]
             xy = scale * x * y
-            for sig, w in _contractions(c1, a1, c2, a2, ca1, cc2, min_contractions):
+            key = (a1, c2, min_contractions)
+            pattern = _patterns.get(key)
+            if pattern is None:
+                pattern = _patterns[key] = [
+                    (rc2, ra1, w) for (rc2, ra1), w in
+                    _contractions((), a1, c2, (), ca1, cc2, min_contractions)]
+            for rc2, ra1, w in pattern:
+                sig = (tuple(sorted(c1 + rc2)) if rc2 else c1,
+                       tuple(sorted(ra1 + a2)) if ra1 else a2)
                 acc[sig] = acc.get(sig, 0j) + xy * w
     return acc
 

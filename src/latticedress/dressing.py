@@ -17,6 +17,7 @@ from itertools import chain
 from .algebra import (
     OperatorSeries,
     TermMap,
+    _patterns,
     bad_terms,
     commutator,
     energy_denominator,
@@ -152,22 +153,25 @@ def dress(model: ModelSpec) -> DressingResult:
     min_den = math.inf
     diagnostics: list = []
 
-    for n in range(1, n_max + 1):
-        k = bch_conjugate(r, h, n)
-        target = _target_terms(k.orders[n], model.policy)
-        try:
-            rn_terms, den, near = solve_generator(target, model, order=n)
-        except ZeroDenominatorError as exc:
-            raise ZeroDenominatorError(
-                exc.order, exc.policy,
-                [(_relabel(sig, modes), de) for sig, de in exc.signatures]) from None
-        min_den = min(min_den, den)
-        diagnostics.extend(near)
-        removed.append(target)
-        rn = OperatorSeries.zero(system, n_max)
-        rn.orders[n] = dict(sorted(rn_terms.items()))
-        generators.append(rn)
-        r = r + rn
+    try:
+        for n in range(1, n_max + 1):
+            k = bch_conjugate(r, h, n)
+            target = _target_terms(k.orders[n], model.policy)
+            try:
+                rn_terms, den, near = solve_generator(target, model, order=n)
+            except ZeroDenominatorError as exc:
+                raise ZeroDenominatorError(
+                    exc.order, exc.policy,
+                    [(_relabel(sig, modes), de) for sig, de in exc.signatures]) from None
+            min_den = min(min_den, den)
+            diagnostics.extend(near)
+            removed.append(target)
+            rn = OperatorSeries.zero(system, n_max)
+            rn.orders[n] = dict(sorted(rn_terms.items()))
+            generators.append(rn)
+            r = r + rn
+    finally:
+        _patterns.clear()    # the contraction patterns live for one dress
 
     # R_N is purely order N, so up to order N it enters exp(R) H exp(-R) only
     # through [R_N, H_0], which lives on R_N's signatures, those of the

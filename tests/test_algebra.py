@@ -1,11 +1,13 @@
 import json
 import math
 from collections import Counter
+from contextlib import nullcontext
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
+from latticedress import algebra, dressing
 from latticedress.algebra import (
     AlgebraError,
     PRUNE_THRESHOLD,
@@ -20,6 +22,8 @@ from latticedress.algebra import (
     term_type,
 )
 from latticedress.cli import TermTable, report_json
+from latticedress.dressing import ZeroDenominatorError, dress
+from latticedress.models import build_model
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 
 from conftest import mode
@@ -380,3 +384,64 @@ def test_product_terms_matches_all_pairs_loop(min_contractions, scale):
         fast = product_terms(p, q, min_contractions, scale=scale)
         assert _bits(fast.items()) == \
             _bits(_all_pairs_product(p, q, min_contractions, scale).items())
+
+
+def _id_maps(n_pairs=10):
+    """Random maps over mode ids, as inside `dress` (a mode's position in its
+    system's sorted modes), drawn over two systems: the same ids stand for
+    different modes."""
+    rng = np.random.default_rng(20261019)
+    maps = []
+    for system in (ModeSystem(LatticeSpec(dim=1, sites_per_dim=3),
+                              [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)]),
+                   ModeSystem(LatticeSpec(dim=1, sites_per_dim=5),
+                              [FieldSpecies("phi", 1.0)])):
+        ids = {m: i for i, m in enumerate(system.modes)}
+
+        def relabel(terms):
+            return {(tuple(map(ids.get, c)), tuple(map(ids.get, a))): v
+                    for (c, a), v in terms.items()}
+
+        maps += [(relabel(_random_term_map(system.modes[:4], rng)),
+                  relabel(_random_term_map(system.modes[:4], rng)))
+                 for _ in range(n_pairs)]
+    return maps
+
+
+@pytest.mark.parametrize("maps", [_random_maps, _id_maps], ids=["modes", "ids"])
+def test_pattern_table_serves_every_contraction_count(maps):
+    # one table, filled by min_contractions 0, then 1, then 2: each count
+    # reads its own patterns, as a commutator after a product must
+    algebra._patterns.clear()
+    try:
+        for min_contractions in (0, 1, 2):
+            for p, q in maps():
+                fast = product_terms(p, q, min_contractions)
+                assert _bits(fast.items()) == \
+                    _bits(_all_pairs_product(p, q, min_contractions).items())
+        assert algebra._patterns
+    finally:
+        algebra._patterns.clear()
+
+
+@pytest.mark.parametrize("policy, ends", [
+    ("shirokov", nullcontext()), ("weidlich", pytest.raises(ZeroDenominatorError)),
+], ids=["returns", "raises"])
+def test_dress_empties_the_pattern_table(monkeypatch, policy, ends):
+    # weidlich fails at order 2 on elastic zero denominators, after the
+    # order-2 expansion has filled the table
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=5),
+                        policy=policy)
+    seen = []
+    solve_generator = dressing.solve_generator
+
+    def solve(*args, **kwargs):
+        seen.append(len(algebra._patterns))
+        return solve_generator(*args, **kwargs)
+
+    monkeypatch.setattr(dressing, "solve_generator", solve)
+    algebra._patterns.clear()
+    with ends:
+        dress(model)
+    assert seen[-1] > 0
+    assert algebra._patterns == {}

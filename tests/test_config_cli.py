@@ -411,6 +411,38 @@ def test_nothing_to_judge_is_no_pass(tmp_path, text, command, failed):
         assert report["failures"] == [{"check": c, "reason": "tolerance"} for c in failed]
 
 
+YUKAWA_S3_YAML = """
+model:
+  lattice: {sites_per_dim: 3}
+  interaction: {name: scalar-yukawa}
+  order: 2
+numerics: {per_mode_cutoff: 3, total_cutoff: 3}
+"""
+PHI3_S3_CUTOFF2_YAML = ("model:\n  lattice: {sites_per_dim: 3}\n  order: 2\n"
+                        "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n")
+
+
+@pytest.mark.parametrize("text, command, slope, passed", [
+    # on this model's 2-quanta block the lambda^3 part vanishes, so the
+    # differences fall as lambda^4, faster than the guaranteed lambda^3
+    (YUKAWA_S3_YAML, "all", 3.96, True),
+    # a total cutoff of 2 reaches the checked 2-quanta block: they fall as
+    # lambda^2 only
+    (PHI3_S3_CUTOFF2_YAML, "verify", 2.0, False),
+], ids=["faster", "slower"])
+def test_oracle_slope_is_judged_against_the_guaranteed_order(tmp_path, text, command,
+                                                             slope, passed):
+    assert run(parse_config(text), command, tmp_path) == (0 if passed else 1)
+    report = _read_report(tmp_path / "report.json")
+    (verdict,) = [v for v in report["verdicts"]
+                  if v["check"] == "oracle_equivalence_slope"]
+    assert (verdict["expected"], verdict["tolerance"]) == (3, 0.4)
+    assert verdict["got"] == pytest.approx(slope, abs=0.01)
+    assert verdict["pass"] is passed
+    assert report["failures"] == ([] if passed else [
+        {"check": "oracle_equivalence_slope", "reason": "tolerance"}])
+
+
 def test_repeated_coupling_fits_no_slope(tmp_path):
     text = FAST_YAML.replace("[0.02, 0.04, 0.08, 0.16]", "[1.0, 1.0]")
     assert run(parse_config(text), "verify", tmp_path) == 1
