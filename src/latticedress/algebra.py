@@ -11,6 +11,7 @@ which cancels identically.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from itertools import product as iter_product
 from typing import Callable, Iterable, Sequence
 
@@ -112,9 +113,24 @@ def _contractions(
 
 # The contraction patterns: per (a1, c2, min_contractions), the (remaining
 # c2, remaining a1, weight) of each contraction count, each side sorted.
-# They depend on nothing else, so they hold for any modes; `dress` empties
-# the table when it ends.
+# They depend on nothing else, so they hold for any modes; the table is
+# emptied when the outermost `_pattern_scope` ends.
 _patterns: dict = {}
+_scope_depth = 0
+
+
+@contextmanager
+def _pattern_scope():
+    """Keep the pattern table while any scope is open: `dress` holds one
+    for all its orders, and each commutator or product one for its own."""
+    global _scope_depth
+    _scope_depth += 1
+    try:
+        yield
+    finally:
+        _scope_depth -= 1
+        if not _scope_depth:
+            _patterns.clear()
 
 
 def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
@@ -286,9 +302,10 @@ def _graded(p: OperatorSeries, q: OperatorSeries, products) -> OperatorSeries:
     p._check_system(q)
     n = min(p.max_order, q.max_order)
     out: list[TermMap] = [{} for _ in range(n + 1)]
-    for i, oi in enumerate(p.orders[: n + 1]):
-        for j, oj in enumerate(q.orders[: n + 1 - i]):
-            products(oi, oj, out[i + j])
+    with _pattern_scope():
+        for i, oi in enumerate(p.orders[: n + 1]):
+            for j, oj in enumerate(q.orders[: n + 1 - i]):
+                products(oi, oj, out[i + j])
     return OperatorSeries(p.system, out, n)
 
 

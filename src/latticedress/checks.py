@@ -25,7 +25,6 @@ from .models import ModelSpec, momentum_defect
 from .modes import ModeIndex
 from .numerics import (
     CouplingMatrices,
-    FockBasis,
     dressing_matrices,
     field_at_origin_time_zero,
     restricted_norm,
@@ -77,6 +76,7 @@ class ResidualReport:
     one_particle: dict[ModeIndex, list[float]]
     vacuum_slope: float | None
     one_particle_slopes: dict[ModeIndex, float]
+    # computed by nothing; kept because every verify report writes it
     cutoff_sensitive: bool = False
 
     def all_slopes(self) -> list[float]:
@@ -118,15 +118,13 @@ def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
     return float(np.linalg.norm(h_psi - np.vdot(psi, h_psi) * psi))
 
 
-def eigenstate_residuals(matrices: CouplingMatrices, lambdas,
-                         check_cutoff: bool = False) -> ResidualReport:
+def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
     """Residuals of the dressed vacuum exp(-R)|0> and one-particle states
     exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value,
     for the dressing result and basis of `matrices`; each dressed state is
     a column of exp(-R)."""
     lambdas = list(lambdas)
-    result, basis = matrices.result, matrices.basis
-    system = result.model.system
+    basis, system = matrices.basis, matrices.result.model.system
     vac_res: list[float] = []
     one_res: dict[ModeIndex, list[float]] = {m: [] for m in system.modes}
     vac_idx = basis.vacuum_index()
@@ -138,25 +136,13 @@ def eigenstate_residuals(matrices: CouplingMatrices, lambdas,
         for m, i in one_idx.items():
             one_res[m].append(_state_residual(mh, w_inv[:, i]))
 
-    report = ResidualReport(
+    return ResidualReport(
         lambdas=lambdas,
         vacuum=vac_res,
         one_particle=one_res,
         vacuum_slope=_loglog_slope(lambdas, vac_res),
         one_particle_slopes={m: _loglog_slope(lambdas, r) for m, r in one_res.items()},
     )
-
-    if check_cutoff and lambdas:
-        # double the total cutoff once; residuals should move by < 10%
-        bigger = FockBasis(system, basis.per_mode_cutoff * 2,
-                           basis.total_cutoff * 2)
-        lam = max(lambdas)
-        mh, _, w_inv = dressing_matrices(CouplingMatrices(result, bigger), lam)
-        ref = vac_res[lambdas.index(lam)]
-        new = _state_residual(mh, w_inv[:, bigger.vacuum_index()])
-        if ref > ZERO_FLOOR and abs(new - ref) > 0.1 * ref:
-            report.cutoff_sensitive = True
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +184,10 @@ def _site_tuple(x) -> tuple:
 
 
 class _LambdaContext:
-    """Per-coupling cache: H, the dressed vacuum, and the A(x,0) fields of
-    `sites`, built from exp(+-R) in one pass over the modes when the context
-    is created; exp(+-R) are not kept."""
+    """One coupling's dense matrices: H, the dressed vacuum, the A(x,0)
+    fields of `sites`, built from exp(+-R) in one pass over the modes when
+    the context is created, and each time's evolution once asked for;
+    exp(+-R) are not kept.  The scans keep one context alive at a time."""
 
     def __init__(self, matrices: CouplingMatrices, lam, sites):
         import numpy as np
@@ -243,7 +230,12 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
                     horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
     """|| [A(x,t), A(y,t)] || restricted to the low-quanta block, for every
     requested site pair, time and coupling, of the dressing result and basis
-    of `matrices`."""
+    of `matrices`.
+
+    The couplings are scanned one at a time, in the order given, each
+    through its own context, which is dropped before the next is built; the
+    points are listed by time, then coupling, then pair.
+    """
     basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
     for t in times:
@@ -253,14 +245,19 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
     if not (times and lambdas and pairs):
         raise ScanError("the equal-time scan has no point: it needs a time, "
                         "a coupling and a site pair")
-    points = []
     sites = list(dict.fromkeys(s for pair in pairs for s in pair))
-    contexts = {lam: _LambdaContext(matrices, lam, sites) for lam in lambdas}
-    for t in times:
-        for lam, ctx in contexts.items():
+    couplings = list(dict.fromkeys(lambdas))
+    rows: dict = {}     # (time index, coupling) -> its points, pair by pair
+
+    def scan(lam):
+        # a call of its own, so that its context and matrices are freed
+        # when it returns, before the next coupling's are built
+        ctx = _LambdaContext(matrices, lam, sites)
+        for i, t in enumerate(times):
             # each site's A(x,t) once for all its pairs, dropped before the
-            # next (time, coupling) forms its own
+            # next time forms its own
             fields = {s: ctx.field(s, t) for s in sites}
+            rows[i, lam] = points = []
             for x, y in pairs:
                 c = _commutator(fields[x], fields[y])
                 points.append(ScanPoint(
@@ -272,7 +269,11 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
                     vev_modulus=ctx.vev(c),
                 ))
             del fields
-    return ScanReport(kind="equal_time", points=points)
+
+    for lam in couplings:
+        scan(lam)
+    return ScanReport(kind="equal_time", points=[
+        p for i in range(len(times)) for lam in couplings for p in rows[i, lam]])
 
 
 def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
@@ -283,6 +284,11 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     The free-lattice baseline C(0) is subtracted so the reported magnitude
     isolates the interaction-induced piece; its coupling scaling is fitted.
+    The couplings are scanned one at a time, each through its own context,
+    which is dropped before the next is built: first 0, whose C(0) of each
+    distinct grid point is kept for the others, then the rest in the order
+    of `set(lambdas)`, which decides which coupling a failure names.  The
+    points are listed by grid point, then coupling.
     """
     basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
@@ -301,26 +307,41 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     lambdas = list(lambdas)
     sites = [s for x, y, _, _ in entries for s in (x, y)]
-    contexts = {lam: _LambdaContext(matrices, lam, sites)
-                for lam in set(lambdas) | {0.0}}
+    at: dict = {}       # coupling -> its indices in `lambdas`
+    for j, lam in enumerate(lambdas):
+        at.setdefault(lam, []).append(j)
+    m0: dict = {}       # (x, y, tau) -> C(0)
+    baselines = []      # per grid point, the restricted norm of its C(0)
+    rows = [[None] * len(lambdas) for _ in entries]
+
+    def scan(lam):
+        # a call of its own, so that its context and matrices are freed
+        # when it returns, before the next coupling's are built
+        ctx = _LambdaContext(matrices, lam, sites)
+        for i, (x, y, tau, sep) in enumerate(entries):
+            c = _commutator(ctx.field(x, tau), ctx.field(y, 0.0))
+            if lam == 0.0:
+                m0.setdefault((x, y, tau), c)
+                baselines.append(restricted_norm(c, basis, block))
+            for j in at.get(lam, ()):
+                rows[i][j] = ScanPoint(
+                    x=x, y=y, separation=sep, tau=tau, lam=lambdas[j],
+                    magnitude=restricted_norm(c, basis, block),
+                    vev_modulus=ctx.vev(c),
+                    baseline=baselines[i],
+                    subtracted=restricted_norm(c - m0[x, y, tau], basis, block),
+                )
+
+    # sorted is stable: 0 moves first, the rest keep the set's order
+    for lam in sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0):
+        scan(lam)
     points = []
     # the points of each grid point; a repeated grid point adds to the list
     # of its first appearance
     series: dict = {}
-    for x, y, tau, sep in entries:
-        m0 = _commutator(contexts[0.0].field(x, tau), contexts[0.0].field(y, 0.0))
-        baseline = restricted_norm(m0, basis, block)
-        fit = series.setdefault((x, y, tau), [])
-        for lam in lambdas:
-            c = _commutator(contexts[lam].field(x, tau), contexts[lam].field(y, 0.0))
-            points.append(ScanPoint(
-                x=x, y=y, separation=sep, tau=tau, lam=lam,
-                magnitude=restricted_norm(c, basis, block),
-                vev_modulus=contexts[lam].vev(c),
-                baseline=baseline,
-                subtracted=restricted_norm(c - m0, basis, block),
-            ))
-            fit.append(points[-1])
+    for (x, y, tau, _), row in zip(entries, rows):
+        points += row
+        series.setdefault((x, y, tau), []).extend(row)
 
     # coupling-scaling fit at the grid point with the strongest signal
     best_slope = None

@@ -17,7 +17,7 @@ from itertools import chain
 from .algebra import (
     OperatorSeries,
     TermMap,
-    _patterns,
+    _pattern_scope,
     bad_terms,
     commutator,
     energy_denominator,
@@ -153,7 +153,7 @@ def dress(model: ModelSpec) -> DressingResult:
     min_den = math.inf
     diagnostics: list = []
 
-    try:
+    with _pattern_scope():    # the contraction patterns live for one dress
         for n in range(1, n_max + 1):
             k = bch_conjugate(r, h, n)
             target = _target_terms(k.orders[n], model.policy)
@@ -170,8 +170,6 @@ def dress(model: ModelSpec) -> DressingResult:
             rn.orders[n] = dict(sorted(rn_terms.items()))
             generators.append(rn)
             r = r + rn
-    finally:
-        _patterns.clear()    # the contraction patterns live for one dress
 
     # R_N is purely order N, so up to order N it enters exp(R) H exp(-R) only
     # through [R_N, H_0], which lives on R_N's signatures, those of the

@@ -445,3 +445,31 @@ def test_dress_empties_the_pattern_table(monkeypatch, policy, ends):
         dress(model)
     assert seen[-1] > 0
     assert algebra._patterns == {}
+
+
+@pytest.mark.parametrize("operation", [commutator, normal_order_product],
+                         ids=["commutator", "normal_order_product"])
+def test_bare_operation_empties_the_pattern_table(monkeypatch, operation):
+    # outside `dress` each commutator or product keeps the patterns it fills
+    # only while it runs; inside an open scope the table is left to it
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=3), [FieldSpecies("phi", 1.0)])
+    rng = np.random.default_rng(7)
+    p, q = (OperatorSeries(system, [_random_term_map(system.modes, rng)], 0)
+            for _ in range(2))
+    filled = []
+    products = algebra.product_terms
+
+    def seen(*args, **kwargs):
+        out = products(*args, **kwargs)
+        filled.append(len(algebra._patterns))
+        return out
+
+    monkeypatch.setattr(algebra, "product_terms", seen)
+    algebra._patterns.clear()
+    operation(p, q)
+    assert filled and filled[-1] > 0
+    assert algebra._patterns == {}
+    with algebra._pattern_scope():
+        operation(p, q)
+        assert algebra._patterns
+    assert algebra._patterns == {}

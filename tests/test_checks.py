@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -91,13 +93,6 @@ def test_residual_rows_schema(small_model, small_basis, small_result):
     assert len(rows) == 1 + len(small_model.system.modes)
     assert rows[0]["state"] == "vacuum"
     assert all(set(r) == {"state", "lambda", "residual"} for r in rows)
-
-
-def test_cutoff_insensitive_when_converged(small_model, small_result):
-    basis = FockBasis(small_model.system, 3, 3)
-    rep = eigenstate_residuals(CouplingMatrices(small_result, basis), [0.05],
-                               check_cutoff=True)
-    assert not rep.cutoff_sensitive
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +235,77 @@ def test_spacelike_repeated_grid_point_merges_into_one_fit(small_basis, small_re
     assert twice.slope == _strongest_point_slope(twice)
     assert once.slope == _strongest_point_slope(once)
     assert twice.slope == pytest.approx(once.slope, abs=1e-9)
+
+
+def _all_contexts_first_scan(matrices, lambdas, grid, block):
+    """The spacelike scan with every coupling's context built before any
+    point: (points, slope, noise floor)."""
+    basis, lat = matrices.basis, matrices.result.model.system.lattice
+    entries = [(x, y, tau, lat.min_image_distance(x, y)) for x, y, tau in grid]
+    sites = [s for x, y, _, _ in entries for s in (x, y)]
+    contexts = {lam: checks._LambdaContext(matrices, lam, sites)
+                for lam in set(lambdas) | {0.0}}
+    points, series = [], {}
+    for x, y, tau, sep in entries:
+        m0 = checks._commutator(contexts[0.0].field(x, tau), contexts[0.0].field(y, 0.0))
+        baseline = checks.restricted_norm(m0, basis, block)
+        fit = series.setdefault((x, y, tau), [])
+        for lam in lambdas:
+            c = checks._commutator(contexts[lam].field(x, tau), contexts[lam].field(y, 0.0))
+            points.append(checks.ScanPoint(
+                x=x, y=y, separation=sep, tau=tau, lam=lam,
+                magnitude=checks.restricted_norm(c, basis, block),
+                vev_modulus=contexts[lam].vev(c),
+                baseline=baseline,
+                subtracted=checks.restricted_norm(c - m0, basis, block),
+            ))
+            fit.append(points[-1])
+    best_slope, best_signal = None, -1.0
+    for fit in series.values():
+        signal = max((p.subtracted for p in fit if p.lam > 0), default=0.0)
+        slope = checks._loglog_slope([p.lam for p in fit], [p.subtracted for p in fit])
+        if slope is not None and signal > best_signal:
+            best_signal, best_slope = signal, slope
+    floor = 1e-11 * max((p.baseline for p in points), default=1.0)
+    return points, best_slope, max(floor, 1e-13)
+
+
+def test_spacelike_scan_equals_all_contexts_first(small_basis, small_result):
+    # a repeated grid point, the baseline coupling among the given and a
+    # duplicate coupling: every bit as when all contexts lived at once
+    lambdas = [0.1, 0.0, 0.05, 0.1]
+    grid = [((0,), (1,), 1.0), ((0,), (2,), 0.5), ((0,), (1,), 1.0)]
+    matrices = CouplingMatrices(small_result, small_basis)
+    rep = spacelike_scan(matrices, lambdas=lambdas, grid=grid, block=2)
+    points, slope, floor = _all_contexts_first_scan(matrices, lambdas, grid, 2)
+    assert len(rep.points) == len(grid) * len(lambdas)
+    assert rep.points == points
+    assert rep.slope == slope and slope is not None
+    assert rep.noise_floor == floor
+
+
+@pytest.mark.parametrize("scan", ["equal_time", "spacelike"])
+def test_scans_keep_one_context_alive(monkeypatch, small_basis, small_result, scan):
+    alive = weakref.WeakSet()
+    init = checks._LambdaContext.__init__
+    built = []
+
+    def tracked(self, matrices, lam, sites):
+        assert not list(alive), f"a context is alive when coupling {lam}'s is built"
+        init(self, matrices, lam, sites)
+        alive.add(self)
+        built.append(lam)
+
+    monkeypatch.setattr(checks._LambdaContext, "__init__", tracked)
+    matrices = CouplingMatrices(small_result, small_basis)
+    if scan == "equal_time":
+        equal_time_scan(matrices, times=[0.0, 1.0], lambdas=[0.0, 0.1, 0.05],
+                        site_pairs=[((0,), (1,)), ((0,), (2,))])
+        assert built == [0.0, 0.1, 0.05]
+    else:
+        spacelike_scan(matrices, lambdas=[0.05, 0.1, 0.2],
+                       grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
+        assert built[0] == 0.0 and sorted(built[1:]) == [0.05, 0.1, 0.2]
 
 
 def test_spacelike_scan_rejects_timelike_points(small_basis, small_result):

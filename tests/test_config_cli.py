@@ -304,6 +304,19 @@ def test_huge_coupling_is_a_setup_failure(tmp_path, text, command, verdicts):
     assert failure["reason"] == "coupling 1e+300 to the power 2 overflows a float"
 
 
+@pytest.mark.parametrize("lambdas", ["[1.0e+300, 1.0e+200]", "[1.0e+200, 1.0e+300]"])
+def test_spacelike_scan_names_the_first_coupling_built(tmp_path, lambdas):
+    # the couplings are built in the order of their set, not of the list,
+    # so both orders name the same one
+    text = ("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\n"
+            f"checks:\n  spacelike: {{enabled: true, lambdas: {lambdas}}}\n")
+    assert run(parse_config(text), "scan", tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [v["check"] for v in report["verdicts"]] == ["no_bad_terms"]
+    assert report["failures"] == [
+        {"check": "setup", "reason": "coupling 1e+200 to the power 2 overflows a float"}]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} in the report")
 
