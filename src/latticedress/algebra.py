@@ -73,23 +73,23 @@ def is_bad_type(m: int, n: int) -> bool:
 
 
 def _contractions(
-    c1: tuple[ModeIndex, ...],
     a1: tuple[ModeIndex, ...],
     c2: tuple[ModeIndex, ...],
-    a2: tuple[ModeIndex, ...],
     ca1: dict[ModeIndex, int],
     cc2: dict[ModeIndex, int],
     min_contractions: int = 0,
 ):
-    """Normal order the product (c1,a1)*(c2,a2).
+    """The contraction patterns of a left factor's annihilators `a1` against
+    a right factor's creators `c2`, both sorted.
 
     `ca1` and `cc2` count the modes of `a1` and `c2`; their keys follow the
     sorted signature, so the common modes come out in mode order.  Returns
-    (signature, weight) for every contraction count between the left
-    factor's annihilators and the right factor's creators.  Within a mode
+    (remaining c2, remaining a1, weight) for every contraction count, in
+    the order of iter_product over the common modes.  Within a mode
     carrying m annihilators against n creators, k contractions come with
-    weight C(m,k)*C(n,k)*k! (bosonic Wick combinatorics).  `product_terms`
-    calls it once per pattern, with empty `c1` and `a2`.
+    weight C(m,k)*C(n,k)*k! (bosonic Wick combinatorics).  The k copies of
+    a mode are one run of a sorted tuple, so cutting them out leaves it
+    sorted; a factor 1 for k = 0 is exact and is skipped.
     """
     common = [m for m in ca1 if m in cc2]
     out = []
@@ -98,30 +98,33 @@ def _contractions(
         if sum(ks) < min_contractions:
             continue
         weight = 1.0
-        rem_c2 = list(c2)
-        rem_a1 = list(a1)
+        rc2, ra1 = c2, a1
         for mode, k in zip(common, ks):
-            weight *= math.comb(ca1[mode], k) * math.comb(cc2[mode], k) * math.factorial(k)
-            for _ in range(k):
-                rem_c2.remove(mode)
-                rem_a1.remove(mode)
-        creators = tuple(sorted(c1 + tuple(rem_c2)))
-        annihil = tuple(sorted(rem_a1 + list(a2)))
-        out.append(((creators, annihil), weight))
+            if k:
+                weight *= (math.comb(ca1[mode], k) * math.comb(cc2[mode], k)
+                           * math.factorial(k))
+                i = rc2.index(mode)
+                rc2 = rc2[:i] + rc2[i + k:]
+                i = ra1.index(mode)
+                ra1 = ra1[:i] + ra1[i + k:]
+        out.append((rc2, ra1, weight))
     return out
 
 
 # The contraction patterns: per (a1, c2, min_contractions), the (remaining
 # c2, remaining a1, weight) of each contraction count, each side sorted.
-# They depend on nothing else, so they hold for any modes; the table is
-# emptied when the outermost `_pattern_scope` ends.
+# They depend on nothing else, so they hold for any modes.  The merged
+# sides: per (left, right), the sorted left + right, for either side of a
+# product's signature.  Both tables are emptied when the outermost
+# `_pattern_scope` ends.
 _patterns: dict = {}
+_merged: dict = {}
 _scope_depth = 0
 
 
 @contextmanager
 def _pattern_scope():
-    """Keep the pattern table while any scope is open: `dress` holds one
+    """Keep the pattern tables while any scope is open: `dress` holds one
     for all its orders, and each commutator or product one for its own."""
     global _scope_depth
     _scope_depth += 1
@@ -131,6 +134,13 @@ def _pattern_scope():
         _scope_depth -= 1
         if not _scope_depth:
             _patterns.clear()
+            _merged.clear()
+
+
+def _merge(left: tuple, right: tuple) -> tuple:
+    """The sorted left + right, kept in the merged-side table."""
+    merged = _merged[left, right] = tuple(sorted(left + right))
+    return merged
 
 
 def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
@@ -142,7 +152,8 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
     order of `q`, so every coefficient sums its contributions in the same
     order as the all-pairs loop.  A pair's contractions are read from the
     pattern table, filled by `_contractions` on a miss; a side with nothing
-    left of the pattern is the term's own, already sorted.
+    left of the pattern is the term's own, already sorted, and any other is
+    read from the merged-side table.
     """
     acc: TermMap = {} if out is None else out
     # mode multiplicities, keyed in signature (mode) order
@@ -153,6 +164,7 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
         for j, (_, _, _, cc2) in enumerate(qs):
             for m in cc2:
                 by_mode.setdefault(m, []).append(j)
+    merged = _merged.get
     for (c1, a1), x in p.items():
         ca1 = {m: a1.count(m) for m in a1}
         if min_contractions < 1:
@@ -166,12 +178,11 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
             key = (a1, c2, min_contractions)
             pattern = _patterns.get(key)
             if pattern is None:
-                pattern = _patterns[key] = [
-                    (rc2, ra1, w) for (rc2, ra1), w in
-                    _contractions((), a1, c2, (), ca1, cc2, min_contractions)]
+                pattern = _patterns[key] = _contractions(a1, c2, ca1, cc2,
+                                                         min_contractions)
             for rc2, ra1, w in pattern:
-                sig = (tuple(sorted(c1 + rc2)) if rc2 else c1,
-                       tuple(sorted(ra1 + a2)) if ra1 else a2)
+                sig = (merged((c1, rc2)) or _merge(c1, rc2) if rc2 else c1,
+                       merged((ra1, a2)) or _merge(ra1, a2) if ra1 else a2)
                 acc[sig] = acc.get(sig, 0j) + xy * w
     return acc
 

@@ -406,20 +406,25 @@ def _put_json(o, head: str, newline: str, put, nonfinite: list, texts: dict) -> 
 def _put_rows(table: TermTable, head: str, newline: str, put, nonfinite: list,
               texts: dict) -> None:
     """_put_json of a term table: each row from one template, with the text
-    around its coefficients made once per signature and indent."""
+    around its coefficients made once per signature and indent, and put as
+    its pieces."""
     inner = newline + "  "
     key = inner + "  "
-    around, mode_texts = texts.setdefault(inner, ({}, {}))
+    around, list_texts = texts.setdefault(inner, ({}, {}))
     comma = "," + inner
     sep = head + "[" + inner
     for order, terms in table.orders:
         middle = f',{key}"order": {order},{key}"re": '
         for sig, c in terms.items():
             if sig not in around:
-                around[sig] = _signature_text(sig, inner, mode_texts)
+                around[sig] = _signature_text(sig, inner, list_texts)
             before, after = around[sig]
-            put(sep + before + _float_text(c.imag, nonfinite) + middle
-                + _float_text(c.real, nonfinite) + after)
+            put(sep)
+            put(before)
+            put(_float_text(c.imag, nonfinite))
+            put(middle)
+            put(_float_text(c.real, nonfinite))
+            put(after)
             sep = comma
     put(newline + "]" if sep is comma else head + "[]")
 
@@ -432,22 +437,17 @@ def _float_text(x: float, nonfinite: list) -> str:
     return "null"
 
 
-def _signature_text(sig, inner: str, mode_texts: dict) -> tuple[str, str]:
+def _signature_text(sig, inner: str, list_texts: dict) -> tuple[str, str]:
     """The text of a term row at newline `inner` before its "im" value and
-    after its "re" value; `mode_texts` keeps each mode's text at this indent."""
+    after its "re" value; `list_texts` keeps the text of each creator or
+    annihilator tuple at this indent."""
     key = inner + "  "
-    item = key + "  "
 
     def modes(ms) -> str:
-        if not ms:
-            return "[]"
-        for m in ms:
-            if m not in mode_texts:
-                field = item + "  "
-                digits = f",{field}  ".join(map(int.__repr__, m.k))
-                mode_texts[m] = (f'{item}{{{field}"k": [{field}  {digits}{field}],'
-                                 f'{field}"species": {_encode_str(m.species)}{item}}}')
-        return "[" + ",".join([mode_texts[m] for m in ms]) + key + "]"
+        text = list_texts.get(ms)
+        if text is None:
+            text = list_texts[ms] = _modes_text(ms, key)
+        return text
 
     creators, annihilators = sig
     before = (f'{{{key}"annihilators": {modes(annihilators)},'
@@ -455,6 +455,20 @@ def _signature_text(sig, inner: str, mode_texts: dict) -> tuple[str, str]:
     after = (f',{key}"type": [{key}  {len(creators)},{key}  {len(annihilators)}'
              f'{key}]{inner}}}')
     return before, after
+
+
+def _modes_text(ms, key: str) -> str:
+    """The text of a list of modes whose line ends at newline `key`."""
+    if not ms:
+        return "[]"
+    item = key + "  "
+    field = item + "  "
+    texts = []
+    for m in ms:
+        digits = f",{field}  ".join(map(int.__repr__, m.k))
+        texts.append(f'{item}{{{field}"k": [{field}  {digits}{field}],'
+                     f'{field}"species": {_encode_str(m.species)}{item}}}')
+    return "[" + ",".join(texts) + key + "]"
 
 
 def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
@@ -471,7 +485,9 @@ def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
         report.setdefault("failures", []).append(dict(NONFINITE_FAILURE))
         text, _ = report_json(report)
     path = out_dir / "report.json"
-    path.write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:   # no copy of text + "\n"
+        fh.write(text)
+        fh.write("\n")
     written = [path]
     if "csv" in formats:
         for kind in ("equal_time", "spacelike"):

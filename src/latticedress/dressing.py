@@ -118,18 +118,31 @@ def solve_generator(bad: TermMap, model: ModelSpec,
     return terms, min_den, near
 
 
-def _relabel(sig, label) -> tuple:
-    """The signature with every mode m replaced by label[m]."""
-    get = label.__getitem__
-    return tuple(map(get, sig[0])), tuple(map(get, sig[1]))
+class _Relabelled(dict):
+    """Mode tuple -> the tuple with every mode m replaced by label[m], each
+    made once on first use, so that the signatures relabelled through it
+    share their tuples."""
+
+    def __init__(self, label):
+        super().__init__()
+        self.label = label
+
+    def __missing__(self, ms: tuple) -> tuple:
+        out = self[ms] = tuple(map(self.label.__getitem__, ms))
+        return out
 
 
-def _relabel_terms(terms: TermMap, label) -> TermMap:
-    return {_relabel(sig, label): c for sig, c in terms.items()}
+def _relabel(sig, tuples: _Relabelled) -> tuple:
+    """The signature with both its mode tuples relabelled."""
+    return tuples[sig[0]], tuples[sig[1]]
 
 
-def _relabel_series(p: OperatorSeries, label) -> OperatorSeries:
-    return OperatorSeries._ordered(p.system, [_relabel_terms(o, label) for o in p.orders])
+def _relabel_terms(terms: TermMap, tuples: _Relabelled) -> TermMap:
+    return {(tuples[c], tuples[a]): v for (c, a), v in terms.items()}
+
+
+def _relabel_series(p: OperatorSeries, tuples: _Relabelled) -> OperatorSeries:
+    return OperatorSeries._ordered(p.system, [_relabel_terms(o, tuples) for o in p.orders])
 
 
 def dress(model: ModelSpec) -> DressingResult:
@@ -145,7 +158,8 @@ def dress(model: ModelSpec) -> DressingResult:
         raise ValueError(f"dressing order must be >= 1, got {n_max}")
     system = model.system
     modes = system.modes
-    h = _relabel_series(model.hamiltonian(), {m: i for i, m in enumerate(modes)})
+    h = _relabel_series(model.hamiltonian(),
+                        _Relabelled({m: i for i, m in enumerate(modes)}))
 
     r = OperatorSeries.zero(system, n_max)
     generators: list[OperatorSeries] = []
@@ -160,9 +174,10 @@ def dress(model: ModelSpec) -> DressingResult:
             try:
                 rn_terms, den, near = solve_generator(target, model, order=n)
             except ZeroDenominatorError as exc:
+                named = _Relabelled(modes)
                 raise ZeroDenominatorError(
                     exc.order, exc.policy,
-                    [(_relabel(sig, modes), de) for sig, de in exc.signatures]) from None
+                    [(_relabel(sig, named), de) for sig, de in exc.signatures]) from None
             min_den = min(min_den, den)
             diagnostics.extend(near)
             removed.append(target)
@@ -187,14 +202,15 @@ def dress(model: ModelSpec) -> DressingResult:
     for n in range(1, n_max + 1):
         if not all(map(cmath.isfinite, chain(k.orders[n].values(), r.orders[n].values()))):
             raise ArithmeticError(f"dressing order {n} holds a non-finite coefficient")
+    named = _Relabelled(modes)     # one relabelling of each mode tuple
     for d in diagnostics:
-        d["signature"] = _relabel(d["signature"], modes)
+        d["signature"] = _relabel(d["signature"], named)
     return DressingResult(
         model=model,
-        generators=[_relabel_series(rn, modes) for rn in generators],
-        generator=_relabel_series(r, modes),
-        K=_relabel_series(k, modes),
-        removed=[_relabel_terms(target, modes) for target in removed],
+        generators=[_relabel_series(rn, named) for rn in generators],
+        generator=_relabel_series(r, named),
+        K=_relabel_series(k, named),
+        removed=[_relabel_terms(target, named) for target in removed],
         min_denominator=min_den,
         diagnostics=diagnostics,
     )

@@ -358,23 +358,41 @@ def _random_maps(n_pairs=20):
             for _ in range(n_pairs)]
 
 
+def _repeated_mode_cases(n_cases=30):
+    """(c1, a1, c2, a2) over three modes, each held 0 to 3 times by every
+    side, so that modes repeated 2 or 3 times meet on both sides."""
+    modes = ModeSystem(LatticeSpec(dim=1, sites_per_dim=3),
+                       [FieldSpecies("phi", 1.0)]).modes
+    rng = np.random.default_rng(20261020)
+
+    def side():
+        return tuple(m for m in modes for _ in range(rng.integers(0, 4)))
+
+    return [(side(), side(), side(), side()) for _ in range(n_cases)]
+
+
 @pytest.mark.parametrize("min_contractions", [0, 1, 2])
 def test_contractions_match_reference_kernel(min_contractions):
-    single = general = 0
-    for p, q in _random_maps():
-        for c1, a1 in p:
-            for c2, a2 in q:
-                got = _contractions(c1, a1, c2, a2, Counter(a1), Counter(c2),
-                                    min_contractions)
-                want = _reference_contractions(c1, a1, c2, a2, min_contractions)
-                assert _bits(got) == _bits(want)
-                common = set(a1) & set(c2)
-                if len(common) == 1 and 1 in (a1.count(*common), c2.count(*common)):
-                    single += 1
-                elif common:
-                    general += 1
-    # both the one-contraction pairs and the general ones occur
-    assert single > 0 and general > 0
+    # the patterns, composed with the side merges of `product_terms`, are
+    # the general kernel's signatures and weights, bit for bit
+    single = general = repeated = 0
+    cases = [(c1, a1, c2, a2) for p, q in _random_maps() for c1, a1 in p for c2, a2 in q]
+    with algebra._pattern_scope():
+        for c1, a1, c2, a2 in cases + _repeated_mode_cases():
+            got = [((algebra._merge(c1, rc2), algebra._merge(ra1, a2)), w)
+                   for rc2, ra1, w in _contractions(a1, c2, Counter(a1), Counter(c2),
+                                                    min_contractions)]
+            want = _reference_contractions(c1, a1, c2, a2, min_contractions)
+            assert _bits(got) == _bits(want)
+            common = set(a1) & set(c2)
+            if len(common) == 1 and 1 in (a1.count(*common), c2.count(*common)):
+                single += 1
+            elif common:
+                general += 1
+            repeated += any(a1.count(m) >= 2 and c2.count(m) >= 2 for m in common)
+    # the one-contraction pairs, the general ones and modes repeated on both
+    # sides all occur
+    assert single > 0 and general > 0 and repeated > 0
 
 
 @pytest.mark.parametrize("min_contractions", [0, 1, 2])
@@ -411,17 +429,20 @@ def _id_maps(n_pairs=10):
 @pytest.mark.parametrize("maps", [_random_maps, _id_maps], ids=["modes", "ids"])
 def test_pattern_table_serves_every_contraction_count(maps):
     # one table, filled by min_contractions 0, then 1, then 2: each count
-    # reads its own patterns, as a commutator after a product must
+    # reads its own patterns, as a commutator after a product must; the
+    # merged sides are shared by every count and, over ids, by both systems
     algebra._patterns.clear()
+    algebra._merged.clear()
     try:
         for min_contractions in (0, 1, 2):
             for p, q in maps():
                 fast = product_terms(p, q, min_contractions)
                 assert _bits(fast.items()) == \
                     _bits(_all_pairs_product(p, q, min_contractions).items())
-        assert algebra._patterns
+        assert algebra._patterns and algebra._merged
     finally:
         algebra._patterns.clear()
+        algebra._merged.clear()
 
 
 @pytest.mark.parametrize("policy, ends", [
@@ -436,15 +457,16 @@ def test_dress_empties_the_pattern_table(monkeypatch, policy, ends):
     solve_generator = dressing.solve_generator
 
     def solve(*args, **kwargs):
-        seen.append(len(algebra._patterns))
+        seen.append((len(algebra._patterns), len(algebra._merged)))
         return solve_generator(*args, **kwargs)
 
     monkeypatch.setattr(dressing, "solve_generator", solve)
     algebra._patterns.clear()
+    algebra._merged.clear()
     with ends:
         dress(model)
-    assert seen[-1] > 0
-    assert algebra._patterns == {}
+    assert min(seen[-1]) > 0
+    assert algebra._patterns == {} and algebra._merged == {}
 
 
 @pytest.mark.parametrize("operation", [commutator, normal_order_product],
@@ -461,15 +483,16 @@ def test_bare_operation_empties_the_pattern_table(monkeypatch, operation):
 
     def seen(*args, **kwargs):
         out = products(*args, **kwargs)
-        filled.append(len(algebra._patterns))
+        filled.append((len(algebra._patterns), len(algebra._merged)))
         return out
 
     monkeypatch.setattr(algebra, "product_terms", seen)
     algebra._patterns.clear()
+    algebra._merged.clear()
     operation(p, q)
-    assert filled and filled[-1] > 0
-    assert algebra._patterns == {}
+    assert filled and min(filled[-1]) > 0
+    assert algebra._patterns == {} and algebra._merged == {}
     with algebra._pattern_scope():
         operation(p, q)
-        assert algebra._patterns
-    assert algebra._patterns == {}
+        assert algebra._patterns and algebra._merged
+    assert algebra._patterns == {} and algebra._merged == {}

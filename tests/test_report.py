@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_term_tables_match_json_dumps_of_their_rows():
         {"a": [[{"b": tables}], tables[3]], "c": (tables[4], [])},
     ]:
         assert report_json(obj) == (_reference(_expand(obj)), True)
+
+
+def test_shared_mode_lists_at_two_indents():
+    # as in a real report: many signatures share a creator or annihilator
+    # tuple, on either side, in tables at `dressing.K` and one indent deeper
+    # at `dressing.generators[i]`
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=5),
+                        [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)])
+    m = system.modes
+    lists = [(), (m[0],), (m[3], m[3]), (m[1], m[7]), (m[2], m[5], m[9])]
+    terms = {sig: complex(i, -i / 3)
+             for i, sig in enumerate(sorted(product(lists, lists)))}
+    half = dict(list(terms.items())[::2])
+    obj = {"dressing": {"K": TermTable([(1, terms), (2, half)]),
+                        "generators": [TermTable([(1, half)]),
+                                       TermTable([(2, terms)])]}}
+    assert report_json(obj) == (_reference(_expand(obj)), True)
 
 
 def test_empty_term_tables_are_empty_lists():
