@@ -153,9 +153,12 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
     order as the all-pairs loop.  A pair's contractions are read from the
     pattern table, filled by `_contractions` on a miss; a side with nothing
     left of the pattern is the term's own, already sorted, and any other is
-    read from the merged-side table.
+    read from the merged-side table.  An empty `p` or `q` has no pair, so
+    `out` comes back as it was given.
     """
     acc: TermMap = {} if out is None else out
+    if not (p and q):
+        return acc
     # mode multiplicities, keyed in signature (mode) order
     qs = [(c2, a2, y, {m: c2.count(m) for m in c2}) for (c2, a2), y in q.items()]
     every = range(len(qs))

@@ -8,6 +8,12 @@
 
 The residual and scan checks read the dressing result and the basis they
 judge from one `numerics.CouplingMatrices`, and share its H(lam), R(lam).
+Where R(lam) is zero, at lam = 0 (the spacelike baseline, the equal-time
+scan's default coupling, a residual grid that holds 0) or for a free model,
+`numerics.dressing_matrices` hands over exp(-R) = 1 as None: the dressed
+states are the basis states and the dressed fields the bare ones, exactly.
+The spacelike row at lam = 0 reuses its baseline as its magnitude and
+writes C(0) - C(0) as the exact 0.0.
 
 As in `numerics`, numpy and scipy are imported inside the functions that
 use them, so that importing the command line, and running its symbolic
@@ -25,6 +31,7 @@ from .models import ModelSpec, momentum_defect
 from .modes import ModeIndex
 from .numerics import (
     CouplingMatrices,
+    dressed_state,
     dressing_matrices,
     field_at_origin_time_zero,
     restricted_norm,
@@ -122,7 +129,7 @@ def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
     """Residuals of the dressed vacuum exp(-R)|0> and one-particle states
     exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value,
     for the dressing result and basis of `matrices`; each dressed state is
-    a column of exp(-R)."""
+    a column of exp(-R), a basis state where R(lam) is zero."""
     lambdas = list(lambdas)
     basis, system = matrices.basis, matrices.result.model.system
     vac_res: list[float] = []
@@ -130,11 +137,12 @@ def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
     vac_idx = basis.vacuum_index()
     one_idx = {m: basis.index_of([int(n == m) for n in basis.modes])
                for m in system.modes}
+    n = basis.dimension
     for lam in lambdas:
         mh, _, w_inv = dressing_matrices(matrices, lam)
-        vac_res.append(_state_residual(mh, w_inv[:, vac_idx]))
+        vac_res.append(_state_residual(mh, dressed_state(w_inv, vac_idx, n)))
         for m, i in one_idx.items():
-            one_res[m].append(_state_residual(mh, w_inv[:, i]))
+            one_res[m].append(_state_residual(mh, dressed_state(w_inv, i, n)))
 
     return ResidualReport(
         lambdas=lambdas,
@@ -187,7 +195,8 @@ class _LambdaContext:
     """One coupling's dense matrices: H, the dressed vacuum, the A(x,0)
     fields of `sites`, built from exp(+-R) in one pass over the modes when
     the context is created, and each time's evolution once asked for;
-    exp(+-R) are not kept.  The scans keep one context alive at a time."""
+    exp(+-R) are not kept, and not formed where R is zero.  The scans keep
+    one context alive at a time."""
 
     def __init__(self, matrices: CouplingMatrices, lam, sites):
         import numpy as np
@@ -197,11 +206,12 @@ class _LambdaContext:
         if len(model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
         self.mh, mr, w_inv = dressing_matrices(matrices, lam)
-        psi = w_inv[:, basis.vacuum_index()]
+        psi = dressed_state(w_inv, basis.vacuum_index(), basis.dimension)
         self.vacuum = psi / np.linalg.norm(psi)
         sites = list(dict.fromkeys(sites))
+        w = None if mr is None else scipy.linalg.expm(mr)
         self._fields = dict(zip(sites, field_at_origin_time_zero(
-            model, basis, w_inv, scipy.linalg.expm(mr), sites)))
+            model, basis, w_inv, w, sites)))
         self._evolution: dict = {}
 
     def field(self, site, t: float):
@@ -323,13 +333,18 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
             if lam == 0.0:
                 m0.setdefault((x, y, tau), c)
                 baselines.append(restricted_norm(c, basis, block))
+                # a repeated grid point repeats C(0) bit for bit, so C(0) - C(0) = 0
+                magnitude, subtracted = baselines[i], 0.0
+            else:
+                magnitude = restricted_norm(c, basis, block)
+                subtracted = restricted_norm(c - m0[x, y, tau], basis, block)
             for j in at.get(lam, ()):
                 rows[i][j] = ScanPoint(
                     x=x, y=y, separation=sep, tau=tau, lam=lambdas[j],
-                    magnitude=restricted_norm(c, basis, block),
+                    magnitude=magnitude,
                     vev_modulus=ctx.vev(c),
                     baseline=baselines[i],
-                    subtracted=restricted_norm(c - m0[x, y, tau], basis, block),
+                    subtracted=subtracted,
                 )
 
     # sorted is stable: 0 moves first, the rest keep the set's order

@@ -16,6 +16,12 @@ product of the repeated coefficients with the cached amplitudes, in the
 order of the term map.  `CouplingMatrices` assembles H(lam) and R(lam) once
 per coupling for every check that needs them.
 
+A coupling whose R(lam) has no stored element, lam = 0 on every run and any
+lam for a free model, has exp(-+R) = 1 exactly: `dressing_matrices` then
+forms no dense R, calls no expm and checks no unitarity, and the field build
+puts the bare ladder amplitudes in place instead of conjugating them.  The
+numbers are those of the general path fed expm's exact identity.
+
 numpy and scipy are imported inside the functions that use them, not at
 module level: the command line imports this module for its names, and the
 symbolic path (`--command dress`, config errors, `--help`) then starts
@@ -236,11 +242,20 @@ def matrix_of(series: OperatorSeries, basis: FockBasis, lam: float) -> sp.csr_ma
     return matrix_of_terms(series.evaluate(lam), basis)
 
 
-def _check_unitary(w: np.ndarray, name: str) -> None:
-    """Raise OracleError unless w w^H = 1 to within UNITARITY_TOL."""
+def _unitarity_defect(w: np.ndarray) -> float:
+    """max |w w^H - 1|, with the 1 taken off the product's diagonal in
+    place: off the diagonal x - 0 = x, so no identity or difference matrix
+    is formed, and the defect is the same bit for bit."""
     import numpy as np
 
-    defect = np.abs(w @ w.conj().T - np.eye(w.shape[0])).max()
+    ww = w @ w.conj().T
+    ww[np.diag_indices_from(ww)] -= 1.0
+    return np.abs(ww).max()
+
+
+def _check_unitary(w: np.ndarray, name: str) -> None:
+    """Raise OracleError unless w w^H = 1 to within UNITARITY_TOL."""
+    defect = _unitarity_defect(w)
     if not defect <= UNITARITY_TOL:     # a NaN defect fails too
         raise OracleError(f"{name} failed unitarity check (defect {defect:.3e})")
 
@@ -305,14 +320,23 @@ def dressing_matrices(matrices: CouplingMatrices, lam: float):
 
     With K = exp(R) H exp(-R), the approximate eigenvectors of H are the
     dressed states exp(-R)|i>: the dressed state of basis state i is column
-    i of exp(-R).  The caller is the last user of H(lam) and R(lam), which
-    leave `matrices`.  An exp(-R) that is not finite or not unitary raises
-    OracleError.
+    i of exp(-R), see `dressed_state`.  The caller is the last user of
+    H(lam) and R(lam), which leave `matrices`.  An exp(-R) that is not
+    finite or not unitary raises OracleError.
+
+    An R(lam) with no stored element gives None for R(lam) and exp(-R(lam)):
+    exp(-R) = 1 exactly, so no dense R, no expm and no unitarity product is
+    formed.  This holds at lam = 0, since R has no order 0 and `evaluate`
+    prunes 0 * c, and for a free model at any lam.
     """
     import numpy as np
     import scipy.linalg
 
-    mh, mr = (m.toarray() for m in matrices.pop(lam))
+    mh, mr = matrices.pop(lam)
+    mh = mh.toarray()
+    if not mr.nnz:
+        return mh, None, None
+    mr = mr.toarray()
     w_inv = scipy.linalg.expm(-mr)
     name = f"exp(-R) at coupling {lam!r}"
     if not np.isfinite(w_inv).all():
@@ -321,8 +345,21 @@ def dressing_matrices(matrices: CouplingMatrices, lam: float):
     return mh, mr, w_inv
 
 
+def dressed_state(w_inv: np.ndarray | None, i: int, dimension: int) -> np.ndarray:
+    """The dressed state of basis state i: column i of exp(-R), or basis
+    state i itself where `dressing_matrices` gave exp(-R) = 1 as None."""
+    import numpy as np
+
+    if w_inv is not None:
+        return w_inv[:, i]
+    psi = np.zeros(dimension, dtype=complex)
+    psi[i] = 1.0
+    return psi
+
+
 def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
-                              w_inv: np.ndarray, w: np.ndarray, sites) -> list[np.ndarray]:
+                              w_inv: np.ndarray | None, w: np.ndarray | None,
+                              sites) -> list[np.ndarray]:
     """The dressed field at time zero of a single-species model (the scans
     reject any other) at each of `sites`, in their order,
 
@@ -330,23 +367,31 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
              (e^{i p x} alpha_k + e^{-i p x} alpha_k^dagger)
 
     with the dressed ladder matrices alpha = exp(-R) a exp(R), each formed
-    once and added into every site's field.
+    once and added into every site's field.  `w_inv` and `w` are exp(-R)
+    and exp(R), or both None for R = 0 (see `dressing_matrices`): alpha is
+    then the bare ladder matrix, its amplitudes put at their (row, column),
+    which is exactly what 1 a 1 gives.
     """
     import numpy as np
 
     lat = model.system.lattice
     sp_name = model.system.species[0].name
+    n = basis.dimension
     xs = [np.array(site, dtype=float) * lat.spacing for site in sites]
-    out = [np.zeros((basis.dimension, basis.dimension), dtype=complex) for _ in sites]
+    out = [np.zeros((n, n), dtype=complex) for _ in sites]
     for kvec in lat.k_vectors():
         mode = model.system.mode(sp_name, kvec)
         p = np.array(lat.momentum(kvec))
-        # a ladder matrix has at most one nonzero per column, so w_inv @ a
-        # is a scaled gather of w_inv's columns
         rows, cols, amps = basis.action((), (mode,))
-        left = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        left[:, cols] = w_inv[:, rows] * amps
-        alpha = left @ w
+        if w_inv is None:
+            alpha = np.zeros((n, n), dtype=complex)
+            alpha[rows, cols] = amps
+        else:
+            # a ladder matrix has at most one nonzero per column, so w_inv @ a
+            # is a scaled gather of w_inv's columns
+            left = np.zeros((n, n), dtype=complex)
+            left[:, cols] = w_inv[:, rows] * amps
+            alpha = left @ w
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
         for field, x in zip(out, xs):
             phase = np.exp(1j * float(np.dot(p, x)))

@@ -404,6 +404,39 @@ def test_product_terms_matches_all_pairs_loop(min_contractions, scale):
             _bits(_all_pairs_product(p, q, min_contractions, scale).items())
 
 
+@pytest.mark.parametrize("min_contractions", [0, 1])
+def test_product_terms_with_an_empty_side_returns_out_as_given(min_contractions):
+    # no pair to visit: the very `out` comes back unchanged, or a new {}
+    p, q = _random_maps(1)[0]
+    for left, right in [({}, q), (p, {}), ({}, {})]:
+        out = {sig: complex(i, -i) for i, sig in enumerate(p)}
+        before = _bits(out.items())
+        assert product_terms(left, right, min_contractions, out, -1.0) is out
+        assert _bits(out.items()) == before
+        assert product_terms(left, right, min_contractions) == {}
+
+
+def test_graded_calls_product_terms_for_every_order_pair(monkeypatch, system3):
+    # an empty order is still a call, so that traced call counts hold
+    calls = []
+    products = algebra.product_terms
+
+    def counted(p, q, *args, **kwargs):
+        calls.append((len(p), len(q)))
+        return products(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "product_terms", counted)
+    z = mode(system3, 0)
+    a = OperatorSeries(system3, [{}, {((z,), ()): 1.0}], 1)
+    b = OperatorSeries(system3, [{((), (z,)): 1.0}], 1)
+    commutator(a, b)
+    # orders (0,0), (0,1), (1,0), two products each; b's order 1 is empty
+    assert calls == [(0, 1), (1, 0), (0, 0), (0, 0), (1, 1), (1, 1)]
+    calls.clear()
+    normal_order_product(a, b)
+    assert calls == [(0, 1), (0, 0), (1, 1)]
+
+
 def _id_maps(n_pairs=10):
     """Random maps over mode ids, as inside `dress` (a mode's position in its
     system's sorted modes), drawn over two systems: the same ids stand for

@@ -699,6 +699,20 @@ output:
   formats: [json]
 """
 
+# the default grid with 0 added, where residuals_at_zero_coupling runs
+GOLDEN_VERIFY_ZERO_YAML = """
+model:
+  lattice: {sites_per_dim: 5, physical_length: 5.0}
+  interaction: {name: phi3}
+  order: 3
+numerics:
+  per_mode_cutoff: 4
+  total_cutoff: 4
+  lambdas: [0.0, 0.02, 0.04, 0.08, 0.16]
+output:
+  formats: [json]
+"""
+
 GOLDEN_SCAN_YAML = """
 model:
   lattice: {sites_per_dim: 5, physical_length: 5.0}
@@ -741,6 +755,8 @@ output:
 @pytest.mark.parametrize("command, text, digest", [
     ("verify", GOLDEN_VERIFY_YAML,
      "4e1a9105553ef88745d70bbef22a09c95e21d182610723b9f46f2b859f4cd7ae"),
+    ("verify", GOLDEN_VERIFY_ZERO_YAML,
+     "db65d0e75134cb55220148d6bb912bffe2674bee58ccacfad76183f1c3977fa4"),
     ("scan", GOLDEN_SCAN_YAML,
      "e96dd7cd246739b2e9519c063748a343e19688ca94c9e25badf05a16eae798eb"),
     ("all", None,

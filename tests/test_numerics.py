@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from latticedress import numerics
+from latticedress import checks, numerics
 from latticedress.checks import ScanError, _LambdaContext, equal_time_scan
 from latticedress.dressing import dress
 from latticedress.models import build_model, free_hamiltonian
@@ -490,6 +490,79 @@ def test_field_gather_equals_dense_conjugation():
             coeff = 1.0 / math.sqrt(2.0 * model.system.energy(m) * lat.volume)
             want += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
         assert np.array_equal(got, want)
+
+
+def test_dressing_at_zero_generator_is_the_general_path_fed_the_exact_identity():
+    # at lam = 0, and for a free model at any lam, R(lam) has no element:
+    # the fields are, byte for byte, those the general path gives with
+    # scipy's own exp(-0) and exp(+0), and so are the states and residuals
+    # up to the sign of a zero
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3,
+                                                    physical_length=3.0))
+    basis = FockBasis(model.system, 4, 4)
+    n = basis.dimension
+    mh, mr, w_inv = dressing_matrices(CouplingMatrices(dress(model), basis), 0.0)
+    assert mr is None and w_inv is None
+    assert np.array_equal(mh, matrix_of(model.hamiltonian(), basis, 0.0).toarray())
+    zero = np.zeros((n, n), dtype=complex)
+    exact_inv, exact = scipy.linalg.expm(-zero), scipy.linalg.expm(zero)
+    sites = model.system.lattice.sites()
+    bare = field_at_origin_time_zero(model, basis, None, None, sites)
+    general = field_at_origin_time_zero(model, basis, exact_inv, exact, sites)
+    assert [f.tobytes() for f in bare] == [f.tobytes() for f in general]
+    for i in range(n):
+        psi = numerics.dressed_state(None, i, n)
+        assert np.array_equal(psi, exact_inv[:, i])
+        assert checks._state_residual(mh, psi) == \
+            checks._state_residual(mh, exact_inv[:, i])
+    free = build_model("free", lattice=LatticeSpec(dim=1, sites_per_dim=3))
+    matrices = CouplingMatrices(dress(free), FockBasis(free.system, 3, 3))
+    assert dressing_matrices(matrices, 0.3)[1:] == (None, None)
+
+
+def test_context_at_zero_generator_calls_expm_for_its_times_only(monkeypatch):
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3,
+                                                    physical_length=3.0))
+    matrices = CouplingMatrices(dress(model), FockBasis(model.system, 3, 3))
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    sites = [(0,), (1,)]
+    ctx = _LambdaContext(matrices, 0.0, sites)
+    assert calls == []
+    for site in sites:
+        ctx.field(site, 0.0)
+        ctx.field(site, 1.0)
+    assert len(calls) == 1          # exp(i H(0)), once for both sites
+    calls.clear()
+    _LambdaContext(matrices, 0.1, sites)
+    assert len(calls) == 2          # exp(-R) and exp(R)
+
+
+def _old_unitarity_defect(w):
+    """The reference: the difference with a formed identity."""
+    return np.abs(w @ w.conj().T - np.eye(w.shape[0])).max()
+
+
+def test_unitarity_defect_equals_the_difference_with_the_identity():
+    rng = np.random.default_rng(19)
+    cases = []
+    for n in (1, 3, 8, 21):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        cases += [scipy.linalg.expm(x - x.conj().T), x, x.real.astype(complex)]
+    unitary = cases[::3]
+    nan = cases[-2].copy()
+    nan[1, 2] = np.nan
+    for w in cases + [nan]:
+        got = numerics._unitarity_defect(w)
+        assert float(got).hex() == float(_old_unitarity_defect(w)).hex()
+    assert max(numerics._unitarity_defect(w) for w in unitary) < 1e-12
+    assert math.isnan(numerics._unitarity_defect(nan))
 
 
 def test_restricted_norm_of_identity(system3):
