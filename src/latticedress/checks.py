@@ -12,8 +12,8 @@ Where R(lam) is zero, at lam = 0 (the spacelike baseline, the equal-time
 scan's default coupling, a residual grid that holds 0) or for a free model,
 `numerics.dressing_matrices` hands over exp(-R) = 1 as None: the dressed
 states are the basis states and the dressed fields the bare ones, exactly.
-The spacelike row at lam = 0 reuses its baseline as its magnitude and
-writes C(0) - C(0) as the exact 0.0.
+The spacelike rows at lam = 0 have C(0)'s norm as magnitude and baseline,
+and C(0) - C(0) as the exact 0.0.
 
 As in `numerics`, numpy and scipy are imported inside the functions that
 use them, so that importing the command line, and running its symbolic
@@ -42,7 +42,7 @@ if TYPE_CHECKING:     # the annotations' names
 
 DEFAULT_TIME_HORIZON_UNITS = 6.0
 DEFAULT_BLOCK = 2       # the scans' and the oracle's low-quanta block
-ZERO_FLOOR = 1e-12      # a residual at or below this is zero
+ZERO_FLOOR = 1e-12      # a value at or below this is zero
 SLOPE_FLOOR = 1e-13     # a value at or below this is left out of a slope fit
 
 
@@ -81,15 +81,8 @@ class ResidualReport:
     lambdas: list[float]
     vacuum: list[float]
     one_particle: dict[ModeIndex, list[float]]
-    vacuum_slope: float | None
-    one_particle_slopes: dict[ModeIndex, float]
     # computed by nothing; kept because every verify report writes it
     cutoff_sensitive: bool = False
-
-    def all_slopes(self) -> list[float]:
-        slopes = [] if self.vacuum_slope is None else [self.vacuum_slope]
-        slopes.extend(s for s in self.one_particle_slopes.values() if s is not None)
-        return slopes
 
     def rows(self) -> list[dict]:
         out = []
@@ -115,6 +108,23 @@ def _loglog_slope(lambdas, values) -> float | None:
         return None
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
+
+
+def fall_off(lambdas, series, target, tol) -> tuple[list, float | None, bool]:
+    """The verdict on value series that the dressing makes O(lambda^target):
+    (each series' slope, the smallest fitted slope as `got`, pass).
+
+    It passes when some series was fitted and every fitted slope is at least
+    target - tol (a faster fall passes too; a series with no fit does not
+    count), or when a positive coupling was judged and every value is at or
+    below `ZERO_FLOOR`.
+    """
+    slopes = [_loglog_slope(lambdas, values) for values in series]
+    fitted = [s for s in slopes if s is not None]
+    ok = (bool(fitted) and all(s >= target - tol for s in fitted)) or (
+        any(lam > 0 for lam in lambdas)
+        and all(v <= ZERO_FLOOR for values in series for v in values))
+    return slopes, min(fitted, default=None), ok
 
 
 def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
@@ -144,13 +154,7 @@ def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
         for m, i in one_idx.items():
             one_res[m].append(_state_residual(mh, dressed_state(w_inv, i, n)))
 
-    return ResidualReport(
-        lambdas=lambdas,
-        vacuum=vac_res,
-        one_particle=one_res,
-        vacuum_slope=_loglog_slope(lambdas, vac_res),
-        one_particle_slopes={m: _loglog_slope(lambdas, r) for m, r in one_res.items()},
-    )
+    return ResidualReport(lambdas=lambdas, vacuum=vac_res, one_particle=one_res)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,6 @@ class ScanPoint:
 
 @dataclass
 class ScanReport:
-    kind: str
     points: list[ScanPoint]
     slope: float | None = None
     noise_floor: float = 0.0
@@ -235,6 +238,13 @@ def _commutator(ax, ay):
     return ax @ ay - ay @ ax
 
 
+def _scan_each(matrices: CouplingMatrices, couplings, sites, scan) -> None:
+    """scan(lam, context) for each coupling in turn; the context is held by
+    the call only, so it is freed before the next coupling's is built."""
+    for lam in couplings:
+        scan(lam, _LambdaContext(matrices, lam, sites))
+
+
 def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
                     block: int = DEFAULT_BLOCK,
                     horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
@@ -259,10 +269,7 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
     couplings = list(dict.fromkeys(lambdas))
     rows: dict = {}     # (time index, coupling) -> its points, pair by pair
 
-    def scan(lam):
-        # a call of its own, so that its context and matrices are freed
-        # when it returns, before the next coupling's are built
-        ctx = _LambdaContext(matrices, lam, sites)
+    def scan(lam, ctx):
         for i, t in enumerate(times):
             # each site's A(x,t) once for all its pairs, dropped before the
             # next time forms its own
@@ -280,9 +287,8 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
                 ))
             del fields
 
-    for lam in couplings:
-        scan(lam)
-    return ScanReport(kind="equal_time", points=[
+    _scan_each(matrices, couplings, sites, scan)
+    return ScanReport(points=[
         p for i in range(len(times)) for lam in couplings for p in rows[i, lam]])
 
 
@@ -297,14 +303,15 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     The couplings are scanned one at a time, each through its own context,
     which is dropped before the next is built: first 0, whose C(0) of each
     distinct grid point is kept for the others, then the rest in the order
-    of `set(lambdas)`, which decides which coupling a failure names.  The
-    points are listed by grid point, then coupling.
+    of `set(lambdas)`, which decides which coupling a failure names.  Each
+    distinct grid point is formed once per coupling; the points are listed
+    by grid point, then coupling, a repeated one and a repeated coupling
+    each as often as given.
     """
     basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
-    entries = []
+    grid = [(_site_tuple(x), _site_tuple(y), tau) for x, y, tau in grid]
     for x, y, tau in grid:
-        x, y = _site_tuple(x), _site_tuple(y)
         sep = lat.min_image_distance(x, y)
         if not sep > abs(tau):
             raise ScanError(
@@ -313,61 +320,49 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
             )
         if abs(tau) > horizon:
             raise ScanError(f"tau={tau} beyond the horizon {horizon}")
-        entries.append((x, y, tau, sep))
 
     lambdas = list(lambdas)
-    sites = [s for x, y, _, _ in entries for s in (x, y)]
-    at: dict = {}       # coupling -> its indices in `lambdas`
-    for j, lam in enumerate(lambdas):
-        at.setdefault(lam, []).append(j)
-    m0: dict = {}       # (x, y, tau) -> C(0)
-    baselines = []      # per grid point, the restricted norm of its C(0)
-    rows = [[None] * len(lambdas) for _ in entries]
+    distinct = list(dict.fromkeys(grid))
+    c0: dict = {}       # grid point -> C(0)
+    table: dict = {}    # (grid point, coupling) -> (magnitude, vev, subtracted)
 
-    def scan(lam):
-        # a call of its own, so that its context and matrices are freed
-        # when it returns, before the next coupling's are built
-        ctx = _LambdaContext(matrices, lam, sites)
-        for i, (x, y, tau, sep) in enumerate(entries):
+    def scan(lam, ctx):
+        for point in distinct:
+            x, y, tau = point
             c = _commutator(ctx.field(x, tau), ctx.field(y, 0.0))
             if lam == 0.0:
-                m0.setdefault((x, y, tau), c)
-                baselines.append(restricted_norm(c, basis, block))
-                # a repeated grid point repeats C(0) bit for bit, so C(0) - C(0) = 0
-                magnitude, subtracted = baselines[i], 0.0
+                c0[point] = c
+                subtracted = 0.0
             else:
-                magnitude = restricted_norm(c, basis, block)
-                subtracted = restricted_norm(c - m0[x, y, tau], basis, block)
-            for j in at.get(lam, ()):
-                rows[i][j] = ScanPoint(
-                    x=x, y=y, separation=sep, tau=tau, lam=lambdas[j],
-                    magnitude=magnitude,
-                    vev_modulus=ctx.vev(c),
-                    baseline=baselines[i],
-                    subtracted=subtracted,
-                )
+                subtracted = restricted_norm(c - c0[point], basis, block)
+            table[point, lam] = (restricted_norm(c, basis, block), ctx.vev(c),
+                                 subtracted)
 
     # sorted is stable: 0 moves first, the rest keep the set's order
-    for lam in sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0):
-        scan(lam)
+    _scan_each(matrices, sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0),
+               [s for x, y, _ in distinct for s in (x, y)], scan)
     points = []
-    # the points of each grid point; a repeated grid point adds to the list
-    # of its first appearance
-    series: dict = {}
-    for (x, y, tau, _), row in zip(entries, rows):
-        points += row
-        series.setdefault((x, y, tau), []).extend(row)
+    for point in grid:
+        x, y, tau = point
+        sep, baseline = lat.min_image_distance(x, y), table[point, 0.0][0]
+        for lam in lambdas:
+            magnitude, vev, subtracted = table[point, lam]
+            points.append(ScanPoint(x=x, y=y, separation=sep, tau=tau, lam=lam,
+                                    magnitude=magnitude, vev_modulus=vev,
+                                    baseline=baseline, subtracted=subtracted))
 
-    # coupling-scaling fit at the grid point with the strongest signal
+    # coupling-scaling fit at the grid point with the strongest signal; a
+    # repeated grid point fits its couplings once per appearance
     best_slope = None
     best_signal = -1.0
-    for fit in series.values():
-        signal = max((p.subtracted for p in fit if p.lam > 0), default=0.0)
-        slope = _loglog_slope([p.lam for p in fit], [p.subtracted for p in fit])
+    for point in distinct:
+        subtracted = [table[point, lam][2] for lam in lambdas]
+        signal = max((s for lam, s in zip(lambdas, subtracted) if lam > 0),
+                     default=0.0)
+        repeats = grid.count(point)
+        slope = _loglog_slope(lambdas * repeats, subtracted * repeats)
         if slope is not None and signal > best_signal:
             best_signal = signal
             best_slope = slope
     floor = 1e-11 * max((p.baseline for p in points), default=1.0)
-    return ScanReport(kind="spacelike", points=points,
-                      slope=best_slope, noise_floor=max(floor, 1e-13))
-
+    return ScanReport(points=points, slope=best_slope, noise_floor=max(floor, 1e-13))

@@ -30,9 +30,9 @@ from .algebra import TermMap, bad_part, signature_json
 from .checks import (
     ZERO_FLOOR,
     ScanError,
-    _loglog_slope,
     eigenstate_residuals,
     equal_time_scan,
+    fall_off,
     momentum_commutation_defect,
     spacelike_scan,
 )
@@ -91,16 +91,6 @@ def _verdict(check, expected, got, tolerance, ok):
         "tolerance": _finite(tolerance),
         "pass": bool(ok),
     }
-
-
-def _slope_ok(slope, target, tol):
-    return slope is not None and abs(slope - target) <= tol
-
-
-def _falls_fast_enough(slope, target, tol):
-    """The dressing guarantees a fall of O(lambda^target) only, so a faster
-    fall passes too."""
-    return slope is not None and slope >= target - tol
 
 
 def run_dress(model: ModelSpec, report: dict):
@@ -177,40 +167,32 @@ def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
             mk = matrix_of(result.K, basis, lam).toarray()
             conj = conjugate_numeric(mr, mh)
             diffs.append(restricted_norm(conj - mk, basis, block))
-        slope = _loglog_slope(lams, diffs)
+        (slope,), got, ok = fall_off(lams, [diffs], n + 1, tol)
         report["verify"]["oracle"] = {
             "lambdas": lams, "differences": diffs, "slope": _finite(slope),
         }
-        ok = _falls_fast_enough(slope, n + 1, tol) or bool(diffs) and all(
-            d < ZERO_FLOOR for d in diffs)
-        verdicts.append(_verdict("oracle_equivalence_slope", n + 1, slope, tol, ok))
+        verdicts.append(_verdict("oracle_equivalence_slope", n + 1, got, tol, ok))
 
     residuals = cfg.checks["residuals"]
     if residuals.enabled:
         tol = residuals.params["slope_tolerance"]
         rep = eigenstate_residuals(matrices, cfg.lambdas)
+        (vacuum_slope, *mode_slopes), got, ok = fall_off(
+            rep.lambdas, [rep.vacuum, *rep.one_particle.values()], n + 1, tol)
         report["verify"]["residuals"] = {
             "rows": rep.rows(),
-            "vacuum_slope": _finite(rep.vacuum_slope),
+            "vacuum_slope": _finite(vacuum_slope),
             "one_particle_slopes": {
-                repr(m): _finite(s) for m, s in sorted(rep.one_particle_slopes.items())
+                repr(m): _finite(s) for m, s in zip(rep.one_particle, mode_slopes)
             },
             "cutoff_sensitive": rep.cutoff_sensitive,
         }
-        slopes = rep.all_slopes()
-        # residuals all below the floor pass if a positive coupling was judged
-        all_floor = any(l > 0 for l in rep.lambdas) and all(
-            v <= ZERO_FLOOR for v in rep.vacuum) and all(
-            v <= ZERO_FLOOR for r in rep.one_particle.values() for v in r)
-        ok = all_floor or (
-            bool(slopes) and all(_falls_fast_enough(s, n + 1, tol) for s in slopes))
-        got = min(slopes, default=None)
         verdicts.append(_verdict("residual_slopes", n + 1, got, tol, ok))
         if 0.0 in cfg.lambdas:
             i = cfg.lambdas.index(0.0)
             worst0 = max([rep.vacuum[i]] + [r[i] for r in rep.one_particle.values()])
             verdicts.append(_verdict("residuals_at_zero_coupling", 0.0, worst0,
-                                     ZERO_FLOOR, worst0 < ZERO_FLOOR))
+                                     ZERO_FLOOR, worst0 <= ZERO_FLOOR))
     return matrices
 
 
@@ -258,7 +240,8 @@ def run_scan(cfg: RunConfig, report: dict, result,
         lam_max = max(sl.params["lambdas"])
         signal = max((p.subtracted for p in rep.points if p.lam == lam_max),
                      default=0.0)
-        ok = _slope_ok(rep.slope, target, tol) and signal > 10.0 * rep.noise_floor
+        ok = (rep.slope is not None and abs(rep.slope - target) <= tol
+              and signal > 10.0 * rep.noise_floor)
         verdicts.append(_verdict("spacelike_nonlocality_slope", target,
                                  rep.slope, tol, ok))
 

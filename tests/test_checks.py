@@ -5,10 +5,12 @@ import pytest
 
 from latticedress import checks
 from latticedress.checks import (
+    ZERO_FLOOR,
     ScanError,
     _loglog_slope,
     eigenstate_residuals,
     equal_time_scan,
+    fall_off,
     momentum_commutation_defect,
     spacelike_scan,
 )
@@ -73,6 +75,69 @@ def test_loglog_slope_none_for_a_single_coupling(lams):
     assert _loglog_slope(lams, [0.5, 0.7, 0.9][:len(lams)]) is None
 
 
+def _oracle_rule(lams, diffs, target, tol):
+    """The oracle verdict as it was written inline in the command line
+    before `fall_off`: (got, pass)."""
+    slope = _loglog_slope(lams, diffs)
+    ok = (slope is not None and slope >= target - tol) or bool(diffs) and all(
+        d < ZERO_FLOOR for d in diffs)
+    return slope, ok
+
+
+def _residual_rule(lambdas, series, target, tol):
+    """The residual verdict as it was written inline in the command line
+    before `fall_off`: (got, pass)."""
+    slopes = [s for s in (_loglog_slope(lambdas, v) for v in series) if s is not None]
+    all_floor = any(l > 0 for l in lambdas) and all(
+        v <= ZERO_FLOOR for values in series for v in values)
+    ok = all_floor or (bool(slopes) and all(s >= target - tol for s in slopes))
+    return min(slopes, default=None), ok
+
+
+_FIT = [0.02, 0.04, 0.08, 0.16]
+
+
+@pytest.mark.parametrize("lambdas, series, got, ok", [
+    # no fit: one value above the slope floor, another above the zero floor
+    ([0.1, 0.2], [[1e-16, 1e-9]], None, False),
+    # every value on the floor, with and without a positive coupling
+    ([0.1, 0.2], [[0.0, 1e-13]], None, True),
+    ([0.1, 0.2], [[0.0, 0.0], [1e-13, 0.0]], None, True),
+    ([0.0], [[0.0], [0.0]], None, False),
+    ([], [[]], None, False),
+    # values at lambda <= 0 above the floor: out of the fit, not of the floor
+    ([0.0, 0.1, 0.2], [[1e-3, 0.0, 0.0]], None, False),
+    ([-0.1, 0.0, 0.1], [[1e-3, 1e-3, 0.0]], None, False),
+    ([0.0] + _FIT, [[1e-3] + [l**3 for l in _FIT]], 3.0, True),
+    # a faster fall passes, a slower one fails
+    (_FIT, [[l**4 for l in _FIT]], 4.0, True),
+    (_FIT, [[l**2.5 for l in _FIT]], 2.5, False),
+    # one slow series among fast ones names the slow slope
+    (_FIT, [[l**3 for l in _FIT], [l**2 for l in _FIT], [l**4 for l in _FIT]], 2.0, False),
+    # a series with no fit beside a fitted one is left to the others
+    (_FIT, [[l**3 for l in _FIT], [0.0] * 4], 3.0, True),
+    (_FIT, [[0.0] * 4, [l**2 for l in _FIT]], 2.0, False),
+    # a repeated coupling: alone it fixes no slope, among others it counts twice
+    ([1.0, 1.0], [[0.5, 0.5]], None, False),
+    ([0.1, 0.1, 0.2], [[1e-3, 1e-3, 8e-3]], 3.0, True),
+])
+def test_fall_off_judges_as_the_inline_rules_did(lambdas, series, got, ok):
+    slopes, judged, passed = fall_off(lambdas, series, 3, 0.4)
+    assert slopes == [_loglog_slope(lambdas, values) for values in series]
+    assert passed is ok
+    assert judged == (None if got is None else pytest.approx(got))
+    assert (judged, passed) == _residual_rule(lambdas, series, 3, 0.4)
+    if len(series) == 1 and all(l > 0 for l in lambdas):   # the oracle's inputs
+        assert (judged, passed) == _oracle_rule(lambdas, series[0], 3, 0.4)
+
+
+def test_fall_off_counts_a_value_at_the_zero_floor_as_zero():
+    # ZERO_FLOOR is "at or below this is zero"; the old oracle rule used <
+    assert fall_off([0.1, 0.2], [[ZERO_FLOOR, 0.0]], 3, 0.4) == ([None], None, True)
+    assert _oracle_rule([0.1, 0.2], [ZERO_FLOOR, 0.0], 3, 0.4) == (None, False)
+    assert fall_off([0.1, 0.2], [[2 * ZERO_FLOOR, 0.0]], 3, 0.4)[2] is False
+
+
 # ---------------------------------------------------------------------------
 # eigenstate residuals
 
@@ -84,7 +149,10 @@ def test_free_model_residuals_sit_at_floor():
     rep = eigenstate_residuals(CouplingMatrices(result, basis), [0.0, 0.1])
     assert max(rep.vacuum) < 1e-12
     assert all(max(r) < 1e-12 for r in rep.one_particle.values())
-    assert rep.vacuum_slope is None
+    slopes, got, ok = fall_off(rep.lambdas, [rep.vacuum, *rep.one_particle.values()],
+                               3, 0.4)
+    assert slopes == [None] * (1 + len(model.system.modes))
+    assert got is None and ok
 
 
 def test_residual_rows_schema(small_model, small_basis, small_result):
@@ -104,7 +172,6 @@ def test_equal_time_scan_vanishes(small_model, small_result):
     rep = equal_time_scan(CouplingMatrices(small_result, basis),
                           times=[0.0], lambdas=[0.0, 0.1],
                           site_pairs=[((0,), (1,))], block=2)
-    assert rep.kind == "equal_time"
     assert len(rep.points) == 2
     assert max(p.magnitude for p in rep.points) < 1e-8
     assert all(p.tau == 0.0 for p in rep.points)
@@ -308,6 +375,25 @@ def test_scans_keep_one_context_alive(monkeypatch, small_basis, small_result, sc
         assert built[0] == 0.0 and sorted(built[1:]) == [0.05, 0.1, 0.2]
 
 
+def test_spacelike_scan_forms_each_distinct_point_once_per_coupling(
+        monkeypatch, small_basis, small_result):
+    commutators = []
+    commutator = checks._commutator
+
+    def counted(ax, ay):
+        commutators.append(1)
+        return commutator(ax, ay)
+
+    monkeypatch.setattr(checks, "_commutator", counted)
+    grid = [((0,), (1,), 1.0), ((0,), (2,), 0.5), ((0,), (1,), 1.0)]
+    rep = spacelike_scan(CouplingMatrices(small_result, small_basis),
+                         lambdas=[0.05, 0.1, 0.1], grid=grid)
+    # 2 distinct points, couplings 0, 0.05 and 0.1
+    assert len(commutators) == 2 * 3
+    assert len(rep.points) == 3 * 3
+    assert rep.points[:3] == rep.points[6:]
+
+
 def test_spacelike_scan_rejects_timelike_points(small_basis, small_result):
     # coincident sites: separation 0 <= |tau|
     with pytest.raises(ScanError, match="spacelike"):
@@ -318,7 +404,6 @@ def test_spacelike_scan_rejects_timelike_points(small_basis, small_result):
 def test_spacelike_scan_records_baseline_and_subtraction(small_basis, small_result):
     rep = spacelike_scan(CouplingMatrices(small_result, small_basis),
                          lambdas=[0.05, 0.1], grid=[((0,), (1,), 1.0)], block=2)
-    assert rep.kind == "spacelike"
     assert len(rep.points) == 2
     for p in rep.points:
         assert p.separation == pytest.approx(2.0)

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticedress import cli, numerics
+from latticedress import checks, cli, numerics
 from latticedress.cli import NONFINITE_FAILURE, main, model_from_config, run
 from latticedress.config import ConfigError, load_config, parse_config
 from latticedress.models import VERTICES
@@ -464,6 +464,21 @@ def test_repeated_coupling_fits_no_slope(tmp_path):
     assert report["verify"]["residuals"]["vacuum_slope"] is None
 
 
+def test_verify_fits_each_series_once(tmp_path, monkeypatch):
+    fits = []
+    fit = checks._loglog_slope
+
+    def counted(lambdas, values):
+        fits.append(1)
+        return fit(lambdas, values)
+
+    monkeypatch.setattr(checks, "_loglog_slope", counted)
+    cfg = parse_config(FAST_YAML)
+    assert run(cfg, "verify", tmp_path) == 0
+    # the oracle's differences, the vacuum and one series per mode
+    assert len(fits) == 1 + 1 + len(model_from_config(cfg).system.modes)
+
+
 # a menu of floats, extremes included; keys that must be positive draw from
 # its positive part
 FLOAT_MENU = [-0.5, 0.0, 1.0e-300, 0.02, 0.3, 1.0, 2.5, 1.0e+10, 1.0e+300]
@@ -713,6 +728,17 @@ output:
   formats: [json]
 """
 
+# a free model: every oracle difference and residual is on the zero floor,
+# so both slope verdicts pass with got null
+GOLDEN_VERIFY_FREE_YAML = """
+model:
+  lattice: {sites_per_dim: 3}
+  interaction: {name: free}
+numerics: {per_mode_cutoff: 3, total_cutoff: 3}
+output:
+  formats: [json]
+"""
+
 GOLDEN_SCAN_YAML = """
 model:
   lattice: {sites_per_dim: 5, physical_length: 5.0}
@@ -757,6 +783,8 @@ output:
      "4e1a9105553ef88745d70bbef22a09c95e21d182610723b9f46f2b859f4cd7ae"),
     ("verify", GOLDEN_VERIFY_ZERO_YAML,
      "db65d0e75134cb55220148d6bb912bffe2674bee58ccacfad76183f1c3977fa4"),
+    ("verify", GOLDEN_VERIFY_FREE_YAML,
+     "b4d9fdcea662cec21f759e02e31836c441aeae1125fd928132996ac475405f7f"),
     ("scan", GOLDEN_SCAN_YAML,
      "e96dd7cd246739b2e9519c063748a343e19688ca94c9e25badf05a16eae798eb"),
     ("all", None,
