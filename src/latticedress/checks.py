@@ -31,6 +31,7 @@ from .models import ModelSpec, momentum_defect
 from .modes import ModeIndex
 from .numerics import (
     CouplingMatrices,
+    block_norm,
     dressed_state,
     dressing_matrices,
     field_at_origin_time_zero,
@@ -197,22 +198,22 @@ def _site_tuple(x) -> tuple:
 class _LambdaContext:
     """One coupling's dense matrices: H, the dressed vacuum, the A(x,0)
     fields of `sites`, built from exp(+-R) in one pass over the modes when
-    the context is created, and each time's evolution once asked for;
-    exp(+-R) are not kept, and not formed where R is zero.  The scans keep
-    one context alive at a time."""
+    the context is created, and each time's evolution once asked for.
+    exp(-R) and exp(+R) come from `dressing_matrices` as one pair that
+    shares its Pade structure, exp(+R) formed after exp(-R) has passed its
+    checks; they are not kept, and not formed where R is zero.  The scans
+    keep one context alive at a time."""
 
     def __init__(self, matrices: CouplingMatrices, lam, sites):
         import numpy as np
-        import scipy.linalg
 
         model, basis = matrices.result.model, matrices.basis
         if len(model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
-        self.mh, mr, w_inv = dressing_matrices(matrices, lam)
+        self.mh, w, w_inv = dressing_matrices(matrices, lam, plus=True)
         psi = dressed_state(w_inv, basis.vacuum_index(), basis.dimension)
         self.vacuum = psi / np.linalg.norm(psi)
         sites = list(dict.fromkeys(sites))
-        w = None if mr is None else scipy.linalg.expm(mr)
         self._fields = dict(zip(sites, field_at_origin_time_zero(
             model, basis, w_inv, w, sites)))
         self._evolution: dict = {}
@@ -302,12 +303,15 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     isolates the interaction-induced piece; its coupling scaling is fitted.
     The couplings are scanned one at a time, each through its own context,
     which is dropped before the next is built: first 0, whose C(0) of each
-    distinct grid point is kept for the others, then the rest in the order
+    distinct grid point is kept, as its low-quanta block only, for the
+    others, then the rest in the order
     of `set(lambdas)`, which decides which coupling a failure names.  Each
     distinct grid point is formed once per coupling; the points are listed
     by grid point, then coupling, a repeated one and a repeated coupling
     each as often as given.
     """
+    import numpy as np
+
     basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
     grid = [(_site_tuple(x), _site_tuple(y), tau) for x, y, tau in grid]
@@ -323,7 +327,8 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     lambdas = list(lambdas)
     distinct = list(dict.fromkeys(grid))
-    c0: dict = {}       # grid point -> C(0)
+    low = np.ix_(*[basis.block_indices(block)] * 2)
+    c0: dict = {}       # grid point -> C(0)'s low-quanta block
     table: dict = {}    # (grid point, coupling) -> (magnitude, vev, subtracted)
 
     def scan(lam, ctx):
@@ -331,10 +336,11 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
             x, y, tau = point
             c = _commutator(ctx.field(x, tau), ctx.field(y, 0.0))
             if lam == 0.0:
-                c0[point] = c
+                c0[point] = c[low]
                 subtracted = 0.0
             else:
-                subtracted = restricted_norm(c - c0[point], basis, block)
+                # the block of C(lam) - C(0), the gather taken first
+                subtracted = block_norm(c[low] - c0[point])
             table[point, lam] = (restricted_norm(c, basis, block), ctx.vev(c),
                                  subtracted)
 

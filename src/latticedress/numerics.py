@@ -22,6 +22,13 @@ forms no dense R, calls no expm and checks no unitarity, and the field build
 puts the bare ladder amplitudes in place instead of conjugating them.  The
 numbers are those of the general path fed expm's exact identity.
 
+The field scans need both exp(-R) and exp(+R).  `expm_pair` forms them from
+one choice of scipy's Pade order and scaling, which -R shares with +R, and
+runs scipy's own Pade and squaring kernels once per sign, so that each is
+byte for byte what `scipy.linalg.expm` gives; exp(+R) is formed only after
+exp(-R) has passed its checks.  The residuals, which need exp(-R) alone, and
+exp(i tau H) call `scipy.linalg.expm`.
+
 numpy and scipy are imported inside the functions that use them, not at
 module level: the command line imports this module for its names, and the
 symbolic path (`--command dress`, config errors, `--help`) then starts
@@ -314,35 +321,105 @@ class CouplingMatrices:
                 matrix_of(self.result.generator, self.basis, lam))
 
 
-def dressing_matrices(matrices: CouplingMatrices, lam: float):
+# the workspace slots that scipy's pade_UV_calc reads at each Pade order
+_PADE_SLOTS = {3: 2, 5: 3, 7: 4, 9: 5, 13: 4}
+
+
+def expm_pair(a: np.ndarray):
+    """Yield exp(-a), then exp(+a), each byte for byte what
+    `scipy.linalg.expm` gives, from one choice of the Pade structure.
+
+    scipy's scaling-and-squaring method (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31(3), 2009) picks the Pade order and the scaling of -a from
+    norms of |a| and of even powers, which are those of +a bit for bit, and
+    the scaled -a is the exact negative of the scaled +a.  So one
+    `pick_pade_structure` serves both: the slots of its workspace that the
+    order reads are copied, the first sign's Pade step and squarings run,
+    and the copy, with slot 0 negated, seeds the second sign's.  exp(+a) is
+    formed only when asked for, so a caller can check exp(-a) first; a is
+    not held past the first step.  An a that scipy casts or refuses first,
+    or takes by other paths (triangular or diagonal), goes to
+    `scipy.linalg.expm` twice.
+
+    The two kernels are scipy's own, imported here as `scipy.linalg.expm`
+    imports them; their calling convention was checked on scipy 1.17.
+    """
+    import numpy as np
+    import scipy.linalg
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+    if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype.char not in "fdFD"
+            or not all(scipy.linalg.bandwidth(a))):
+        yield scipy.linalg.expm(-a)
+        yield scipy.linalg.expm(a)
+        return
+    work = np.empty((5, *a.shape), dtype=a.dtype)
+    np.negative(a, out=work[0])
+    del a
+    m, s = pick_pade_structure(work)
+    if m < 0:
+        raise MemoryError(f"pick_pade_structure failed (error code {m})")
+
+    def exponential(work):
+        info = pade_UV_calc(work, m)
+        if info != 0:
+            raise RuntimeError(f"pade_UV_calc failed (error code {info})")
+        e = work[0]
+        for _ in range(s):
+            e = e @ e
+        return e.copy() if s == 0 else e
+
+    shape = work.shape
+    saved = work[:_PADE_SLOTS[m]].copy()
+    e = exponential(work)
+    del work      # exp(-a) is checked without the workspace held
+    yield e
+    work = np.empty(shape, dtype=saved.dtype)
+    work[1:len(saved)] = saved[1:]
+    np.negative(saved[0], out=work[0])
+    del saved
+    e = exponential(work)
+    del work
+    yield e
+
+
+def dressing_matrices(matrices: CouplingMatrices, lam: float, plus: bool = False):
     """(H(lam), R(lam), exp(-R(lam))) dense matrices of the dressing result
-    of `matrices`.
+    of `matrices`; with `plus`, exp(+R(lam)) in place of R(lam).
 
     With K = exp(R) H exp(-R), the approximate eigenvectors of H are the
     dressed states exp(-R)|i>: the dressed state of basis state i is column
     i of exp(-R), see `dressed_state`.  The caller is the last user of
     H(lam) and R(lam), which leave `matrices`.  An exp(-R) that is not
-    finite or not unitary raises OracleError.
+    finite or not unitary raises OracleError.  exp(+R) is formed after
+    exp(-R) has passed, from the same Pade structure (`expm_pair`), and the
+    dense R is then not kept.
 
-    An R(lam) with no stored element gives None for R(lam) and exp(-R(lam)):
-    exp(-R) = 1 exactly, so no dense R, no expm and no unitarity product is
-    formed.  This holds at lam = 0, since R has no order 0 and `evaluate`
-    prunes 0 * c, and for a free model at any lam.
+    An R(lam) with no stored element gives None for R(lam) or exp(+R(lam))
+    and for exp(-R(lam)): exp(-+R) = 1 exactly, so no dense R, no expm and
+    no unitarity product is formed.  This holds at lam = 0, since R has no
+    order 0 and `evaluate` prunes 0 * c, and for a free model at any lam.
     """
     import numpy as np
     import scipy.linalg
 
     mh, mr = matrices.pop(lam)
-    mh = mh.toarray()
     if not mr.nnz:
-        return mh, None, None
+        return mh.toarray(), None, None
     mr = mr.toarray()
-    w_inv = scipy.linalg.expm(-mr)
+    if plus:
+        pair = expm_pair(mr)
+        del mr
+        w_inv = next(pair)
+    else:
+        w_inv = scipy.linalg.expm(-mr)
     name = f"exp(-R) at coupling {lam!r}"
     if not np.isfinite(w_inv).all():
         raise OracleError(f"{name} is not finite")
     _check_unitary(w_inv, name)
-    return mh, mr, w_inv
+    second = next(pair) if plus else mr     # exp(+R) or R
+    # H is made dense last, so that the exponentials run without it
+    return mh.toarray(), second, w_inv
 
 
 def dressed_state(w_inv: np.ndarray | None, i: int, dimension: int) -> np.ndarray:
@@ -405,7 +482,14 @@ def restricted_norm(m: np.ndarray, basis: FockBasis, max_quanta: int) -> float:
     import numpy as np
 
     idx = basis.block_indices(max_quanta)
-    sub = np.asarray(m)[np.ix_(idx, idx)]
+    return block_norm(np.asarray(m)[np.ix_(idx, idx)])
+
+
+def block_norm(sub: np.ndarray) -> float:
+    """Spectral norm of a matrix already restricted to a low-quanta block;
+    a non-finite block raises OracleError."""
+    import numpy as np
+
     if not np.isfinite(sub).all():
         raise OracleError("a matrix restricted to the low-quanta block is not finite")
     return float(np.linalg.norm(sub, ord=2))

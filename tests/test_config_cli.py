@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,15 @@ def _read_report(path):
     return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+NOT_UNITARY_FIELD = parse_config(
+    "model:\n  lattice: {sites_per_dim: 3, physical_length: 1.0e+10}\n"
+    "  interaction: {name: phi3-full, coupling_strength: 1.0e+10}\n"
+    "  coupling: -0.5\n  order: 3\n  species: [{name: phi, mass: 0.02}]\n"
+    "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
+    "checks:\n  equal_time: {enabled: true, times: [0.0], lambdas: [0.02]}\n")
+NOT_UNITARY_REASON = "exp(-R) at coupling 0.02 failed unitarity check (defect "
+
+
 @pytest.mark.parametrize("cfg, command, verdicts, reason", [
     # exp(R) overflows to a finite but far from unitary matrix
     (phi3_config({"numerics.lambdas": [0.02, 1.0e+10]}), "verify",
@@ -345,12 +355,7 @@ def _read_report(path):
      "the Fock-space matrix of a term map has a non-finite element"),
     # exp(-R) is finite but not unitary (exp(+R) is NaN, and so would be the
     # dressed field)
-    (parse_config("model:\n  lattice: {sites_per_dim: 3, physical_length: 1.0e+10}\n"
-                  "  interaction: {name: phi3-full, coupling_strength: 1.0e+10}\n"
-                  "  coupling: -0.5\n  order: 3\n  species: [{name: phi, mass: 0.02}]\n"
-                  "numerics: {per_mode_cutoff: 2, total_cutoff: 2}\n"
-                  "checks:\n  equal_time: {enabled: true, times: [0.0], lambdas: [0.02]}\n"),
-     "scan", ["no_bad_terms"], "exp(-R) at coupling 0.02 failed unitarity check (defect "),
+    (NOT_UNITARY_FIELD, "scan", ["no_bad_terms"], NOT_UNITARY_REASON),
     # exp(-R) at 1e10 is finite but far from unitary: the spacelike slope
     # fitted to it passed before it was checked
     (parse_config("model:\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\n"
@@ -380,6 +385,17 @@ def test_non_finite_oracle_is_a_setup_failure(tmp_path, cfg, command, verdicts, 
     assert failure["check"] == "setup"
     assert failure["reason"].startswith(reason)
     assert rest in ([], [NONFINITE_FAILURE])
+
+
+def test_a_refused_exp_minus_r_forms_no_exp_plus_r(tmp_path):
+    # exp(+R), whose products would overflow, is formed only after exp(-R)
+    # passes its checks: the refused run warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(NOT_UNITARY_FIELD, "scan", tmp_path) == 1
+    failure = _read_report(tmp_path / "report.json")["failures"][0]
+    assert failure["check"] == "setup"
+    assert failure["reason"].startswith(NOT_UNITARY_REASON)
 
 
 def test_non_finite_number_in_the_report_fails_the_run(tmp_path):

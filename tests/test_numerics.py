@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from latticedress import checks, numerics
 from latticedress.checks import ScanError, _LambdaContext, equal_time_scan
@@ -539,9 +540,72 @@ def test_context_at_zero_generator_calls_expm_for_its_times_only(monkeypatch):
         ctx.field(site, 0.0)
         ctx.field(site, 1.0)
     assert len(calls) == 1          # exp(i H(0)), once for both sites
+    pairs = []
+    expm_pair = numerics.expm_pair
+
+    def counted_pair(a):
+        pairs.append(a.shape)
+        return expm_pair(a)
+
+    monkeypatch.setattr(numerics, "expm_pair", counted_pair)
     calls.clear()
-    _LambdaContext(matrices, 0.1, sites)
-    assert len(calls) == 2          # exp(-R) and exp(R)
+    ctx = _LambdaContext(matrices, 0.1, sites)
+    assert calls == [] and len(pairs) == 1      # exp(-R) and exp(R) as one pair
+    # the fields are those that scipy's own two calls give
+    _, mr, w_inv = dressing_matrices(matrices, 0.1)
+    w = expm(mr)
+    assert len(calls) == 1 and np.array_equal(w_inv, expm(-mr))
+    fields = field_at_origin_time_zero(matrices.result.model, matrices.basis, w_inv, w, sites)
+    for site, field in zip(sites, fields):
+        assert ctx.field(site, 0.0).tobytes() == field.tobytes()
+
+
+def _pade_structure(a):
+    """scipy's (order, scaling) for exp(a)."""
+    work = np.empty((5, *a.shape), dtype=a.dtype)
+    work[0] = a
+    return pick_pade_structure(work)
+
+
+def test_expm_pair_is_scipys_expm_bit_for_bit():
+    rng = np.random.default_rng(21)
+    seen = set()
+    for n in (2, 9, 40):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for b in (x - x.conj().T, x, x.real):
+            for norm1 in (1e-3, 0.1, 0.5, 1.5, 3.0, 20.0):
+                a = b * (norm1 / np.abs(b).sum(axis=0).max())
+                seen.add(_pade_structure(a))
+                minus, plus = numerics.expm_pair(a)
+                assert minus.tobytes() == scipy.linalg.expm(-a).tobytes()
+                assert plus.tobytes() == scipy.linalg.expm(a).tobytes()
+    # every Pade order, unscaled, and the scaled order 13
+    assert {m for m, s in seen} == {3, 5, 7, 9, 13}
+    assert (13, 0) in seen and any(s > 0 for m, s in seen)
+    # scipy's own paths for each sign: a triangular, diagonal, 1 x 1 or
+    # integer matrix
+    for a in (np.triu(x), np.diag(np.diag(x)), x[:1, :1], np.arange(9).reshape(3, 3)):
+        assert [e.tobytes() for e in numerics.expm_pair(a)] == \
+            [scipy.linalg.expm(-a).tobytes(), scipy.linalg.expm(a).tobytes()]
+
+
+# (coupling_strength, physical_length) of the eight inputs that perfbench's
+# scan-phi3 workload draws at seed 1
+SCAN_PHI3_SEED1 = [(1.0499, 5.1222), (1.0563, 4.8782), (0.9911, 4.6446), (0.9449, 4.8003),
+                   (0.8603, 5.2162), (1.017, 5.3515), (0.9486, 5.2652), (1.0178, 4.979)]
+
+
+@pytest.mark.parametrize("g, length", SCAN_PHI3_SEED1)
+def test_dressing_pair_is_scipys_expm_on_the_scan_inputs(g, length):
+    model = build_model("phi3", g=g, max_order=2,
+                        lattice=LatticeSpec(dim=1, sites_per_dim=5, physical_length=length))
+    matrices = CouplingMatrices(dress(model), FockBasis(model.system, 5, 5))
+    for lam in (0.05, 0.1, 0.2):
+        mh, mr = (m.toarray() for m in matrices(lam))
+        got_h, w, w_inv = dressing_matrices(matrices, lam, plus=True)
+        assert np.array_equal(got_h, mh)
+        assert w_inv.tobytes() == scipy.linalg.expm(-mr).tobytes()
+        assert w.tobytes() == scipy.linalg.expm(mr).tobytes()
 
 
 def _old_unitarity_defect(w):
