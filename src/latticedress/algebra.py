@@ -111,11 +111,12 @@ def _contractions(
     return out
 
 
-# The contraction patterns: per (a1, c2, min_contractions), the (remaining
-# c2, remaining a1, weight) of each contraction count, each side sorted.
-# They depend on nothing else, so they hold for any modes.  The merged
-# sides: per (left, right), the sorted left + right, for either side of a
-# product's signature.  Both tables are emptied when the outermost
+# The contraction patterns: per (a1, min_contractions), a table that maps
+# each c2 to the (remaining c2, remaining a1, weight) of each contraction
+# count, each side sorted.  They depend on nothing else, so they hold for
+# any modes; a left term looks its table up once for all its pairs.  The
+# merged sides: per (left, right), the sorted left + right, for either side
+# of a product's signature.  Both tables are emptied when the outermost
 # `_pattern_scope` ends.
 _patterns: dict = {}
 _merged: dict = {}
@@ -150,11 +151,11 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
     With `min_contractions >= 1` only the pairs where an annihilator of the
     left term meets a creator of the right term are visited, still in the
     order of `q`, so every coefficient sums its contributions in the same
-    order as the all-pairs loop.  A pair's contractions are read from the
-    pattern table, filled by `_contractions` on a miss; a side with nothing
-    left of the pattern is the term's own, already sorted, and any other is
-    read from the merged-side table.  An empty `p` or `q` has no pair, so
-    `out` comes back as it was given.
+    order as the all-pairs loop.  A pair's contractions are read from its
+    left term's pattern table, filled by `_contractions` on a miss; a side
+    with nothing left of the pattern is the term's own, already sorted, and
+    any other is read from the merged-side table.  An empty `p` or `q` has
+    no pair, so `out` comes back as it was given.
     """
     acc: TermMap = {} if out is None else out
     if not (p and q):
@@ -168,6 +169,7 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
             for m in cc2:
                 by_mode.setdefault(m, []).append(j)
     merged = _merged.get
+    get = acc.get
     for (c1, a1), x in p.items():
         ca1 = {m: a1.count(m) for m in a1}
         if min_contractions < 1:
@@ -175,18 +177,19 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
         else:
             hits = [by_mode[m] for m in ca1 if m in by_mode]
             visit = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
+        patterns = _patterns.setdefault((a1, min_contractions), {})
+        sx = scale * x      # so xy is scale * x * y, bit for bit
         for j in visit:
             c2, a2, y, cc2 = qs[j]
-            xy = scale * x * y
-            key = (a1, c2, min_contractions)
-            pattern = _patterns.get(key)
+            xy = sx * y
+            pattern = patterns.get(c2)
             if pattern is None:
-                pattern = _patterns[key] = _contractions(a1, c2, ca1, cc2,
-                                                         min_contractions)
+                pattern = patterns[c2] = _contractions(a1, c2, ca1, cc2,
+                                                       min_contractions)
             for rc2, ra1, w in pattern:
                 sig = (merged((c1, rc2)) or _merge(c1, rc2) if rc2 else c1,
                        merged((ra1, a2)) or _merge(ra1, a2) if ra1 else a2)
-                acc[sig] = acc.get(sig, 0j) + xy * w
+                acc[sig] = get(sig, 0j) + xy * w
     return acc
 
 

@@ -304,11 +304,10 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     The couplings are scanned one at a time, each through its own context,
     which is dropped before the next is built: first 0, whose C(0) of each
     distinct grid point is kept, as its low-quanta block only, for the
-    others, then the rest in the order
-    of `set(lambdas)`, which decides which coupling a failure names.  Each
-    distinct grid point is formed once per coupling; the points are listed
-    by grid point, then coupling, a repeated one and a repeated coupling
-    each as often as given.
+    others, then the rest in the order of `set(lambdas)`, which decides
+    which coupling a failure names.  Each distinct grid point is formed
+    once per coupling; the points are listed by grid point, then coupling,
+    a repeated one and a repeated coupling each as often as given.
     """
     import numpy as np
 

@@ -324,10 +324,11 @@ class TermTable:
         return cls(list(enumerate(p.orders)))
 
 
-def report_json(obj) -> tuple[str, bool]:
-    """(text, finite): the text of json.dumps(obj, indent=2, sort_keys=True),
-    built in one join with the stdlib's own formatters, except that a
-    non-finite float is written as null; `finite` says there was none.
+def report_chunks(obj) -> tuple[list[str], bool]:
+    """(chunks, finite): the text of json.dumps(obj, indent=2, sort_keys=True)
+    as pieces to be written in turn, made with the stdlib's own formatters,
+    except that a non-finite float is written as null; `finite` says there
+    was none.
 
     Types are tested in the order the stdlib's encoder tests them, so float
     subclasses such as numpy.float64 come out as floats.  A `TermTable` is
@@ -336,13 +337,13 @@ def report_json(obj) -> tuple[str, bool]:
     """
     chunks: list[str] = []
     nonfinite: list[float] = []
-    _put_json(obj, "", "\n", chunks.append, nonfinite, {})
-    return "".join(chunks), not nonfinite
+    _put_json(obj, "", "\n", chunks.append, nonfinite, ({}, {}))
+    return chunks, not nonfinite
 
 
-def _put_json(o, head: str, newline: str, put, nonfinite: list, texts: dict) -> None:
+def _put_json(o, head: str, newline: str, put, nonfinite: list, texts: tuple) -> None:
     """put(head + the text of o); `newline` starts o's own line, and `texts`
-    keeps the term tables' signature texts for one report.  A module
+    keeps the term tables' texts for one report (see `_put_rows`).  A module
     function, not a closure: a recursive closure is a reference cycle that
     would keep every chunk alive until the cyclic garbage collector runs."""
     if isinstance(o, str):
@@ -387,27 +388,41 @@ def _put_json(o, head: str, newline: str, put, nonfinite: list, texts: dict) -> 
 
 
 def _put_rows(table: TermTable, head: str, newline: str, put, nonfinite: list,
-              texts: dict) -> None:
-    """_put_json of a term table: each row from one template, with the text
-    around its coefficients made once per signature and indent, and put as
-    its pieces."""
+              texts: tuple) -> None:
+    """_put_json of a term table: each row put as one string.
+
+    `texts` is (floats, indents): the text of each nonzero float written in
+    a row so far, and per indent the texts of its creator and annihilator
+    tuples and of the row tails after "re", by the row's (m, n) type.  A
+    NaN never hits its own text, and an inf that hits went into `nonfinite`
+    on its miss.  A zero is never kept, as 0.0 == -0.0 and both hash alike;
+    its sign picks its text.
+    """
+    floats, indents = texts
     inner = newline + "  "
     key = inner + "  "
-    around, list_texts = texts.setdefault(inner, ({}, {}))
+    lists, tails = indents.setdefault(inner, ({}, {}))
+    text_of = floats.get
     comma = "," + inner
     sep = head + "[" + inner
     for order, terms in table.orders:
         middle = f',{key}"order": {order},{key}"re": '
-        for sig, c in terms.items():
-            if sig not in around:
-                around[sig] = _signature_text(sig, inner, list_texts)
-            before, after = around[sig]
-            put(sep)
-            put(before)
-            put(_float_text(c.imag, nonfinite))
-            put(middle)
-            put(_float_text(c.real, nonfinite))
-            put(after)
+        for (creators, annihilators), c in terms.items():
+            x = c.imag
+            im = ((text_of(x) or _keep_float_text(x, floats, nonfinite)) if x
+                  else "-0.0" if math.copysign(1.0, x) < 0 else "0.0")
+            x = c.real
+            re = ((text_of(x) or _keep_float_text(x, floats, nonfinite)) if x
+                  else "-0.0" if math.copysign(1.0, x) < 0 else "0.0")
+            shape = (len(creators), len(annihilators))
+            tail = tails.get(shape)
+            if tail is None:
+                tail = tails[shape] = (f',{key}"type": [{key}  {shape[0]},'
+                                       f'{key}  {shape[1]}{key}]{inner}}}')
+            ann = lists.get(annihilators) or _modes_text(annihilators, key, lists)
+            cre = lists.get(creators) or _modes_text(creators, key, lists)
+            put(f'{sep}{{{key}"annihilators": {ann},{key}"creators": {cre},'
+                f'{key}"im": {im}{middle}{re}{tail}')
             sep = comma
     put(newline + "]" if sep is comma else head + "[]")
 
@@ -420,30 +435,15 @@ def _float_text(x: float, nonfinite: list) -> str:
     return "null"
 
 
-def _signature_text(sig, inner: str, list_texts: dict) -> tuple[str, str]:
-    """The text of a term row at newline `inner` before its "im" value and
-    after its "re" value; `list_texts` keeps the text of each creator or
-    annihilator tuple at this indent."""
-    key = inner + "  "
-
-    def modes(ms) -> str:
-        text = list_texts.get(ms)
-        if text is None:
-            text = list_texts[ms] = _modes_text(ms, key)
-        return text
-
-    creators, annihilators = sig
-    before = (f'{{{key}"annihilators": {modes(annihilators)},'
-              f'{key}"creators": {modes(creators)},{key}"im": ')
-    after = (f',{key}"type": [{key}  {len(creators)},{key}  {len(annihilators)}'
-             f'{key}]{inner}}}')
-    return before, after
+def _keep_float_text(x: float, floats: dict, nonfinite: list) -> str:
+    """_float_text(x), kept in `floats`."""
+    text = floats[x] = _float_text(x, nonfinite)
+    return text
 
 
-def _modes_text(ms, key: str) -> str:
-    """The text of a list of modes whose line ends at newline `key`."""
-    if not ms:
-        return "[]"
+def _modes_text(ms, key: str, lists: dict) -> str:
+    """The text of a list of modes whose line ends at newline `key`, kept
+    in `lists`."""
     item = key + "  "
     field = item + "  "
     texts = []
@@ -451,25 +451,29 @@ def _modes_text(ms, key: str) -> str:
         digits = f",{field}  ".join(map(int.__repr__, m.k))
         texts.append(f'{item}{{{field}"k": [{field}  {digits}{field}],'
                      f'{field}"species": {_encode_str(m.species)}{item}}}')
-    return "[" + ",".join(texts) + key + "]"
+    text = lists[ms] = "[" + ",".join(texts) + key + "]" if texts else "[]"
+    return text
 
 
 def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
     """Write report.json, and the scans' csv files if `formats` has csv;
     return their paths.
 
-    A non-finite number in the report is written as null and first adds
-    the failure NONFINITE_FAILURE to `report["failures"]`.
+    The report's text goes to the file as the chunks of `report_chunks`,
+    never joined into one string, and ends in a newline.  A non-finite
+    number in the report is written as null and first adds the failure
+    NONFINITE_FAILURE to `report["failures"]`, and the report is rendered
+    again.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text, finite = report_json(report)
+    chunks, finite = report_chunks(report)
     if not finite:
         report.setdefault("failures", []).append(dict(NONFINITE_FAILURE))
-        text, _ = report_json(report)
+        chunks, _ = report_chunks(report)
     path = out_dir / "report.json"
-    with open(path, "w", encoding="utf-8") as fh:   # no copy of text + "\n"
-        fh.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
         fh.write("\n")
     written = [path]
     if "csv" in formats:

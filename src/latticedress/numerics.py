@@ -438,7 +438,7 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
                               w_inv: np.ndarray | None, w: np.ndarray | None,
                               sites) -> list[np.ndarray]:
     """The dressed field at time zero of a single-species model (the scans
-    reject any other) at each of `sites`, in their order,
+    reject any other) at each of `sites`, in their order:
 
     A(x,0) = volume^{-1/2} sum_k (2 E_k)^{-1/2}
              (e^{i p x} alpha_k + e^{-i p x} alpha_k^dagger)

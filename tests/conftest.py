@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from latticedress.cli import report_chunks
 from latticedress.config import _put, parse_config
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
 
@@ -40,6 +41,13 @@ def phi3_config(changes: dict):
     for path, value in changes.items():
         _put(doc, path, value)
     return parse_config(yaml.safe_dump(doc))
+
+
+def report_text(obj) -> tuple[str, bool]:
+    """(text, finite) of the report writer: the chunks of `report_chunks`,
+    joined."""
+    chunks, finite = report_chunks(obj)
+    return "".join(chunks), finite
 
 
 def random_series(system, rng, max_terms=3, max_degree=2):

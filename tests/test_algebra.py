@@ -21,12 +21,12 @@ from latticedress.algebra import (
     product_terms,
     term_type,
 )
-from latticedress.cli import TermTable, report_json
+from latticedress.cli import TermTable
 from latticedress.dressing import ZeroDenominatorError, dress
 from latticedress.models import build_model
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 
-from conftest import mode
+from conftest import mode, report_text
 
 
 def single(system, creators, annihilators, coeff=1.0, max_order=0):
@@ -279,7 +279,7 @@ def test_series_rows_schema(system3):
     p = OperatorSeries.from_terms(
         system3, [((p1,), (z,), 1.5 + 0.5j)], order=1, max_order=2
     )
-    text, finite = report_json({"K": TermTable.of_series(p)})
+    text, finite = report_text({"K": TermTable.of_series(p)})
     assert finite
     assert json.loads(text)["K"] == [{
         "order": 1,
@@ -396,8 +396,9 @@ def test_contractions_match_reference_kernel(min_contractions):
 
 
 @pytest.mark.parametrize("min_contractions", [0, 1, 2])
-@pytest.mark.parametrize("scale", [1.0, -1.0])
+@pytest.mark.parametrize("scale", [1.0, -1.0, 0.5 - 0.25j])
 def test_product_terms_matches_all_pairs_loop(min_contractions, scale):
+    # a complex scale tells (scale * x) * y from scale * (x * y) by its bits
     for p, q in _random_maps():
         fast = product_terms(p, q, min_contractions, scale=scale)
         assert _bits(fast.items()) == \
@@ -476,6 +477,22 @@ def test_pattern_table_serves_every_contraction_count(maps):
     finally:
         algebra._patterns.clear()
         algebra._merged.clear()
+
+
+@pytest.mark.parametrize("interaction, order", [("phi3", 3), ("scalar-yukawa", 2)])
+def test_dress_forms_each_contraction_pattern_once(monkeypatch, interaction, order):
+    # a left term's pattern table keeps what it forms for the whole `dress`
+    calls = Counter()
+    contractions = algebra._contractions
+
+    def counted(a1, c2, ca1, cc2, min_contractions=0):
+        calls[a1, c2, min_contractions] += 1
+        return contractions(a1, c2, ca1, cc2, min_contractions)
+
+    monkeypatch.setattr(algebra, "_contractions", counted)
+    dress(build_model(interaction, lattice=LatticeSpec(dim=1, sites_per_dim=5),
+                      max_order=order))
+    assert calls and set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("policy, ends", [

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from latticedress import cli
 from latticedress.algebra import OperatorSeries, signature_json, term_type
-from latticedress.cli import TermTable, report_json
+from latticedress.cli import TermTable
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
 
-from conftest import phi3_config
+from conftest import phi3_config, report_text
 
 
 def _reference(obj) -> str:
@@ -68,14 +68,14 @@ TREES = st.recursive(
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(TREES)
 def test_writer_matches_json_dumps(tree):
-    assert report_json(tree) == (_reference(tree), True)
+    assert report_text(tree) == (_reference(tree), True)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(TREES, st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"),
                                np.float64("-inf")]))
 def test_non_finite_float_is_written_as_null(tree, bad):
-    text, finite = report_json({"tree": tree, "bad": [1.0, bad]})
+    text, finite = report_text({"tree": tree, "bad": [1.0, bad]})
     assert text == _reference({"tree": tree, "bad": [1.0, None]})
     assert not finite
 
@@ -88,7 +88,7 @@ def test_non_finite_float_is_written_as_null(tree, bad):
         "numpy-bool"])
 def test_non_string_key_or_unknown_type_raises(obj):
     with pytest.raises(TypeError):
-        report_json(obj)
+        report_text(obj)
 
 
 def _types(obj) -> set:
@@ -104,6 +104,10 @@ def _types(obj) -> set:
     ("verify", {}),
     ("scan", {"numerics.per_mode_cutoff": 5, "numerics.total_cutoff": 5,
               "checks.spacelike.enabled": True}),
+    ("dress", {"model.interaction.name": "scalar-yukawa",
+               "model.species": [{"name": "N", "mass": 1.0},
+                                 {"name": "phi", "mass": 0.5}],
+               "model.lattice.sites_per_dim": 7, "model.lattice.physical_length": 7.0}),
 ])
 def test_live_reports_match_json_dumps(tmp_path, monkeypatch, command, changes):
     seen = []
@@ -162,7 +166,7 @@ def test_term_tables_match_json_dumps_of_their_rows():
                       "bad_terms_left": tables[1]}},
         {"a": [[{"b": tables}], tables[3]], "c": (tables[4], [])},
     ]:
-        assert report_json(obj) == (_reference(_expand(obj)), True)
+        assert report_text(obj) == (_reference(_expand(obj)), True)
 
 
 def test_shared_mode_lists_at_two_indents():
@@ -179,12 +183,12 @@ def test_shared_mode_lists_at_two_indents():
     obj = {"dressing": {"K": TermTable([(1, terms), (2, half)]),
                         "generators": [TermTable([(1, half)]),
                                        TermTable([(2, terms)])]}}
-    assert report_json(obj) == (_reference(_expand(obj)), True)
+    assert report_text(obj) == (_reference(_expand(obj)), True)
 
 
 def test_empty_term_tables_are_empty_lists():
     for table in _tables()[1:3]:
-        assert report_json({"K": table}) == ('{\n  "K": []\n}', True)
+        assert report_text({"K": table}) == ('{\n  "K": []\n}', True)
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(2.0, math.inf),
@@ -194,9 +198,63 @@ def test_non_finite_term_coefficient_is_written_as_null(bad):
     m = system.modes[1]
     terms = {((m,), ()): 1.0 + 0j, ((m,), (m,)): bad}
     table = TermTable([(2, terms)])
-    text, finite = report_json({"dressing": {"K": table}})
+    text, finite = report_text({"dressing": {"K": table}})
     rows = term_rows(terms, 2)
     rows[1] = {**rows[1], **{part: None for part in ("re", "im")
                              if not math.isfinite(rows[1][part])}}
     assert text == _reference({"dressing": {"K": rows}})
     assert not finite
+
+
+def test_repeated_values_and_signed_zeros_at_two_indents():
+    # each nonzero float's text is made once per report, a zero's never:
+    # 0.0 == -0.0 and both hash alike, yet each keeps its own text, in `re`
+    # and `im`, over two orders, in a table at `dressing.K` and one at
+    # `dressing.generators[0]`
+    system = ModeSystem(LatticeSpec(dim=1, sites_per_dim=5),
+                        [FieldSpecies("N", 1.0), FieldSpecies("phi", 0.5)])
+    m = system.modes
+    sigs = [((m[0],), ()), ((m[1],), (m[2],)), ((), (m[3], m[3])), ((m[4],), (m[4],))]
+    first = dict(zip(sigs, [complex(0.5, 0.0), complex(-0.0, 0.5),
+                            complex(0.5, -0.0), complex(-0.0, -0.0)]))
+    second = dict(zip(sigs, [complex(-0.0, 0.0), complex(0.5, 0.5),
+                             complex(0.0, 0.0), complex(0.5, -0.0)]))
+    obj = {"dressing": {"K": TermTable([(1, first), (2, second)]),
+                        "generators": [TermTable([(2, second), (1, first)])]}}
+    text, finite = report_text(obj)
+    assert (text, finite) == (_reference(_expand(obj)), True)
+    assert '"re": -0.0' in text and '"im": -0.0' in text
+
+
+def test_repeated_inf_and_nan_are_null_and_not_finite():
+    # the second inf is a memo hit, the nan never hits; the finite rows
+    # after them are written as usual
+    system = ModeSystem(LatticeSpec(sites_per_dim=3), [FieldSpecies("phi", 1.0)])
+    m = system.modes
+    terms = {((m[0],), ()): complex(math.inf, 1.0),
+             ((m[1],), ()): complex(1.0, math.inf),
+             ((m[2],), ()): complex(math.nan, -0.0),
+             ((m[0],), (m[1],)): complex(1.0, -0.0),
+             ((m[1],), (m[2],)): complex(-0.0, 2.5)}
+    text, finite = report_text({"dressing": {"K": TermTable([(2, terms)])}})
+    rows = [{**row, **{part: None for part in ("re", "im")
+                       if not math.isfinite(row[part])}}
+            for row in term_rows(terms, 2)]
+    assert text == _reference({"dressing": {"K": rows}})
+    assert text.count("null") == 3
+    assert not finite
+
+
+@pytest.mark.parametrize("bad", [2.0, math.inf], ids=["finite", "non-finite"])
+def test_emit_report_writes_the_chunks_and_a_newline(tmp_path, bad):
+    system = ModeSystem(LatticeSpec(sites_per_dim=3), [FieldSpecies("phi", 1.0)])
+    m = system.modes
+    report = {"failures": [], "x": [1.0, bad],
+              "dressing": {"K": TermTable([(1, {((m[0],), (m[1],)): 0.5 - 0.0j})])}}
+    assert cli.emit_report(report, tmp_path, ["json"]) == [tmp_path / "report.json"]
+    # the report as written, with the failure a non-finite number adds
+    chunks, finite = cli.report_chunks(report)
+    assert finite is (bad == 2.0)
+    assert report["failures"] == ([] if finite else [cli.NONFINITE_FAILURE])
+    assert (tmp_path / "report.json").read_bytes() == \
+        ("".join(chunks) + "\n").encode("utf-8")
