@@ -111,22 +111,27 @@ def _contractions(
     return out
 
 
-# The contraction patterns: per (a1, min_contractions), a table that maps
-# each c2 to the (remaining c2, remaining a1, weight) of each contraction
-# count, each side sorted.  They depend on nothing else, so they hold for
-# any modes; a left term looks its table up once for all its pairs.  The
-# merged sides: per (left, right), the sorted left + right, for either side
-# of a product's signature.  Both tables are emptied when the outermost
-# `_pattern_scope` ends.
+# Three tables, kept while any `_pattern_scope` is open and emptied when the
+# outermost one ends.  The contraction patterns: per (a1, min_contractions),
+# a table that maps each c2 to the (remaining c2, remaining a1, weight) of
+# each contraction count, each side sorted.  They depend on nothing else, so
+# they hold for any modes; a left term looks its table up once for all its
+# pairs.  The merged sides: per (left, right), the sorted left + right, for
+# either side of a product's signature.  The plans: per key structure
+# (tuple(p), tuple(q), min_contractions), what `_plan` builds from the
+# signatures alone; a product on the same keys with other coefficients
+# replays it.
 _patterns: dict = {}
 _merged: dict = {}
+_plans: dict = {}
 _scope_depth = 0
 
 
 @contextmanager
 def _pattern_scope():
-    """Keep the pattern tables while any scope is open: `dress` holds one
-    for all its orders, and each commutator or product one for its own."""
+    """Keep the tables while any scope is open: `dress` holds one for all
+    its orders, and each commutator, product or `product_terms` call one for
+    its own."""
     global _scope_depth
     _scope_depth += 1
     try:
@@ -136,6 +141,7 @@ def _pattern_scope():
         if not _scope_depth:
             _patterns.clear()
             _merged.clear()
+            _plans.clear()
 
 
 def _merge(left: tuple, right: tuple) -> tuple:
@@ -144,33 +150,33 @@ def _merge(left: tuple, right: tuple) -> tuple:
     return merged
 
 
-def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
-                  out: TermMap | None = None, scale: complex = 1.0) -> TermMap:
-    """Accumulate the normal-ordered product of two term maps into `out`.
+def _plan(p: Iterable[Signature], q: Iterable[Signature], min_contractions: int):
+    """The contributions of the product of two term maps, from their
+    signatures alone: (rows, sigs).
 
-    With `min_contractions >= 1` only the pairs where an annihilator of the
-    left term meets a creator of the right term are visited, still in the
-    order of `q`, so every coefficient sums its contributions in the same
-    order as the all-pairs loop.  A pair's contractions are read from its
-    left term's pattern table, filled by `_contractions` on a miss; a side
-    with nothing left of the pattern is the term's own, already sorted, and
-    any other is read from the merged-side table.  An empty `p` or `q` has
-    no pair, so `out` comes back as it was given.
+    `rows` holds, per left term, three parallel tuples (js, ks, ws): the
+    right term j it meets, the index k into `sigs` of the signature it adds
+    to, and the Wick weight w, in the visit order.  `sigs` lists the output
+    signatures in the order of their first contribution.  With
+    `min_contractions >= 1` only the pairs where an annihilator of the left
+    term meets a creator of the right term are visited, still in the order
+    of `q`.  A pair's contractions are read from its left term's pattern
+    table, filled by `_contractions` on a miss; a side with nothing left of
+    the pattern is the term's own, already sorted, and any other is read
+    from the merged-side table.
     """
-    acc: TermMap = {} if out is None else out
-    if not (p and q):
-        return acc
     # mode multiplicities, keyed in signature (mode) order
-    qs = [(c2, a2, y, {m: c2.count(m) for m in c2}) for (c2, a2), y in q.items()]
+    qs = [(c2, a2, {m: c2.count(m) for m in c2}) for c2, a2 in q]
     every = range(len(qs))
     by_mode: dict[ModeIndex, list[int]] = {}
     if min_contractions >= 1:
-        for j, (_, _, _, cc2) in enumerate(qs):
+        for j, (_, _, cc2) in enumerate(qs):
             for m in cc2:
                 by_mode.setdefault(m, []).append(j)
     merged = _merged.get
-    get = acc.get
-    for (c1, a1), x in p.items():
+    index: dict[Signature, int] = {}
+    rows = []
+    for c1, a1 in p:
         ca1 = {m: a1.count(m) for m in a1}
         if min_contractions < 1:
             visit = every
@@ -178,10 +184,9 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
             hits = [by_mode[m] for m in ca1 if m in by_mode]
             visit = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
         patterns = _patterns.setdefault((a1, min_contractions), {})
-        sx = scale * x      # so xy is scale * x * y, bit for bit
+        js, ks, ws = [], [], []
         for j in visit:
-            c2, a2, y, cc2 = qs[j]
-            xy = sx * y
+            c2, a2, cc2 = qs[j]
             pattern = patterns.get(c2)
             if pattern is None:
                 pattern = patterns[c2] = _contractions(a1, c2, ca1, cc2,
@@ -189,7 +194,43 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
             for rc2, ra1, w in pattern:
                 sig = (merged((c1, rc2)) or _merge(c1, rc2) if rc2 else c1,
                        merged((ra1, a2)) or _merge(ra1, a2) if ra1 else a2)
-                acc[sig] = get(sig, 0j) + xy * w
+                js.append(j)
+                ks.append(index.setdefault(sig, len(index)))
+                ws.append(w)
+        rows.append((tuple(js), tuple(ks), tuple(ws)))
+    return rows, list(index)
+
+
+def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
+                  out: TermMap | None = None, scale: complex = 1.0) -> TermMap:
+    """Accumulate the normal-ordered product of two term maps into `out`.
+
+    The contributions come from the plan of the key structure (tuple(p),
+    tuple(q), min_contractions), built once per `_pattern_scope` by `_plan`;
+    a call opens a scope of its own, so outside `dress` or a commutator or
+    product it leaves no table behind.  The replay adds `scale * x * y * w`
+    to each output signature in the visit order, so every coefficient sums
+    its contributions, and every new signature enters `out`, in the same
+    order as the all-pairs loop.  An empty `p` or `q` has no pair, so `out`
+    comes back as it was given.
+    """
+    acc: TermMap = {} if out is None else out
+    if not (p and q):
+        return acc
+    with _pattern_scope():
+        key = (tuple(p), tuple(q), min_contractions)
+        plan = _plans.get(key)
+        if plan is None:
+            plan = _plans[key] = _plan(key[0], key[1], min_contractions)
+    rows, sigs = plan
+    get = acc.get
+    vals = [get(sig, 0j) for sig in sigs]
+    ys = list(q.values())
+    for x, (js, ks, ws) in zip(p.values(), rows):
+        sx = scale * x      # so each term is scale * x * y * w, bit for bit
+        for j, k, w in zip(js, ks, ws):
+            vals[k] = vals[k] + sx * ys[j] * w
+    acc.update(zip(sigs, vals))
     return acc
 
 

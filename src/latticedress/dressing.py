@@ -167,7 +167,7 @@ def dress(model: ModelSpec) -> DressingResult:
     min_den = math.inf
     diagnostics: list = []
 
-    with _pattern_scope():    # the contraction patterns live for one dress
+    with _pattern_scope():    # the algebra tables live for one dress
         for n in range(1, n_max + 1):
             k = bch_conjugate(r, h, n)
             target = _target_terms(k.orders[n], model.policy)

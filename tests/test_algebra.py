@@ -317,9 +317,9 @@ def _reference_contractions(c1, a1, c2, a2, min_contractions):
         yield (creators, annihil), weight
 
 
-def _all_pairs_product(p, q, min_contractions, scale=1.0):
+def _all_pairs_product(p, q, min_contractions, scale=1.0, out=None):
     """The obvious loop: every pair of terms through the reference kernel."""
-    acc = {}
+    acc = {} if out is None else out
     for (c1, a1), x in p.items():
         for (c2, a2), y in q.items():
             xy = scale * x * y
@@ -399,10 +399,24 @@ def test_contractions_match_reference_kernel(min_contractions):
 @pytest.mark.parametrize("scale", [1.0, -1.0, 0.5 - 0.25j])
 def test_product_terms_matches_all_pairs_loop(min_contractions, scale):
     # a complex scale tells (scale * x) * y from scale * (x * y) by its bits
-    for p, q in _random_maps():
-        fast = product_terms(p, q, min_contractions, scale=scale)
-        assert _bits(fast.items()) == \
-            _bits(_all_pairs_product(p, q, min_contractions, scale).items())
+    maps = _random_maps()
+    with algebra._pattern_scope():
+        for p, q in maps:
+            fast = product_terms(p, q, min_contractions, scale=scale)
+            assert _bits(fast.items()) == \
+                _bits(_all_pairs_product(p, q, min_contractions, scale).items())
+        # the same keys with new coefficients replay the plans made above,
+        # into an `out` that already holds some of the product's signatures
+        # and some others, in its own order
+        rng = np.random.default_rng(20261021)
+        for p, q in maps:
+            p2, q2 = ({sig: complex(*rng.normal(size=2)) for sig in terms}
+                      for terms in (p, q))
+            first = list(_all_pairs_product(p, q, min_contractions))
+            out = {sig: complex(i, -i) for i, sig in enumerate(first[::-3] + list(p))}
+            fast = product_terms(p2, q2, min_contractions, dict(out), scale)
+            assert _bits(fast.items()) == \
+                _bits(_all_pairs_product(p2, q2, min_contractions, scale, dict(out)).items())
 
 
 @pytest.mark.parametrize("min_contractions", [0, 1])
@@ -462,21 +476,27 @@ def _id_maps(n_pairs=10):
 
 @pytest.mark.parametrize("maps", [_random_maps, _id_maps], ids=["modes", "ids"])
 def test_pattern_table_serves_every_contraction_count(maps):
-    # one table, filled by min_contractions 0, then 1, then 2: each count
-    # reads its own patterns, as a commutator after a product must; the
-    # merged sides are shared by every count and, over ids, by both systems
-    algebra._patterns.clear()
-    algebra._merged.clear()
-    try:
+    # one table, filled by min_contractions 0, then 1, then 2 inside one
+    # scope: each count reads its own patterns, as a commutator after a
+    # product must; the merged sides are shared by every count and, over ids,
+    # by both systems
+    with algebra._pattern_scope():
         for min_contractions in (0, 1, 2):
             for p, q in maps():
                 fast = product_terms(p, q, min_contractions)
                 assert _bits(fast.items()) == \
                     _bits(_all_pairs_product(p, q, min_contractions).items())
-        assert algebra._patterns and algebra._merged
-    finally:
-        algebra._patterns.clear()
-        algebra._merged.clear()
+        assert algebra._patterns and algebra._merged and algebra._plans
+    assert algebra._patterns == algebra._merged == algebra._plans == {}
+
+
+def test_bare_product_terms_leaves_no_table():
+    # a call with no scope open keeps its tables only while it runs
+    for p, q in _random_maps(2):
+        for min_contractions in (0, 1):
+            assert product_terms(p, q, min_contractions)
+            assert algebra._patterns == {} and algebra._merged == {}
+            assert algebra._plans == {}
 
 
 @pytest.mark.parametrize("interaction, order", [("phi3", 3), ("scalar-yukawa", 2)])
@@ -495,6 +515,34 @@ def test_dress_forms_each_contraction_pattern_once(monkeypatch, interaction, ord
     assert calls and set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("interaction, order, plans, products",
+                         [("phi3", 3, 9, 22), ("scalar-yukawa", 2, 3, 6)])
+def test_dress_builds_each_plan_once(monkeypatch, interaction, order, plans, products):
+    # the BCH expansions of one `dress` multiply maps on the same keys again
+    # and again: each key structure is planned once, and later replayed
+    built = Counter()
+    plan = algebra._plan
+
+    def counted(p, q, min_contractions):
+        built[p, q, min_contractions] += 1
+        return plan(p, q, min_contractions)
+
+    calls = []
+    product = algebra.product_terms
+
+    def seen(p, q, *args, **kwargs):
+        if p and q:
+            calls.append((tuple(p), tuple(q)))
+        return product(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_plan", counted)
+    monkeypatch.setattr(algebra, "product_terms", seen)
+    dress(build_model(interaction, lattice=LatticeSpec(dim=1, sites_per_dim=5),
+                      max_order=order))
+    assert set(built.values()) == {1}
+    assert (len(built), len(calls)) == (plans, products)
+
+
 @pytest.mark.parametrize("policy, ends", [
     ("shirokov", nullcontext()), ("weidlich", pytest.raises(ZeroDenominatorError)),
 ], ids=["returns", "raises"])
@@ -507,16 +555,14 @@ def test_dress_empties_the_pattern_table(monkeypatch, policy, ends):
     solve_generator = dressing.solve_generator
 
     def solve(*args, **kwargs):
-        seen.append((len(algebra._patterns), len(algebra._merged)))
+        seen.append((len(algebra._patterns), len(algebra._merged), len(algebra._plans)))
         return solve_generator(*args, **kwargs)
 
     monkeypatch.setattr(dressing, "solve_generator", solve)
-    algebra._patterns.clear()
-    algebra._merged.clear()
     with ends:
         dress(model)
     assert min(seen[-1]) > 0
-    assert algebra._patterns == {} and algebra._merged == {}
+    assert algebra._patterns == algebra._merged == algebra._plans == {}
 
 
 @pytest.mark.parametrize("operation", [commutator, normal_order_product],
@@ -533,16 +579,14 @@ def test_bare_operation_empties_the_pattern_table(monkeypatch, operation):
 
     def seen(*args, **kwargs):
         out = products(*args, **kwargs)
-        filled.append((len(algebra._patterns), len(algebra._merged)))
+        filled.append((len(algebra._patterns), len(algebra._merged), len(algebra._plans)))
         return out
 
     monkeypatch.setattr(algebra, "product_terms", seen)
-    algebra._patterns.clear()
-    algebra._merged.clear()
     operation(p, q)
     assert filled and min(filled[-1]) > 0
-    assert algebra._patterns == {} and algebra._merged == {}
+    assert algebra._patterns == algebra._merged == algebra._plans == {}
     with algebra._pattern_scope():
         operation(p, q)
-        assert algebra._patterns and algebra._merged
-    assert algebra._patterns == {} and algebra._merged == {}
+        assert algebra._patterns and algebra._merged and algebra._plans
+    assert algebra._patterns == algebra._merged == algebra._plans == {}

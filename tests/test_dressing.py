@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import pytest
 
@@ -288,3 +290,37 @@ def test_dress_on_mode_ids_matches_the_modeindex_loop(monkeypatch, name, sites, 
     assert isinstance(next(iter(result.K.orders[0])), tuple)
     modes = set(model.system.modes)
     assert all(set(c + a) <= modes for o in result.K.orders for c, a in o)
+
+
+# ---------------------------------------------------------------------------
+# golden bits of the engine
+
+
+GOLDEN_DRESS_SHA256 = "975295daf9a74dbdd77ca7c4b2025ddcd201cd4b604c98b16840d5de16ac1a36"
+
+
+def test_dress_bits_match_the_golden_digest():
+    # one sha256 over every signature and the exact bits of each coefficient
+    # of K, every R_n and the removed terms, in dict order, for each model at
+    # orders 2-4 under both policies; weidlich meets its elastic zero
+    # denominators at order 2, recorded by that order
+    digest = hashlib.sha256()
+    for name in ("phi3", "phi3-full", "scalar-yukawa"):
+        for order in (2, 3, 4):
+            for policy in ("shirokov", "weidlich"):
+                digest.update(f"{name} {order} {policy}".encode())
+                model = build_model(name, lattice=LatticeSpec(dim=1, sites_per_dim=5),
+                                    max_order=order, policy=policy)
+                try:
+                    result = dress(model)
+                except ZeroDenominatorError as exc:
+                    digest.update(f"zero denominator at order {exc.order}".encode())
+                    continue
+                maps = [*result.K.orders,
+                        *(o for rn in result.generators for o in rn.orders),
+                        *result.removed]
+                for terms in maps:
+                    for sig, c in terms.items():
+                        digest.update(repr(sig).encode())
+                        digest.update(struct.pack("dd", c.real, c.imag))
+    assert digest.hexdigest() == GOLDEN_DRESS_SHA256
