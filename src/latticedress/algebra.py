@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from itertools import product as iter_product
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .modes import ModeIndex, ModeSystem
@@ -51,7 +51,11 @@ def canonicalize(
 
 
 def _sorted_map(terms: TermMap) -> TermMap:
-    return {s: c for s, c in sorted(terms.items()) if not abs(c) <= PRUNE_THRESHOLD}
+    """The terms in signature order, pruned.  The keys of a map are unique,
+    so sorting by signature alone gives the order of sorting the items, and
+    no coefficient is ever compared."""
+    return {s: c for s, c in sorted(terms.items(), key=itemgetter(0))
+            if not abs(c) <= PRUNE_THRESHOLD}
 
 
 def dagger_signature(sig: Signature) -> Signature:
@@ -84,31 +88,39 @@ def _contractions(
 
     `ca1` and `cc2` count the modes of `a1` and `c2`; their keys follow the
     sorted signature, so the common modes come out in mode order.  Returns
-    (remaining c2, remaining a1, weight) for every contraction count, in
-    the order of iter_product over the common modes.  Within a mode
-    carrying m annihilators against n creators, k contractions come with
-    weight C(m,k)*C(n,k)*k! (bosonic Wick combinatorics).  The k copies of
-    a mode are one run of a sorted tuple, so cutting them out leaves it
-    sorted; a factor 1 for k = 0 is exact and is skipped.
+    (remaining c2, remaining a1, weight) for every choice of a contraction
+    count k per common mode whose counts sum to at least
+    `min_contractions`.  The choices come in lexicographic order of their
+    counts: the first common mode varies slowest and the last fastest, each
+    from 0 up.  Within a mode carrying m annihilators against n creators,
+    k contractions come with the factor C(m,k)*C(n,k)*k! (bosonic Wick
+    combinatorics); the weight is 1.0 times the factors of the modes with
+    k > 0, taken in mode order, so a factor 1 for k = 0 is never taken.
+    The k copies of a mode are one run of a sorted tuple, so cutting them
+    out leaves it sorted.  One shared mode held once on each side, at
+    `min_contractions == 1`, is the common case of a commutator: its one
+    pattern is two cuts and the weight 1.0.
     """
     common = [m for m in ca1 if m in cc2]
-    out = []
-    per_mode = [range(min(ca1[m], cc2[m]) + 1) for m in common]
-    for ks in iter_product(*per_mode):
-        if sum(ks) < min_contractions:
-            continue
-        weight = 1.0
-        rc2, ra1 = c2, a1
-        for mode, k in zip(common, ks):
-            if k:
-                weight *= (math.comb(ca1[mode], k) * math.comb(cc2[mode], k)
-                           * math.factorial(k))
-                i = rc2.index(mode)
-                rc2 = rc2[:i] + rc2[i + k:]
-                i = ra1.index(mode)
-                ra1 = ra1[:i] + ra1[i + k:]
-        out.append((rc2, ra1, weight))
-    return out
+    if min_contractions == 1 and len(common) == 1:
+        mode = common[0]
+        if ca1[mode] == cc2[mode] == 1:
+            i, j = c2.index(mode), a1.index(mode)
+            return [(c2[:i] + c2[i + 1:], a1[:j] + a1[j + 1:], 1.0)]
+    # grow the choices one common mode at a time: (rc2, ra1, weight, count)
+    cuts = [(c2, a1, 1.0, 0)]
+    for mode in common:
+        m, n = ca1[mode], cc2[mode]
+        grown = []
+        for rc2, ra1, w, s in cuts:
+            grown.append((rc2, ra1, w, s))
+            i, j = rc2.index(mode), ra1.index(mode)
+            for k in range(1, min(m, n) + 1):
+                grown.append((rc2[:i] + rc2[i + k:], ra1[:j] + ra1[j + k:],
+                              w * (math.comb(m, k) * math.comb(n, k) * math.factorial(k)),
+                              s + k))
+        cuts = grown
+    return [(rc2, ra1, w) for rc2, ra1, w, s in cuts if s >= min_contractions]
 
 
 # Three tables, kept while any `_pattern_scope` is open and emptied when the

@@ -251,9 +251,15 @@ def _attribute(path: str) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML configuration document."""
+    """Parse and validate a YAML configuration document.
+
+    The text is read by libyaml's `CSafeLoader`, or by `SafeLoader` where
+    PyYAML was built without libyaml; both build the document with the same
+    safe constructor and resolver, so they give the same `RunConfig`.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     values: dict = {}

@@ -1,8 +1,9 @@
 import json
 import math
+import struct
 from collections import Counter
 from contextlib import nullcontext
-from itertools import product as iter_product
+from itertools import combinations_with_replacement, product as iter_product
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ def test_canonicalize_iteration_order_is_sorted(system3):
     z, p1 = mode(system3, 0), mode(system3, 1)
     terms = canonicalize([((p1,), (), 1.0), ((z,), (), 1.0)])
     assert list(terms) == sorted(terms)
+
+
+@pytest.mark.parametrize("labels", ["ids", "modes"])
+def test_sorted_map_orders_as_sorting_the_items(system3, labels):
+    # sorting by signature alone gives the order of sorting the (signature,
+    # coefficient) items, over prefix signatures and over NaN and signed-zero
+    # coefficients; a NaN is kept and the prune is unchanged
+    label = (lambda i: i) if labels == "ids" else (lambda i: system3.modes[i])
+    sigs = [((0,), ()), ((0, 1), ()), ((), (0,)), ((), (0, 0)), ((0,), (0,)),
+            ((0, 1), (2,)), ((0,), (0, 1)), ((), ()), ((2, 2), (1,)), ((1,), ())]
+    sigs = [(tuple(map(label, c)), tuple(map(label, a))) for c, a in sigs]
+    nan = float("nan")
+    coeffs = [complex(nan, 0.0), 0.0j, complex(-0.0, -0.0), complex(0.0, -0.0),
+              complex(PRUNE_THRESHOLD, 0.0), complex(0.0, 2 * PRUNE_THRESHOLD),
+              1.0 + 0j, complex(0.5, nan), -2.0 + 1j, complex(-0.0, 3.0)]
+    rng = np.random.default_rng(20261019)
+    for _ in range(20):
+        terms = {sigs[i]: coeffs[j] for i, j in zip(rng.permutation(len(sigs)),
+                                                    rng.permutation(len(coeffs)))}
+        want = {s: c for s, c in sorted(terms.items()) if not abs(c) <= PRUNE_THRESHOLD}
+        got = algebra._sorted_map(terms)
+        assert _bits(got.items()) == _bits(want.items())
+        assert sum(map(math.isnan, map(abs, got.values()))) == 2    # both NaNs kept
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +417,54 @@ def test_contractions_match_reference_kernel(min_contractions):
     # the one-contraction pairs, the general ones and modes repeated on both
     # sides all occur
     assert single > 0 and general > 0 and repeated > 0
+
+
+def _iter_product_contractions(a1, c2, ca1, cc2, min_contractions):
+    """The reference loop for `_contractions`: every contraction count per
+    common mode, in the order of iter_product over the common modes, the
+    weight a running product from 1.0 over the modes with k > 0, and each
+    count's run cut out of the progressively cut tuples."""
+    common = [m for m in ca1 if m in cc2]
+    out = []
+    per_mode = [range(min(ca1[m], cc2[m]) + 1) for m in common]
+    for ks in iter_product(*per_mode):
+        if sum(ks) < min_contractions:
+            continue
+        weight = 1.0
+        rc2, ra1 = c2, a1
+        for mode, k in zip(common, ks):
+            if k:
+                weight *= (math.comb(ca1[mode], k) * math.comb(cc2[mode], k)
+                           * math.factorial(k))
+                i = rc2.index(mode)
+                rc2 = rc2[:i] + rc2[i + k:]
+                i = ra1.index(mode)
+                ra1 = ra1[:i] + ra1[i + k:]
+        out.append((rc2, ra1, weight))
+    return out
+
+
+def _pattern_bits(patterns):
+    """Each pattern with its weight's type and bytes: 1 == 1.0, but not here."""
+    return [(rc2, ra1, type(w), struct.pack("d", w)) for rc2, ra1, w in patterns]
+
+
+@pytest.mark.parametrize("min_contractions", [0, 1, 2])
+def test_contractions_match_the_iter_product_loop(min_contractions):
+    # every sorted a1 and c2 of length <= 4 over <= 3 modes: the same list,
+    # in the same order, with the same weight bits
+    sides = [s for n in range(5) for s in combinations_with_replacement(range(3), n)]
+    shapes = set()
+    for a1, c2 in iter_product(sides, sides):
+        ca1, cc2 = ({m: side.count(m) for m in side} for side in (a1, c2))
+        got = _contractions(a1, c2, ca1, cc2, min_contractions)
+        assert _pattern_bits(got) == \
+            _pattern_bits(_iter_product_contractions(a1, c2, ca1, cc2, min_contractions))
+        shapes.add(tuple((ca1[m], cc2[m]) for m in ca1 if m in cc2))
+    # (annihilator, creator) counts per shared mode: none shared, one mode
+    # held once on each side, more often, and two or three modes all occur
+    assert {(), ((1, 1),), ((2, 3),), ((1, 1), (1, 1)), ((1, 2), (2, 1)),
+            ((1, 1), (1, 1), (1, 1))} <= shapes
 
 
 @pytest.mark.parametrize("min_contractions", [0, 1, 2])

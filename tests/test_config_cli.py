@@ -65,7 +65,7 @@ def test_echo_round_trips_all_sections():
                                    "equal_time", "spacelike"}
 
 
-@pytest.mark.parametrize("text, fragment", [
+SCHEMA_VIOLATIONS = [
     ("bogus: 1", "<root>.bogus"),
     ("model:\n  lattice: {sides: 3}", "model.lattice.sides"),
     ("model:\n  lattice: {sites_per_dim: 4}", "must be odd"),
@@ -96,7 +96,10 @@ def test_echo_round_trips_all_sections():
      "write 1.0e+300)"),
     ("numerics:\n  lambdas: [0.1, 2e-2]", "numerics.lambdas[1]: expected float, "
      "got '2e-2' (YAML reads it as a string; write 0.02)"),
-])
+]
+
+
+@pytest.mark.parametrize("text, fragment", SCHEMA_VIOLATIONS)
 def test_schema_violations_name_the_key(text, fragment):
     with pytest.raises(ConfigError, match=None) as exc:
         parse_config(text)
@@ -885,3 +888,81 @@ def test_symbolic_path_loads_no_numerical_stack(tmp_path):
                             ["verify", 0]]
     assert got["loaded"] == [[], ["numpy", "scipy"]]
     assert got["basis"] == "FockBasis"
+
+
+# ---------------------------------------------------------------------------
+# the YAML reader: libyaml's CSafeLoader where PyYAML has it, SafeLoader else
+
+
+def _perfbench_config_texts(seeds):
+    """The config files perfbench writes for every workload at these seeds."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [yaml.safe_dump(doc, sort_keys=False) for w in workloads.WORKLOADS.values()
+            for seed in seeds for doc in workloads.generate(w, seed)]
+
+
+def _outcome(text):
+    """The RunConfig and its echo, or the ConfigError's message."""
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        return str(exc)
+    return cfg, cfg.echo()
+
+
+def _without_libyaml(monkeypatch, read):
+    with monkeypatch.context() as m:
+        m.delattr(yaml, "CSafeLoader", raising=False)
+        return read()
+
+
+def test_both_yaml_loaders_give_the_same_configs(monkeypatch):
+    # the same constructor and resolver build the document under either
+    # parser: every shipped, tested and benchmarked config parses alike
+    texts = [(REPO_ROOT / "configs" / "phi3.yaml").read_text()]
+    texts += [v for k, v in globals().items() if k.endswith("_YAML")]
+    texts += [VERIFY_S3 % "[0.02, 0.04]"]
+    texts += _perfbench_config_texts(range(1, 6))
+    assert len(texts) >= 121
+    for text in texts:
+        got = _outcome(text)
+        assert isinstance(got, tuple)
+        assert _without_libyaml(monkeypatch, lambda: _outcome(text)) == got
+    # and every schema violation is reported alike; a YAML syntax error is
+    # worded by each parser in its own way
+    for text, _ in SCHEMA_VIOLATIONS:
+        got = _outcome(text)
+        other = _without_libyaml(monkeypatch, lambda: _outcome(text))
+        if got.startswith("not valid YAML: "):
+            assert other.startswith("not valid YAML: ")
+        else:
+            assert other == got
+
+
+@pytest.mark.parametrize("text", ["{{{", "model: [1, 2", "model:\n  order: 2\n order: 3",
+                                  "model:\n\torder: 2", "a: b: c", "'unterminated"])
+def test_malformed_yaml_is_a_config_error_under_both_loaders(monkeypatch, text):
+    for read in (lambda f: f(), lambda f: _without_libyaml(monkeypatch, f)):
+        with pytest.raises(ConfigError, match="^not valid YAML: ") as exc:
+            read(lambda: parse_config(text))
+        assert isinstance(exc.value.__cause__, yaml.YAMLError)
+
+
+def test_config_is_read_by_libyaml_when_present(monkeypatch):
+    # a PyYAML built without libyaml has no CSafeLoader: SafeLoader reads it
+    used = []
+    load = yaml.load
+
+    def recorded(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", recorded)
+    fast = parse_config(FAST_YAML)
+    slow = _without_libyaml(monkeypatch, lambda: parse_config(FAST_YAML))
+    assert used == [getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader]
+    assert slow == fast
