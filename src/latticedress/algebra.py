@@ -131,8 +131,10 @@ def _contractions(
 # pairs.  The merged sides: per (left, right), the sorted left + right, for
 # either side of a product's signature.  The plans: per key structure
 # (tuple(p), tuple(q), min_contractions), what `_plan` builds from the
-# signatures alone; a product on the same keys with other coefficients
-# replays it.
+# signatures alone, four flat tuples (left term, right term, output
+# signature, weight) with one entry per contribution, and the output
+# signatures; a product on the same keys with other coefficients replays
+# it.
 _patterns: dict = {}
 _merged: dict = {}
 _plans: dict = {}
@@ -164,12 +166,12 @@ def _merge(left: tuple, right: tuple) -> tuple:
 
 def _plan(p: Iterable[Signature], q: Iterable[Signature], min_contractions: int):
     """The contributions of the product of two term maps, from their
-    signatures alone: (rows, sigs).
+    signatures alone: ((ii, js, ks, ws), sigs).
 
-    `rows` holds, per left term, three parallel tuples (js, ks, ws): the
-    right term j it meets, the index k into `sigs` of the signature it adds
-    to, and the Wick weight w, in the visit order.  `sigs` lists the output
-    signatures in the order of their first contribution.  With
+    The four flat tuples hold one entry per contribution, in the visit
+    order: the left term i, the right term j it meets, the index k into
+    `sigs` of the signature it adds to, and the Wick weight w.  `sigs` lists
+    the output signatures in the order of their first contribution.  With
     `min_contractions >= 1` only the pairs where an annihilator of the left
     term meets a creator of the right term are visited, still in the order
     of `q`.  A pair's contractions are read from its left term's pattern
@@ -187,8 +189,8 @@ def _plan(p: Iterable[Signature], q: Iterable[Signature], min_contractions: int)
                 by_mode.setdefault(m, []).append(j)
     merged = _merged.get
     index: dict[Signature, int] = {}
-    rows = []
-    for c1, a1 in p:
+    ii, js, ks, ws = [], [], [], []
+    for i, (c1, a1) in enumerate(p):
         ca1 = {m: a1.count(m) for m in a1}
         if min_contractions < 1:
             visit = every
@@ -196,7 +198,6 @@ def _plan(p: Iterable[Signature], q: Iterable[Signature], min_contractions: int)
             hits = [by_mode[m] for m in ca1 if m in by_mode]
             visit = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
         patterns = _patterns.setdefault((a1, min_contractions), {})
-        js, ks, ws = [], [], []
         for j in visit:
             c2, a2, cc2 = qs[j]
             pattern = patterns.get(c2)
@@ -206,11 +207,11 @@ def _plan(p: Iterable[Signature], q: Iterable[Signature], min_contractions: int)
             for rc2, ra1, w in pattern:
                 sig = (merged((c1, rc2)) or _merge(c1, rc2) if rc2 else c1,
                        merged((ra1, a2)) or _merge(ra1, a2) if ra1 else a2)
+                ii.append(i)
                 js.append(j)
                 ks.append(index.setdefault(sig, len(index)))
                 ws.append(w)
-        rows.append((tuple(js), tuple(ks), tuple(ws)))
-    return rows, list(index)
+    return (tuple(ii), tuple(js), tuple(ks), tuple(ws)), list(index)
 
 
 def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
@@ -220,8 +221,9 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
     The contributions come from the plan of the key structure (tuple(p),
     tuple(q), min_contractions), built once per `_pattern_scope` by `_plan`;
     a call opens a scope of its own, so outside `dress` or a commutator or
-    product it leaves no table behind.  The replay adds `scale * x * y * w`
-    to each output signature in the visit order, so every coefficient sums
+    product it leaves no table behind.  The replay is one loop over the
+    plan's flat tuples: contribution (i, j, k, w) adds `scale * x_i * y_j *
+    w` to output signature k, in the visit order, so every coefficient sums
     its contributions, and every new signature enters `out`, in the same
     order as the all-pairs loop.  An empty `p` or `q` has no pair, so `out`
     comes back as it was given.
@@ -234,14 +236,13 @@ def product_terms(p: TermMap, q: TermMap, min_contractions: int = 0,
         plan = _plans.get(key)
         if plan is None:
             plan = _plans[key] = _plan(key[0], key[1], min_contractions)
-    rows, sigs = plan
+    (ii, js, ks, ws), sigs = plan
     get = acc.get
     vals = [get(sig, 0j) for sig in sigs]
+    xs = [scale * x for x in p.values()]    # each term is scale * x * y * w, bit for bit
     ys = list(q.values())
-    for x, (js, ks, ws) in zip(p.values(), rows):
-        sx = scale * x      # so each term is scale * x * y * w, bit for bit
-        for j, k, w in zip(js, ks, ws):
-            vals[k] = vals[k] + sx * ys[j] * w
+    for i, j, k, w in zip(ii, js, ks, ws):
+        vals[k] = vals[k] + xs[i] * ys[j] * w
     acc.update(zip(sigs, vals))
     return acc
 

@@ -140,7 +140,9 @@ def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
     """Residuals of the dressed vacuum exp(-R)|0> and one-particle states
     exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value,
     for the dressing result and basis of `matrices`; each dressed state is
-    a column of exp(-R), a basis state where R(lam) is zero."""
+    a column of exp(-R), a basis state where R(lam) is zero.  The couplings
+    are taken in turn, and each one's dense H and exp(-R) are freed before
+    the next coupling's are formed."""
     lambdas = list(lambdas)
     basis, system = matrices.basis, matrices.result.model.system
     vac_res: list[float] = []
@@ -154,6 +156,7 @@ def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
         vac_res.append(_state_residual(mh, dressed_state(w_inv, vac_idx, n)))
         for m, i in one_idx.items():
             one_res[m].append(_state_residual(mh, dressed_state(w_inv, i, n)))
+        del mh, w_inv
 
     return ResidualReport(lambdas=lambdas, vacuum=vac_res, one_particle=one_res)
 

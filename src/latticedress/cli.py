@@ -70,7 +70,6 @@ def model_from_config(cfg: RunConfig) -> ModelSpec:
             lattice=lattice,
             species=cfg.species,
             g=cfg.coupling_strength,
-            coupling=cfg.coupling,
             max_order=cfg.order,
             policy=cfg.policy,
         )
@@ -164,9 +163,10 @@ def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
         diffs = []
         for lam in lams:
             mh, mr = matrices(lam)
-            mk = matrix_of(result.K, basis, lam).toarray()
-            conj = conjugate_numeric(mr, mh)
-            diffs.append(restricted_norm(conj - mk, basis, block))
+            mk = matrix_of(result.K, basis, lam)
+            # one expression: no dense matrix outlives its coupling
+            diffs.append(restricted_norm(conjugate_numeric(mr, mh) - mk.toarray(),
+                                         basis, block))
         (slope,), got, ok = fall_off(lams, [diffs], n + 1, tol)
         report["verify"]["oracle"] = {
             "lambdas": lams, "differences": diffs, "slope": _finite(slope),

@@ -167,8 +167,9 @@ SCHEMA = (
     ("model.interaction.name",        _str,      "phi3",
      _one_of("interaction", BUILTIN_INTERACTIONS)),
     ("model.interaction.coupling_strength", _float, DEFAULT_COUPLING_STRENGTH, None),
-    # read by nothing; kept because dropping it changes every report's config echo
-    ("model.coupling",                _float,    ModelSpec.coupling, None),
+    # read by no step and held by no model; kept, with its old default,
+    # because dropping it would change every report's config echo
+    ("model.coupling",                _float,    0.1,             None),
     ("model.policy",                  _str,      ModelSpec.policy, _one_of("policy", POLICIES)),
     ("model.order",                   _int,      ModelSpec.max_order, _at_least(1)),
     ("numerics.per_mode_cutoff",      _int,      4,               _at_least(1)),

@@ -85,7 +85,6 @@ class ModelSpec:
 
     system: ModeSystem
     interaction: OperatorSeries          # order-1 content only
-    coupling: float = 0.1               # default numeric value of the coupling
     max_order: int = 2
     policy: str = "shirokov"            # or "weidlich"
     name: str = "custom"
@@ -161,7 +160,7 @@ def build_model(
     **settings,
 ) -> ModelSpec:
     """Assemble a ModelSpec from a built-in interaction name; `settings` are
-    passed on to ModelSpec (`coupling`, `max_order`, `policy`)."""
+    passed on to ModelSpec (`max_order`, `policy`)."""
     if interaction not in VERTICES:
         raise ModelError(
             f"unknown interaction {interaction!r}; built-ins: {BUILTIN_INTERACTIONS}"

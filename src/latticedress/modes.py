@@ -158,9 +158,6 @@ class ModeSystem:
         """E(k) of a mode, given as its `ModeIndex` or as its id."""
         return self._energy[mode]
 
-    def momentum(self, mode: ModeIndex) -> tuple[float, ...]:
-        return self.lattice.momentum(mode.k)
-
     def mode(self, species: str, k) -> ModeIndex:
         m = ModeIndex(species, tuple(k))
         if not self.contains(m):

@@ -384,20 +384,21 @@ def expm_pair(a: np.ndarray):
 
 
 def dressing_matrices(matrices: CouplingMatrices, lam: float, plus: bool = False):
-    """(H(lam), R(lam), exp(-R(lam))) dense matrices of the dressing result
-    of `matrices`; with `plus`, exp(+R(lam)) in place of R(lam).
+    """(H(lam), exp(+R(lam)), exp(-R(lam))) dense matrices of the dressing
+    result of `matrices`; exp(+R(lam)) is None unless `plus`.
 
     With K = exp(R) H exp(-R), the approximate eigenvectors of H are the
     dressed states exp(-R)|i>: the dressed state of basis state i is column
     i of exp(-R), see `dressed_state`.  The caller is the last user of
-    H(lam) and R(lam), which leave `matrices`.  An exp(-R) that is not
-    finite or not unitary raises OracleError.  exp(+R) is formed after
-    exp(-R) has passed, from the same Pade structure (`expm_pair`), and the
-    dense R is then not kept.
+    H(lam) and R(lam), which leave `matrices`.  The dense R is formed only
+    as the exponential's argument, and is freed once exp(-R) is formed.  An
+    exp(-R) that is not finite or not unitary raises OracleError.  exp(+R)
+    is formed after exp(-R) has passed, from the same Pade structure
+    (`expm_pair`).
 
-    An R(lam) with no stored element gives None for R(lam) or exp(+R(lam))
-    and for exp(-R(lam)): exp(-+R) = 1 exactly, so no dense R, no expm and
-    no unitarity product is formed.  This holds at lam = 0, since R has no
+    An R(lam) with no stored element gives None for exp(+R(lam)) and for
+    exp(-R(lam)): exp(-+R) = 1 exactly, so no dense R, no expm and no
+    unitarity product is formed.  This holds at lam = 0, since R has no
     order 0 and `evaluate` prunes 0 * c, and for a free model at any lam.
     """
     import numpy as np
@@ -406,20 +407,15 @@ def dressing_matrices(matrices: CouplingMatrices, lam: float, plus: bool = False
     mh, mr = matrices.pop(lam)
     if not mr.nnz:
         return mh.toarray(), None, None
-    mr = mr.toarray()
-    if plus:
-        pair = expm_pair(mr)
-        del mr
-        w_inv = next(pair)
-    else:
-        w_inv = scipy.linalg.expm(-mr)
+    pair = expm_pair(mr.toarray()) if plus else None
+    w_inv = next(pair) if plus else scipy.linalg.expm(-mr.toarray())
     name = f"exp(-R) at coupling {lam!r}"
     if not np.isfinite(w_inv).all():
         raise OracleError(f"{name} is not finite")
     _check_unitary(w_inv, name)
-    second = next(pair) if plus else mr     # exp(+R) or R
+    w = next(pair) if plus else None
     # H is made dense last, so that the exponentials run without it
-    return mh.toarray(), second, w_inv
+    return mh.toarray(), w, w_inv
 
 
 def dressed_state(w_inv: np.ndarray | None, i: int, dimension: int) -> np.ndarray:

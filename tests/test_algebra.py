@@ -382,6 +382,24 @@ def _random_maps(n_pairs=20):
             for _ in range(n_pairs)]
 
 
+# coefficient parts that the Gaussian maps never draw: NaN, +-inf, -0.0, the
+# smallest subnormal and a float near the top of the range
+SPECIAL_PARTS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+
+
+def _special_maps(n_pairs=6):
+    """The keys of a few random maps, each coefficient's parts drawn from
+    `SPECIAL_PARTS` and two plain values."""
+    values = SPECIAL_PARTS + [1.0, -2.5]
+    rng = np.random.default_rng(20261022)
+
+    def coeff():
+        return complex(*(values[i] for i in rng.integers(0, len(values), 2)))
+
+    return [tuple({sig: coeff() for sig in terms} for terms in pair)
+            for pair in _random_maps(n_pairs)]
+
+
 def _repeated_mode_cases(n_cases=30):
     """(c1, a1, c2, a2) over three modes, each held 0 to 3 times by every
     side, so that modes repeated 2 or 3 times meet on both sides."""
@@ -489,6 +507,19 @@ def test_product_terms_matches_all_pairs_loop(min_contractions, scale):
             fast = product_terms(p2, q2, min_contractions, dict(out), scale)
             assert _bits(fast.items()) == \
                 _bits(_all_pairs_product(p2, q2, min_contractions, scale, dict(out)).items())
+        # special coefficients, into no `out` and into one that holds special
+        # values too
+        n = len(SPECIAL_PARTS)
+        for p, q in _special_maps():
+            first = list(_all_pairs_product(p, q, min_contractions))
+            out = {sig: complex(SPECIAL_PARTS[i % n], SPECIAL_PARTS[(i + 1) % n])
+                   for i, sig in enumerate(first[::-3] + list(p))}
+            for given in (None, out):
+                fast = product_terms(p, q, min_contractions,
+                                     None if given is None else dict(given), scale)
+                assert _bits(fast.items()) == _bits(_all_pairs_product(
+                    p, q, min_contractions, scale,
+                    None if given is None else dict(given)).items())
 
 
 @pytest.mark.parametrize("min_contractions", [0, 1])

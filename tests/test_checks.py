@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from latticedress import checks
+from latticedress import checks, cli
 from latticedress.checks import (
     ZERO_FLOOR,
     ScanError,
@@ -17,9 +17,9 @@ from latticedress.checks import (
 from latticedress.dressing import dress
 from latticedress.models import build_model
 from latticedress.modes import LatticeSpec
-from latticedress.numerics import CouplingMatrices, FockBasis
+from latticedress.numerics import CouplingMatrices, FockBasis, dressing_matrices
 
-from conftest import squeeze_deviation
+from conftest import phi3_config, squeeze_deviation
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +373,49 @@ def test_scans_keep_one_context_alive(monkeypatch, small_basis, small_result, sc
         spacelike_scan(matrices, lambdas=[0.05, 0.1, 0.2],
                        grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
         assert built[0] == 0.0 and sorted(built[1:]) == [0.05, 0.1, 0.2]
+
+
+def _keep_weakly(monkeypatch, module, name) -> list[bool]:
+    """Wrap module.name so that it keeps only weak references to the arrays
+    it returns.  Each call first appends to the list returned here whether
+    every array returned by an earlier call is dead."""
+    function = getattr(module, name)
+    earlier = []
+    dead = []
+
+    def wrapped(*args, **kwargs):
+        dead.append(all(ref() is None for ref in earlier))
+        out = function(*args, **kwargs)
+        earlier.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,))
+                       if a is not None)
+        return out
+
+    monkeypatch.setattr(module, name, wrapped)
+    return dead
+
+
+def test_residuals_hold_one_couplings_dense_matrices(monkeypatch, small_basis,
+                                                     small_result):
+    # each coupling's H and exp(-R) are freed before the next coupling's
+    # are formed, and no dense R is handed out
+    matrices = CouplingMatrices(small_result, small_basis)
+    dead = _keep_weakly(monkeypatch, checks, "dressing_matrices")
+    eigenstate_residuals(matrices, [0.02, 0.04, 0.08])
+    assert dead == [True, True, True]
+    assert dressing_matrices(matrices, 0.1)[1] is None
+
+
+def test_verify_holds_one_couplings_dense_matrices(monkeypatch, tmp_path):
+    # the oracle's conjugated H and the residuals' H and exp(-R) of one
+    # coupling are dead when the next coupling's are formed
+    conjugated = _keep_weakly(monkeypatch, cli, "conjugate_numeric")
+    dressed = _keep_weakly(monkeypatch, checks, "dressing_matrices")
+    cfg = phi3_config({"model.lattice.sites_per_dim": 3,
+                       "numerics.per_mode_cutoff": 3, "numerics.total_cutoff": 3,
+                       "numerics.lambdas": [0.02, 0.04, 0.08]})
+    cli.run(cfg, "verify", tmp_path)
+    assert conjugated == [True, True, True]
+    assert dressed == [True, True, True]
 
 
 def test_spacelike_scan_forms_each_distinct_point_once_per_coupling(

@@ -39,7 +39,7 @@ def test_min_image_distance_wraps():
 def test_dispersion(system5):
     m = system5.mode("phi", (2,))
     assert system5.energy(m) == pytest.approx(math.sqrt(4.0 + 1.0))
-    assert system5.momentum(m) == pytest.approx((2.0,))
+    assert system5.lattice.momentum(m.k) == pytest.approx((2.0,))
 
 
 def test_modes_sorted_and_membership(system3):
