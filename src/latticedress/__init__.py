@@ -13,7 +13,7 @@ from .algebra import (
 from .dressing import DressingResult, ZeroDenominatorError, dress
 from .modes import FieldSpecies, LatticeSpec, ModeIndex, ModeSystem
 from .models import ModelSpec, build_model
-from .numerics import FockBasis
+from .numerics import FockBasis, matrix_of_terms
 
 __all__ = [
     "OperatorSeries",
@@ -31,5 +31,6 @@ __all__ = [
     "ModelSpec",
     "build_model",
     "FockBasis",
+    "matrix_of_terms",
     "__version__",
 ]

@@ -311,19 +311,6 @@ class OperatorSeries:
     def max_abs(self) -> float:
         return max((abs(c) for o in self.orders for c in o.values()), default=0.0)
 
-    def evaluate(self, lam: float) -> TermMap:
-        """Collapse the series at a numeric coupling value."""
-        acc: TermMap = {}
-        for n, o in enumerate(self.orders):
-            try:
-                w = lam**n
-            except OverflowError:
-                raise OverflowError(
-                    f"coupling {lam!r} to the power {n} overflows a float") from None
-            for sig, c in o.items():
-                acc[sig] = acc.get(sig, 0j) + w * c
-        return _sorted_map(acc)
-
     def hermiticity_defect(self) -> float:
         """max |c(sig) - conj(c(sig^dagger))| over all stored terms."""
         worst = 0.0

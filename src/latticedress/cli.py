@@ -7,9 +7,10 @@ Commands:
   all     dress + verify + scan
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, the dressing hit
-a zero denominator, a setup step failed or the report holds a non-finite
-number (written as null), 2 usage or configuration error.  Exit 0 or 1
-writes the report; a setup failure keeps the verdicts computed before it.
+a zero denominator, a setup step failed or ran out of memory, or the report
+holds a non-finite number (written as null), 2 usage or configuration
+error.  Exit 0 or 1 writes the report; a setup failure keeps the verdicts
+computed before it.
 
 The JSON report is byte-stable for identical inputs and package version;
 wall-clock timing goes to stderr, not into the report.
@@ -45,7 +46,6 @@ from .numerics import (
     CouplingMatrices,
     FockBasis,
     conjugate_numeric,
-    matrix_of,
     restricted_norm,
 )
 
@@ -155,15 +155,17 @@ def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
     matrices = CouplingMatrices(result, basis)
     report["verify"] = {"basis_dimension": basis.dimension}
 
-    oracle = cfg.checks["oracle"]
+    oracle, residuals = cfg.checks["oracle"], cfg.checks["residuals"]
     if oracle.enabled:
         block = oracle.params["block"]
         tol = oracle.params["slope_tolerance"]
         lams = [l for l in cfg.lambdas if l > 0]
+        # the residuals take each pair later; without them, nothing is kept
+        take = matrices if residuals.enabled else matrices.pop
         diffs = []
         for lam in lams:
-            mh, mr = matrices(lam)
-            mk = matrix_of(result.K, basis, lam)
+            mh, mr = take(lam)
+            mk = matrices.transformed(lam)
             # one expression: no dense matrix outlives its coupling
             diffs.append(restricted_norm(conjugate_numeric(mr, mh) - mk.toarray(),
                                          basis, block))
@@ -173,7 +175,6 @@ def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
         }
         verdicts.append(_verdict("oracle_equivalence_slope", n + 1, got, tol, ok))
 
-    residuals = cfg.checks["residuals"]
     if residuals.enabled:
         tol = residuals.params["slope_tolerance"]
         rep = eigenstate_residuals(matrices, cfg.lambdas)
@@ -272,13 +273,17 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
         "verdicts": [],
     }
     failure = None
+    stage = "model build"
     try:
         model = model_from_config(cfg)
+        stage = "dress"
         result = run_dress(model, report)
         matrices = None     # one basis per run, and one H(lam), R(lam) per coupling
         if command in ("verify", "all"):
+            stage = "verify"
             matrices = run_verify(cfg, report, result)
         if command in ("scan", "all"):
+            stage = "scan"
             run_scan(cfg, report, result, matrices)
     except ZeroDenominatorError as exc:
         failure = {
@@ -293,6 +298,8 @@ def run(cfg: RunConfig, command: str, out_dir: str | Path = ".") -> int:
         }
     except (BasisError, ModelError, ScanError, ArithmeticError) as exc:
         failure = {"check": "setup", "reason": str(exc)}
+    except MemoryError:
+        failure = {"check": "setup", "reason": f"out of memory in {stage}"}
     # verdicts computed before a failure stay in the report
     report["failures"] = [{"check": v["check"], "reason": "tolerance"}
                           for v in report["verdicts"] if not v["pass"]]

@@ -13,8 +13,16 @@ computed together, one numpy pass over (signatures x states) per operator
 shape, under a fixed element budget; rows are found by integer state keys,
 the one row lookup.  Matrix assembly then forms all its entries in one
 product of the repeated coefficients with the cached amplitudes, in the
-order of the term map.  `CouplingMatrices` assembles H(lam) and R(lam) once
-per coupling for every check that needs them.
+order of the term map, and builds the CSR matrix in one place (`_csr`).
+
+An operator series is laid out in a basis once (`SeriesAssembler`): its
+signatures' actions concatenated in signature order, and one coefficient
+column per order.  Each coupling then forms its coefficients and the
+entries with numpy, and drops the pruned signatures' entries by a mask:
+the matrix of the evaluated term map, bit for bit, without the map.
+`CouplingMatrices` holds the layouts of H, R and K of one dressing result,
+so a run lays each out once, and assembles H(lam) and R(lam) once per
+coupling for every check that needs them.
 
 A coupling whose R(lam) has no stored element, lam = 0 on every run and any
 lam for a free model, has exp(-+R) = 1 exactly: `dressing_matrices` then
@@ -38,10 +46,11 @@ time and memory.  The oracle commands load it on first use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .algebra import OperatorSeries, TermMap
+from .algebra import PRUNE_THRESHOLD, OperatorSeries, TermMap
 from .modes import ModeSystem
 from .models import ModelSpec
 
@@ -226,27 +235,107 @@ def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     matrix element raises OracleError.  Each term's entries are its
     coefficient times its cached amplitudes, in the order of the map."""
     import numpy as np
+
+    rows, cols, amps, counts = _concatenated(basis.actions(terms))
+    coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+    return _csr(np.repeat(coeffs, counts) * amps, rows, cols, basis.dimension)
+
+
+def _concatenated(actions: list):
+    """(rows, cols, amps, counts) of a list of actions: each of the first
+    three concatenated in the order of the list, and the entry count of
+    each action."""
+    import numpy as np
+
+    if not actions:
+        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
+                np.zeros(0, dtype=np.intp))
+    rows, cols, amps = zip(*actions)
+    counts = np.fromiter(map(len, amps), dtype=np.intp, count=len(amps))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(amps), counts
+
+
+def _csr(data, rows, cols, n: int) -> sp.csr_matrix:
+    """The n x n CSR matrix of (data, (rows, cols)), duplicates summed; a
+    non-finite element raises OracleError."""
+    import numpy as np
     import scipy.sparse as sp
 
-    n = basis.dimension
-    if not terms:
+    if not len(data):
         return sp.csr_matrix((n, n), dtype=complex)
-    rows, cols, amps = zip(*basis.actions(terms))
-    counts = np.fromiter(map(len, amps), dtype=np.intp, count=len(amps))
-    coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
-    data = np.repeat(coeffs, counts) * np.concatenate(amps)
     if not np.isfinite(data).all():
         raise OracleError("the Fock-space matrix of a term map has a non-finite element")
-    return sp.csr_matrix(
-        (data, (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-        dtype=complex,
-    )
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=complex)
 
 
-def matrix_of(series: OperatorSeries, basis: FockBasis, lam: float) -> sp.csr_matrix:
-    """Matrix of an operator series evaluated at a numeric coupling."""
-    return matrix_of_terms(series.evaluate(lam), basis)
+class SeriesAssembler:
+    """The matrix of an operator series at any coupling, from a layout of
+    the series in a basis that is built once.
+
+    The layout holds the sorted union of the series' signatures, one
+    coefficient column and one presence mask per order over that union,
+    and the signatures' actions concatenated in union order.  A call at lam
+    forms the coefficients as a term map's evaluation does: from 0j, it
+    adds lam**k * c for each order k in turn where that order holds the
+    signature, and lam**k is taken for every order, an empty one too, so
+    an overflowing power raises OverflowError at the same order.  A
+    coefficient with abs <= PRUNE_THRESHOLD is dropped with its entries (a
+    NaN is kept), abs taken by `hypot` as Python's `abs` takes it (numpy's
+    own complex abs differs from it in the last bit).  The
+    result is, bit for bit, the matrix that `matrix_of_terms` gives of the
+    evaluated, pruned term map in signature order; a non-finite element
+    raises OracleError.
+    """
+
+    def __init__(self, series: OperatorSeries, basis: FockBasis):
+        import numpy as np
+
+        # each order is a sorted run, which the sort merges
+        sigs = sorted(dict.fromkeys(itertools.chain.from_iterable(series.orders)))
+        at = {sig: i for i, sig in enumerate(sigs)}
+        self._orders = []       # per order: (column, mask), or None if empty
+        for terms in series.orders:
+            if not terms:
+                self._orders.append(None)
+                continue
+            where = np.fromiter(map(at.__getitem__, terms), dtype=np.intp,
+                                count=len(terms))
+            column = np.zeros(len(sigs), dtype=complex)
+            column[where] = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+            mask = np.zeros(len(sigs), dtype=bool)
+            mask[where] = True
+            self._orders.append((column, mask))
+        self._layout = _concatenated(basis.actions(sigs))
+        for a in self._layout:
+            a.flags.writeable = False
+        self._dimension = basis.dimension
+
+    def __call__(self, lam: float) -> sp.csr_matrix:
+        import numpy as np
+
+        rows, cols, amps, counts = self._layout
+        acc = np.zeros(len(counts), dtype=complex)
+        # numpy warns of an overflow that Python's arithmetic takes silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, order in enumerate(self._orders):
+                try:
+                    w = lam**k
+                except OverflowError:
+                    raise OverflowError(
+                        f"coupling {lam!r} to the power {k} overflows a float") from None
+                if order is not None:
+                    column, mask = order
+                    np.add(acc, w * column, out=acc, where=mask)
+            magnitude = np.hypot(acc.real, acc.imag)
+        over = np.isinf(magnitude)
+        if over.any() and np.isfinite(acc[over]).any():
+            raise OverflowError("absolute value too large")     # as abs() raises
+        keep = ~(magnitude <= PRUNE_THRESHOLD)
+        data = np.repeat(acc, counts) * amps
+        if not keep.all():
+            entries = np.repeat(keep, counts)
+            data, rows, cols = data[entries], rows[entries], cols[entries]
+        return _csr(data, rows, cols, self._dimension)
 
 
 def _unitarity_defect(w: np.ndarray) -> float:
@@ -271,28 +360,32 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray) 
     """exp(r) h exp(-r) by dense scaling-and-squaring matrix exponential.
 
     r must be anti-Hermitian; the unitarity of exp(r) is verified, and
-    OracleError is raised when it fails.
+    OracleError is raised when it fails.  The dense r is freed once exp(r)
+    is formed, and h is made dense only after exp(r) has passed.
     """
     import numpy as np
     import scipy.linalg
     import scipy.sparse as sp
 
     rd = r.toarray() if sp.issparse(r) else np.asarray(r, dtype=complex)
-    hd = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=complex)
     defect = np.abs(rd + rd.conj().T).max()
     if defect > ANTIHERM_TOL * max(1.0, np.abs(rd).max()):
         raise ValueError(f"generator is not anti-Hermitian (defect {defect:.3e})")
     w = scipy.linalg.expm(rd)
+    del rd
     _check_unitary(w, "exp(R)")
+    hd = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=complex)
     return w @ hd @ w.conj().T
 
 
 class CouplingMatrices:
-    """The sparse H(lam) and R(lam) of a dressing result in a basis.  A pair
-    is assembled once per coupling and kept until `pop` hands it to its
-    last user, so that the checks at one coupling share it and no pair
-    outlives them; H is the model's Hamiltonian, built once.  A basis over
-    DENSE_DIMENSION_LIMIT is refused with BasisError, before any matrix:
+    """The sparse H(lam), R(lam) and K(lam) of a dressing result in a basis,
+    each from its series' `SeriesAssembler`: the H and R layouts are built
+    with the object, K's on first use, so a run lays each series out once.
+    A pair (H(lam), R(lam)) is assembled once per coupling and kept until
+    `pop` hands it to its last user, so that the checks at one coupling
+    share it and no pair outlives them.  A basis over
+    DENSE_DIMENSION_LIMIT is refused with BasisError, before any layout:
     the checks form dense matrices of its dimension."""
 
     def __init__(self, result, basis: FockBasis):
@@ -304,7 +397,9 @@ class CouplingMatrices:
                 f"{16 * n * n / 2**30:.1f} GiB)")
         self.result = result
         self.basis = basis
-        self._hamiltonian = result.model.hamiltonian()
+        self._hamiltonian = SeriesAssembler(result.model.hamiltonian(), basis)
+        self._generator = SeriesAssembler(result.generator, basis)
+        self._transformed = None
         self._kept: dict = {}
 
     def __call__(self, lam: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -316,9 +411,14 @@ class CouplingMatrices:
         """The pair at lam, no longer kept: the kept one, or a new one."""
         return self._kept.pop(lam) if lam in self._kept else self._assemble(lam)
 
+    def transformed(self, lam: float) -> sp.csr_matrix:
+        """K(lam), the transformed Hamiltonian's matrix; not kept."""
+        if self._transformed is None:
+            self._transformed = SeriesAssembler(self.result.K, self.basis)
+        return self._transformed(lam)
+
     def _assemble(self, lam):
-        return (matrix_of(self._hamiltonian, self.basis, lam),
-                matrix_of(self.result.generator, self.basis, lam))
+        return self._hamiltonian(lam), self._generator(lam)
 
 
 # the workspace slots that scipy's pade_UV_calc reads at each Pade order
@@ -339,17 +439,21 @@ def expm_pair(a: np.ndarray):
     formed only when asked for, so a caller can check exp(-a) first; a is
     not held past the first step.  An a that scipy casts or refuses first,
     or takes by other paths (triangular or diagonal), goes to
-    `scipy.linalg.expm` twice.
+    `scipy.linalg.expm` twice, and so does every a where the kernels cannot
+    be imported.
 
     The two kernels are scipy's own, imported here as `scipy.linalg.expm`
     imports them; their calling convention was checked on scipy 1.17.
     """
     import numpy as np
     import scipy.linalg
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+    try:
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+    except ImportError:     # a scipy that has moved its private kernels
+        pade_UV_calc = None
 
-    if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype.char not in "fdFD"
-            or not all(scipy.linalg.bandwidth(a))):
+    if (pade_UV_calc is None or a.ndim != 2 or a.shape[0] != a.shape[1]
+            or a.dtype.char not in "fdFD" or not all(scipy.linalg.bandwidth(a))):
         yield scipy.linalg.expm(-a)
         yield scipy.linalg.expm(a)
         return
@@ -399,7 +503,7 @@ def dressing_matrices(matrices: CouplingMatrices, lam: float, plus: bool = False
     An R(lam) with no stored element gives None for exp(+R(lam)) and for
     exp(-R(lam)): exp(-+R) = 1 exactly, so no dense R, no expm and no
     unitarity product is formed.  This holds at lam = 0, since R has no
-    order 0 and `evaluate` prunes 0 * c, and for a free model at any lam.
+    order 0 and the assembly prunes 0 * c, and for a free model at any lam.
     """
     import numpy as np
     import scipy.linalg
@@ -442,8 +546,12 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
     with the dressed ladder matrices alpha = exp(-R) a exp(R), each formed
     once and added into every site's field.  `w_inv` and `w` are exp(-R)
     and exp(R), or both None for R = 0 (see `dressing_matrices`): alpha is
-    then the bare ladder matrix, its amplitudes put at their (row, column),
-    which is exactly what 1 a 1 gives.
+    then the bare ladder matrix, which is exactly what 1 a 1 gives, and no
+    dense alpha is formed.  Each mode's coeff * (phase * amps) is added at
+    the ladder's (row, column) entries and its conjugate at the transposed
+    ones.  No entry of a field gets more than one such term, and the dense
+    sum adds only zeros beside it, so the field is that sum bit for bit,
+    each zero of it +0.0.
     """
     import numpy as np
 
@@ -456,16 +564,19 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
         mode = model.system.mode(sp_name, kvec)
         p = np.array(lat.momentum(kvec))
         rows, cols, amps = basis.action((), (mode,))
-        if w_inv is None:
-            alpha = np.zeros((n, n), dtype=complex)
-            alpha[rows, cols] = amps
-        else:
-            # a ladder matrix has at most one nonzero per column, so w_inv @ a
-            # is a scaled gather of w_inv's columns
-            left = np.zeros((n, n), dtype=complex)
-            left[:, cols] = w_inv[:, rows] * amps
-            alpha = left @ w
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
+        if w_inv is None:
+            for field, x in zip(out, xs):
+                phase = np.exp(1j * float(np.dot(p, x)))
+                term = coeff * (phase * amps)
+                field[rows, cols] += term
+                field[cols, rows] += np.conj(term)
+            continue
+        # a ladder matrix has at most one nonzero per column, so w_inv @ a
+        # is a scaled gather of w_inv's columns
+        left = np.zeros((n, n), dtype=complex)
+        left[:, cols] = w_inv[:, rows] * amps
+        alpha = left @ w
         for field, x in zip(out, xs):
             phase = np.exp(1j * float(np.dot(p, x)))
             field += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)

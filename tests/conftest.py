@@ -50,6 +50,32 @@ def report_text(obj) -> tuple[str, bool]:
     return "".join(chunks), finite
 
 
+def evaluate(series, lam: float) -> dict:
+    """The slow reference of `numerics.SeriesAssembler`'s coefficients: the
+    series collapsed at a numeric coupling into one pruned term map in
+    signature order, summed term by term in Python."""
+    from latticedress.algebra import _sorted_map
+
+    acc: dict = {}
+    for n, o in enumerate(series.orders):
+        try:
+            w = lam**n
+        except OverflowError:
+            raise OverflowError(
+                f"coupling {lam!r} to the power {n} overflows a float") from None
+        for sig, c in o.items():
+            acc[sig] = acc.get(sig, 0j) + w * c
+    return _sorted_map(acc)
+
+
+def matrix_of(series, basis, lam: float):
+    """The slow reference of `numerics.SeriesAssembler`: the matrix of the
+    series evaluated at a numeric coupling."""
+    from latticedress.numerics import matrix_of_terms
+
+    return matrix_of_terms(evaluate(series, lam), basis)
+
+
 def random_series(system, rng, max_terms=3, max_degree=2):
     """A random low-degree operator series with complex Gaussian coefficients."""
     from latticedress.algebra import OperatorSeries

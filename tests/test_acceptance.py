@@ -28,12 +28,12 @@ from latticedress.numerics import (
     CouplingMatrices,
     FockBasis,
     conjugate_numeric,
-    matrix_of,
     restricted_norm,
 )
 
 from conftest import (
     generator_consistency_defect,
+    matrix_of,
     rspt2_shift,
     run_property_suite,
     squeeze_deviation,

@@ -418,6 +418,21 @@ def test_verify_holds_one_couplings_dense_matrices(monkeypatch, tmp_path):
     assert dressed == [True, True, True]
 
 
+@pytest.mark.parametrize("residuals", [True, False])
+def test_verify_keeps_no_pair_past_its_checks(residuals):
+    # the oracle keeps each pair for the residuals only when they will run;
+    # otherwise it pops it, and either way no pair stays for the scans
+    cfg = phi3_config({"model.lattice.sites_per_dim": 3,
+                       "numerics.per_mode_cutoff": 3, "numerics.total_cutoff": 3,
+                       "checks.residuals.enabled": residuals})
+    report = {"verdicts": []}
+    result = cli.run_dress(cli.model_from_config(cfg), report)
+    matrices = cli.run_verify(cfg, report, result)
+    assert "oracle" in report["verify"]
+    assert ("residuals" in report["verify"]) == residuals
+    assert matrices._kept == {}
+
+
 def test_spacelike_scan_forms_each_distinct_point_once_per_coupling(
         monkeypatch, small_basis, small_result):
     commutators = []

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticedress import checks, cli, numerics
+from latticedress import algebra, checks, cli, numerics
 from latticedress.cli import NONFINITE_FAILURE, main, model_from_config, run
 from latticedress.config import ConfigError, load_config, parse_config
 from latticedress.models import VERTICES
@@ -160,15 +160,52 @@ def test_verify_assembles_each_coupling_once(tmp_path, monkeypatch):
     # couplings): the oracle and residual checks share H(lam) and R(lam), so
     # each coupling assembles H, R and K once, 12 matrices in place of 20
     calls = []
-    assemble = numerics.matrix_of_terms
+    assemble = numerics.SeriesAssembler.__call__
 
-    def counted(terms, basis):
-        calls.append(len(terms))
-        return assemble(terms, basis)
+    def counted(self, lam):
+        calls.append(lam)
+        return assemble(self, lam)
 
-    monkeypatch.setattr(numerics, "matrix_of_terms", counted)
+    monkeypatch.setattr(numerics.SeriesAssembler, "__call__", counted)
     assert run(phi3_config({"model.order": 3}), "verify", tmp_path) == 0
     assert len(calls) == 12
+
+
+def test_out_of_memory_in_dress_is_a_setup_failure(tmp_path, monkeypatch):
+    # the engine's tables are filled by the first plans, then a plan runs
+    # out of memory: the run names the stage, writes its report and leaves
+    # no table behind
+    plan = algebra._plan
+    sizes = []
+
+    def failing(*args):
+        if len(sizes) == 2:
+            raise MemoryError
+        sizes.append(len(algebra._plans) + len(algebra._patterns))
+        return plan(*args)
+
+    monkeypatch.setattr(algebra, "_plan", failing)
+    assert run(parse_config(FAST_YAML), "dress", tmp_path) == 1
+    report = _read_report(tmp_path / "report.json")
+    assert report["verdicts"] == []
+    assert report["failures"] == [{"check": "setup", "reason": "out of memory in dress"}]
+    assert sizes[-1] > 0
+    assert algebra._patterns == {} and algebra._merged == {} and algebra._plans == {}
+
+
+def test_out_of_memory_keeps_the_verdicts_before_it(tmp_path, monkeypatch):
+    def failing(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(checks, "field_at_origin_time_zero", failing)
+    text = FAST_YAML + "checks:\n  equal_time: {enabled: true}\n"
+    assert run(parse_config(text), "all", tmp_path) == 1
+    report = _read_report(tmp_path / "report.json")
+    assert [v["check"] for v in report["verdicts"]] == [
+        "no_bad_terms", "momentum_commutation", "oracle_equivalence_slope",
+        "residual_slopes"]
+    assert all(v["pass"] for v in report["verdicts"])
+    assert report["failures"] == [{"check": "setup", "reason": "out of memory in scan"}]
 
 
 def test_all_builds_one_basis(tmp_path, monkeypatch):
@@ -263,11 +300,12 @@ def test_dense_oracle_refuses_a_basis_it_cannot_hold(tmp_path, monkeypatch, comm
                                                      verdicts):
     # phi3 S=5 at cutoffs 20 has 53,130 states, under numerics.dimension_limit,
     # but one dense complex matrix of them takes 42 GiB: the oracle refuses
-    # the basis before it assembles any matrix
-    def assemble(terms, basis):
+    # the basis before it lays out or assembles any matrix
+    def assemble(*args):
         raise AssertionError("a matrix was assembled")
 
     monkeypatch.setattr(numerics, "matrix_of_terms", assemble)
+    monkeypatch.setattr(numerics, "SeriesAssembler", assemble)
     text = "numerics: {per_mode_cutoff: 20, total_cutoff: 20}\n"
     assert run(parse_config(text), command, tmp_path) == 1
     report = json.loads((tmp_path / "report.json").read_text())

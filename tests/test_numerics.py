@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from latticedress import checks, numerics
+from latticedress.algebra import PRUNE_THRESHOLD, OperatorSeries
 from latticedress.checks import ScanError, _LambdaContext, equal_time_scan
 from latticedress.dressing import dress
 from latticedress.models import build_model, free_hamiltonian
@@ -16,15 +18,16 @@ from latticedress.numerics import (
     BasisError,
     CouplingMatrices,
     FockBasis,
+    OracleError,
+    SeriesAssembler,
     conjugate_numeric,
     dressing_matrices,
     field_at_origin_time_zero,
-    matrix_of,
     matrix_of_terms,
     restricted_norm,
 )
 
-from conftest import mode, rspt2_shift
+from conftest import evaluate, matrix_of, mode, rspt2_shift
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +348,113 @@ def test_actions_refuse_unknown_modes_and_are_read_only(system3, system5):
 
 def test_matrix_of_series_evaluates_coupling(system1):
     z = mode(system1, 0)
-    from latticedress.algebra import OperatorSeries
-
     s = OperatorSeries.from_terms(system1, [((z,), (z,), 1.0)], order=1, max_order=1)
     basis = FockBasis(system1, 2, 2)
     m = matrix_of(s, basis, 0.5).toarray()
     assert m[1, 1] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# one layout per series: SeriesAssembler against the evaluated term map
+
+
+def _csr_bits(m):
+    """Everything that tells two CSR matrices apart, each float by its bits."""
+    return (m.shape, m.data.dtype, m.data.view(np.uint64).tobytes(), m.indices.dtype,
+            m.indices.tobytes(), m.indptr.dtype, m.indptr.tobytes())
+
+
+@pytest.fixture(scope="module")
+def oracle_series():
+    """(label, series, basis) for H, R and K of phi3 and Yukawa on 3 sites at
+    orders 1-3, and of a free model."""
+    lattice = LatticeSpec(dim=1, sites_per_dim=3)
+    out = []
+    for interaction, orders in (("phi3", (1, 2, 3)), ("scalar-yukawa", (1, 2, 3)),
+                                ("free", (2,))):
+        for order in orders:
+            model = build_model(interaction, lattice=lattice, max_order=order)
+            result = dress(model)
+            basis = FockBasis(model.system, 3, 3)
+            for name, series in (("H", model.hamiltonian()), ("R", result.generator),
+                                 ("K", result.K)):
+                out.append((f"{interaction} order {order} {name}", series, basis))
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02, 0.04, 0.08, 0.16, 1e-6])
+def test_assembler_is_the_evaluated_term_maps_matrix(oracle_series, lam):
+    partly_pruned = []
+    for label, series, basis in oracle_series:
+        got = SeriesAssembler(series, basis)(lam)
+        assert _csr_bits(got) == _csr_bits(matrix_of(series, basis, lam)), label
+        if 0 < len(evaluate(series, lam)) < len(set().union(*series.orders)):
+            partly_pruned.append(label)
+    if lam == 1e-6:     # lam**3 * c prunes: the mask drops some entries, not all
+        assert "phi3 order 3 K" in partly_pruned
+
+
+def test_assembler_keeps_the_bits_at_the_prune_edge(system3):
+    # coefficients at PRUNE_THRESHOLD, some with signed zero parts, summed
+    # over orders: the prune decides as Python's abs does, where numpy's own
+    # complex abs differs in the last bit
+    rng = np.random.default_rng(26)
+    sigs = list(itertools.product(_multisets(system3.modes, 2), repeat=2))
+    basis = FockBasis(system3, 3, 3)
+    coeffs = []
+    for _ in range(12):
+        orders = []
+        for _ in range(4):
+            sizes = PRUNE_THRESHOLD * (1 + rng.uniform(-4e-16, 4e-16, len(sigs)))
+            angles = rng.uniform(0, 2 * np.pi, len(sigs))
+            terms = {}
+            for sig, r, a, pick in zip(sigs, sizes, angles, rng.integers(0, 5, len(sigs))):
+                if pick:
+                    terms[sig] = [complex(r * math.cos(a), r * math.sin(a)),
+                                  complex(-0.0, r), complex(r, -0.0),
+                                  complex(-0.0, -0.0)][pick - 1]
+            coeffs += terms.values()
+            orders.append(terms)
+        series = OperatorSeries._ordered(system3, orders)
+        for lam in (1.0, -1.0, 0.5):
+            assert _csr_bits(SeriesAssembler(series, basis)(lam)) == \
+                _csr_bits(matrix_of(series, basis, lam))
+    # the data holds coefficients on which the two abs disagree
+    mine = np.abs(np.array(coeffs)) <= PRUNE_THRESHOLD
+    assert (mine != (np.array([abs(c) for c in coeffs]) <= PRUNE_THRESHOLD)).any()
+
+
+def _raised(f, *args):
+    with pytest.raises(ArithmeticError) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def test_assembler_raises_as_the_evaluation_does(system3):
+    z, p, _ = system3.modes
+    basis = FockBasis(system3, 2, 2)
+
+    def both(orders, lam):
+        series = OperatorSeries._ordered(system3, orders)
+        want = _raised(matrix_of, series, basis, lam)
+        assert _raised(SeriesAssembler(series, basis), lam) == want
+        return want
+
+    # lam**k is taken for the empty orders too: order 2 overflows first
+    for lam in (1e200, -1e200):
+        assert both([{((z,), (z,)): 1.0}, {}, {}, {((), (z,)): 2.0}], lam) == (
+            OverflowError, f"coupling {lam!r} to the power 2 overflows a float")
+    # finite parts whose abs overflows
+    assert both([{((z,), (z,)): complex(1.7e308, 1.7e308)}], 1.0) == (
+        OverflowError, "absolute value too large")
+    # a product that overflows to inf, and a kept NaN, are non-finite
+    # elements; the NaN is not put to the reference, whose abs of a complex
+    # with a NaN part raises OverflowError where an earlier C call (such as
+    # the hypot above) left errno at ERANGE
+    assert both([{}, {((p,), (z,)): 1e300}], 1e10)[0] is OracleError
+    nan = OperatorSeries._ordered(system3, [{((z,), (p,)): complex(math.nan, 1.0)}])
+    with pytest.raises(OracleError, match="non-finite"):
+        SeriesAssembler(nan, basis)(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +523,13 @@ def test_coupling_matrices_assemble_once_and_keep_nothing_past_pop(monkeypatch):
     model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     matrices = CouplingMatrices(dress(model), FockBasis(model.system, 3, 3))
     calls = []
-    assemble = numerics.matrix_of_terms
+    assemble = numerics.SeriesAssembler.__call__
 
-    def counted(terms, basis):
-        calls.append(len(terms))
-        return assemble(terms, basis)
+    def counted(self, lam):
+        calls.append(lam)
+        return assemble(self, lam)
 
-    monkeypatch.setattr(numerics, "matrix_of_terms", counted)
+    monkeypatch.setattr(numerics.SeriesAssembler, "__call__", counted)
     kept = matrices(0.1)
     assert matrices(0.1) is kept and len(calls) == 2
     assert matrices.pop(0.1) is kept and len(calls) == 2
@@ -609,6 +713,75 @@ def test_dressing_pair_is_scipys_expm_on_the_scan_inputs(g, length):
         assert np.array_equal(got_h, mh)
         assert w_inv.tobytes() == scipy.linalg.expm(-mr).tobytes()
         assert w.tobytes() == scipy.linalg.expm(mr).tobytes()
+
+
+def _dense_bare_fields(model, basis, sites):
+    """The reference of the bare field build: a dense ladder matrix per mode,
+    added with its conjugate transpose into every site's field."""
+    lat = model.system.lattice
+    n = basis.dimension
+    out = [np.zeros((n, n), dtype=complex) for _ in sites]
+    for kvec in lat.k_vectors():
+        m = model.system.mode(model.system.species[0].name, kvec)
+        p = np.array(lat.momentum(kvec))
+        rows, cols, amps = basis.action((), (m,))
+        alpha = np.zeros((n, n), dtype=complex)
+        alpha[rows, cols] = amps
+        coeff = 1.0 / math.sqrt(2.0 * model.system.energy(m) * lat.volume)
+        for field, site in zip(out, sites):
+            phase = np.exp(1j * float(np.dot(p, np.array(site, dtype=float) * lat.spacing)))
+            field += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("g, sites_per_dim, length",
+                         [(g, 5, length) for g, length in SCAN_PHI3_SEED1] + [(1.0, 3, 3.0)])
+def test_bare_field_scatter_is_the_dense_build(g, sites_per_dim, length):
+    # every bit, the sign of each zero too: each entry gets one term at most
+    model = build_model("phi3", g=g, max_order=2, lattice=LatticeSpec(
+        dim=1, sites_per_dim=sites_per_dim, physical_length=length))
+    basis = FockBasis(model.system, 5, 5)
+    sites = model.system.lattice.sites()
+    got = field_at_origin_time_zero(model, basis, None, None, sites)
+    want = _dense_bare_fields(model, basis, sites)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_expm_pair_without_scipys_private_kernels(monkeypatch):
+    # a scipy that moves its kernels: both signs come from scipy.linalg.expm
+    monkeypatch.setitem(sys.modules, "scipy.linalg._matfuncs_expm", None)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    a = 0.7 * (x - x.conj().T)
+    minus, plus = numerics.expm_pair(a)
+    assert minus.tobytes() == scipy.linalg.expm(-a).tobytes()
+    assert plus.tobytes() == scipy.linalg.expm(a).tobytes()
+
+
+def test_conjugate_numeric_makes_h_dense_after_exp_r(monkeypatch):
+    events = []
+    expm = scipy.linalg.expm
+
+    class Recorded(sp.csr_matrix):
+        def toarray(self, *args, **kwargs):
+            events.append(("dense", self.shape))
+            return super().toarray(*args, **kwargs)
+
+    def recorded(a):
+        events.append(("expm", a.shape))
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", recorded)
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
+    matrices = CouplingMatrices(dress(model), FockBasis(model.system, 3, 3))
+    mh, mr = matrices(0.1)
+    want = expm(mr.toarray()) @ mh.toarray() @ expm(mr.toarray()).conj().T
+    events.clear()
+    n = mh.shape
+    got = conjugate_numeric(Recorded(mr), Recorded(mh))
+    assert events == [("dense", n), ("expm", n), ("dense", n)]
+    assert got.tobytes() == want.tobytes()
 
 
 def _old_unitarity_defect(w):
