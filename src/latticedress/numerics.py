@@ -7,22 +7,22 @@ is listed.  Operator application that would push a state above a cutoff
 yields zero amplitude (projection); comparisons against symbolic results
 must therefore be restricted to low-quanta sub-blocks with a safety margin.
 
-Each basis caches, per monomial signature, the monomial's action on every
-basis state, (rows, cols, amps).  The signatures a term map misses are
-computed together, one numpy pass over (signatures x states) per operator
-shape, under a fixed element budget; rows are found by integer state keys,
-the one row lookup.  Matrix assembly then forms all its entries in one
-product of the repeated coefficients with the cached amplitudes, in the
-order of the term map, and builds the CSR matrix in one place (`_csr`).
+A basis is a fixed table: it keeps no action.  `FockBasis.layout` computes
+the actions of the signatures it is given on every basis state, one numpy
+pass over (signatures x states) per operator shape under a fixed element
+budget, and returns them concatenated in the order given.  Rows are found
+by integer state keys, the one row lookup.  Matrix assembly forms all its
+entries in one product of the repeated coefficients with the layout's
+amplitudes, and builds the CSR matrix in one place (`_csr`).
 
-An operator series is laid out in a basis once (`SeriesAssembler`): its
-signatures' actions concatenated in signature order, and one coefficient
-column per order.  Each coupling then forms its coefficients and the
-entries with numpy, and drops the pruned signatures' entries by a mask:
-the matrix of the evaluated term map, bit for bit, without the map.
-`CouplingMatrices` holds the layouts of H, R and K of one dressing result,
-so a run lays each out once, and assembles H(lam) and R(lam) once per
-coupling for every check that needs them.
+An operator series is laid out in a basis once (`SeriesAssembler`): the
+layout of its signatures in signature order, the one holder of their
+actions, and one coefficient column per order.  Each coupling then forms
+its coefficients and the entries with numpy, and drops the pruned
+signatures' entries by a mask: the matrix of the evaluated term map, bit
+for bit, without the map.  `CouplingMatrices` holds the layouts of H, R
+and K of one dressing result, so a run lays each out once, and assembles
+H(lam) and R(lam) once per coupling for every check that needs them.
 
 A coupling whose R(lam) has no stored element, lam = 0 on every run and any
 lam for a free model, has exp(-+R) = 1 exactly: `dressing_matrices` then
@@ -76,7 +76,9 @@ class OracleError(ArithmeticError):
 
 class FockBasis:
     """Occupation-number basis over the modes of a ModeSystem: row i of
-    `occupations` is basis state i, one column per mode in `modes` order."""
+    `occupations` is basis state i, one column per mode in `modes` order.
+    Nothing is added to it after construction: `layout` hands its result
+    to the caller and keeps none of it."""
 
     def __init__(self, system: ModeSystem, per_mode_cutoff: int, total_cutoff: int,
                  dimension_limit: int = DEFAULT_DIMENSION_LIMIT):
@@ -112,7 +114,6 @@ class FockBasis:
         self.totals = self.occupations.sum(axis=1)
         self._keys = keys[order]
         self._positions = {m: i for i, m in enumerate(self.modes)}
-        self._actions: dict = {}    # signature -> (rows, cols, amps)
 
     @staticmethod
     def _count(n_modes, per_mode, total):
@@ -136,7 +137,7 @@ class FockBasis:
         return out
 
     def index_of(self, occupation) -> int:
-        """Row of an occupation vector, found by its key as in `action`;
+        """Row of an occupation vector, found by its key as in `layout`;
         BasisError if it is no basis state."""
         import numpy as np
 
@@ -147,39 +148,44 @@ class FockBasis:
             raise BasisError(f"occupation {tuple(occ)} is not a state of this basis")
         return row
 
-    def action(self, creators, annihilators):
-        """A normal-ordered monomial applied to every basis state.
+    def layout(self, signatures):
+        """The actions of (creators, annihilators) signatures on every basis
+        state, concatenated in the order given; the signatures may be a
+        term map's keys.
 
-        Returns (rows, cols, amps): column cols[i] maps to row rows[i] with
-        amplitude amps[i], cols ascending.  A state that is annihilated or
-        pushed above a cutoff is dropped (projection).  The arrays are
-        cached per signature and read-only.
+        Returns read-only (rows, cols, amps, counts): the action of the i-th
+        signature is its counts[i] entries, column cols[j] mapping to row
+        rows[j] with amplitude amps[j], cols ascending.  A state that is
+        annihilated or pushed above a cutoff is dropped (projection).  The
+        actions are computed one pass per shape (annihilators, creators) of
+        at most _BATCH_ELEMENTS (signature, state) elements; a mode unknown
+        to the basis raises BasisError.
         """
-        return self.actions([(creators, annihilators)])[0]
+        import numpy as np
 
-    def actions(self, signatures) -> list:
-        """`action` of each (creators, annihilators) signature, in order; the
-        signatures may be a term map's keys.  Those not cached yet are
-        computed together, one pass per shape (annihilators, creators) of at
-        most _BATCH_ELEMENTS (signature, state) elements."""
-        cached = self._actions
-        shapes: dict = {}       # shape -> [(signature, mode positions), ...]
-        for sig in dict.fromkeys(sig for sig in signatures if sig not in cached):
-            creators, annihilators = sig
+        shapes: dict = {}       # shape -> [(index, mode positions), ...]
+        for i, (creators, annihilators) in enumerate(signatures):
             try:
                 positions = [self._positions[m] for m in annihilators + creators]
             except KeyError as exc:
                 raise BasisError(f"mode {exc.args[0]} unknown to the basis system") from None
-            shapes.setdefault((len(annihilators), len(creators)), []).append((sig, positions))
+            shapes.setdefault((len(annihilators), len(creators)), []).append((i, positions))
+        pieces = [None] * sum(map(len, shapes.values()))
         step = max(1, _BATCH_ELEMENTS // self.dimension)
         for (n_ann, _), group in shapes.items():
             for i in range(0, len(group), step):
-                self._act(group[i:i + step], n_ann)
-        return list(map(cached.__getitem__, signatures))
+                self._act(group[i:i + step], n_ann, pieces)
+        empty = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        rows, cols, amps = map(np.concatenate, zip(empty, *pieces))
+        counts = np.fromiter((len(a) for _, _, a in pieces), dtype=np.intp, count=len(pieces))
+        for a in (rows, cols, amps, counts):
+            a.flags.writeable = False
+        return rows, cols, amps, counts
 
-    def _act(self, batch, n_ann: int) -> None:
-        """Cache the actions of (signature, mode positions) pairs of one shape
-        with n_ann annihilators, over every basis state at once.
+    def _act(self, batch, n_ann: int, out: list) -> None:
+        """The actions of (index, mode positions) pairs of one shape with
+        n_ann annihilators, over every basis state at once: out[index] gets
+        its signature's (rows, cols, amps), slices of the batch's arrays.
 
         Step k of a signature acts on mode pos[:, k], whose occupation there
         is the state's own plus off[:, k], the net count of the signature's
@@ -213,12 +219,10 @@ class FockBasis:
         sig_of, cols = np.nonzero(live)     # cols ascending within each signature
         rows = np.searchsorted(self._keys, self._keys[cols] + shift[sig_of])
         amps = amps[sig_of, cols]
-        for a in (rows, cols, amps):
-            a.flags.writeable = False       # and so are their slices
         counts = live.sum(axis=1)
         ends = np.cumsum(counts)
-        for (sig, _), start, end in zip(batch, ends - counts, ends):
-            self._actions[sig] = rows[start:end], cols[start:end], amps[start:end]
+        for (i, _), start, end in zip(batch, ends - counts, ends):
+            out[i] = rows[start:end], cols[start:end], amps[start:end]
 
     def vacuum_index(self) -> int:
         return 0    # the grading puts the only zero-quanta state first
@@ -233,26 +237,17 @@ class FockBasis:
 def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     """Sparse matrix of a flat term map in the given basis; a non-finite
     matrix element raises OracleError.  Each term's entries are its
-    coefficient times its cached amplitudes, in the order of the map."""
+    coefficient times its amplitudes in the basis' layout of the map's
+    keys, in the order of the map."""
     import numpy as np
 
-    rows, cols, amps, counts = _concatenated(basis.actions(terms))
+    rows, cols, amps, counts = basis.layout(terms)
     coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
-    return _csr(np.repeat(coeffs, counts) * amps, rows, cols, basis.dimension)
-
-
-def _concatenated(actions: list):
-    """(rows, cols, amps, counts) of a list of actions: each of the first
-    three concatenated in the order of the list, and the entry count of
-    each action."""
-    import numpy as np
-
-    if not actions:
-        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
-                np.zeros(0, dtype=np.intp))
-    rows, cols, amps = zip(*actions)
-    counts = np.fromiter(map(len, amps), dtype=np.intp, count=len(amps))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(amps), counts
+    # an infinite coefficient forms inf * 0 in the complex product; the
+    # NaN it leaves is reported by `_csr`
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.repeat(coeffs, counts) * amps
+    return _csr(data, rows, cols, basis.dimension)
 
 
 def _csr(data, rows, cols, n: int) -> sp.csr_matrix:
@@ -272,9 +267,9 @@ class SeriesAssembler:
     """The matrix of an operator series at any coupling, from a layout of
     the series in a basis that is built once.
 
-    The layout holds the sorted union of the series' signatures, one
-    coefficient column and one presence mask per order over that union,
-    and the signatures' actions concatenated in union order.  A call at lam
+    It holds one coefficient column and one presence mask per order over
+    the sorted union of the series' signatures, and the basis' `layout` of
+    that union, which no other object holds.  A call at lam
     forms the coefficients as a term map's evaluation does: from 0j, it
     adds lam**k * c for each order k in turn where that order holds the
     signature, and lam**k is taken for every order, an empty one too, so
@@ -305,9 +300,7 @@ class SeriesAssembler:
             mask = np.zeros(len(sigs), dtype=bool)
             mask[where] = True
             self._orders.append((column, mask))
-        self._layout = _concatenated(basis.actions(sigs))
-        for a in self._layout:
-            a.flags.writeable = False
+        self._layout = basis.layout(sigs)
         self._dimension = basis.dimension
 
     def __call__(self, lam: float) -> sp.csr_matrix:
@@ -315,7 +308,9 @@ class SeriesAssembler:
 
         rows, cols, amps, counts = self._layout
         acc = np.zeros(len(counts), dtype=complex)
-        # numpy warns of an overflow that Python's arithmetic takes silently
+        # numpy warns of an overflow that Python's arithmetic takes
+        # silently, and of the inf * 0 that an infinite coefficient forms in
+        # the complex product; `_csr` reports the non-finite entries
         with np.errstate(over="ignore", invalid="ignore"):
             for k, order in enumerate(self._orders):
                 try:
@@ -327,11 +322,11 @@ class SeriesAssembler:
                     column, mask = order
                     np.add(acc, w * column, out=acc, where=mask)
             magnitude = np.hypot(acc.real, acc.imag)
-        over = np.isinf(magnitude)
-        if over.any() and np.isfinite(acc[over]).any():
-            raise OverflowError("absolute value too large")     # as abs() raises
+            over = np.isinf(magnitude)
+            if over.any() and np.isfinite(acc[over]).any():
+                raise OverflowError("absolute value too large")     # as abs() raises
+            data = np.repeat(acc, counts) * amps
         keep = ~(magnitude <= PRUNE_THRESHOLD)
-        data = np.repeat(acc, counts) * amps
         if not keep.all():
             entries = np.repeat(keep, counts)
             data, rows, cols = data[entries], rows[entries], cols[entries]
@@ -563,7 +558,7 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
     for kvec in lat.k_vectors():
         mode = model.system.mode(sp_name, kvec)
         p = np.array(lat.momentum(kvec))
-        rows, cols, amps = basis.action((), (mode,))
+        rows, cols, amps, _ = basis.layout([((), (mode,))])
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
         if w_inv is None:
             for field, x in zip(out, xs):

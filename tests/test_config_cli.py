@@ -439,6 +439,22 @@ def test_a_refused_exp_minus_r_forms_no_exp_plus_r(tmp_path):
     assert failure["reason"].startswith(NOT_UNITARY_REASON)
 
 
+def test_an_overflowing_assembly_warns_of_nothing(tmp_path):
+    # lam * g overflows H's order-1 coefficients to inf, whose complex
+    # products with the amplitudes form inf * 0: the run refuses the NaN
+    # entries, and numpy prints no warning of them
+    cfg = parse_config("model:\n  lattice: {sites_per_dim: 3}\n"
+                       "  interaction: {name: phi3, coupling_strength: 1.0e+10}\n"
+                       "  order: 1\n"
+                       "numerics: {per_mode_cutoff: 2, total_cutoff: 2, lambdas: [1.0e+300]}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(cfg, "verify", tmp_path) == 1
+    failure = _read_report(tmp_path / "report.json")["failures"][0]
+    assert failure == {"check": "setup",
+                       "reason": "the Fock-space matrix of a term map has a non-finite element"}
+
+
 def test_non_finite_number_in_the_report_fails_the_run(tmp_path):
     # a tiny lattice makes the momenta, and so the mode energies, overflow
     assert run(phi3_config({"model.lattice.physical_length": 1.0e-300}), "dress",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,8 +222,9 @@ def test_cached_action_matches_state_by_state_loop(per_mode, total, seed):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
-    # the cached arrays are shared between calls, so callers cannot write them
-    rows, _, _ = basis.action(*next(iter(terms)))
+    # the layout's arrays are shared by every assembly, so callers cannot
+    # write them
+    rows, _, _, _ = basis.layout(terms)
     with pytest.raises(ValueError):
         rows[:] = 0
 
@@ -242,12 +244,19 @@ def _action_state_by_state(basis, creators, annihilators):
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(amps)
 
 
+def _actions(basis, sigs):
+    """The layout of sigs split into one (rows, cols, amps) per signature."""
+    rows, cols, amps, counts = basis.layout(sigs)
+    ends = np.cumsum(counts)
+    return [(rows[s:e], cols[s:e], amps[s:e]) for s, e in zip(ends - counts, ends)]
+
+
 def _matrix_per_term(terms, basis):
     """Reference assembly: one coeff * amps product per term, concatenated in
     the order of the map."""
     rows, cols, vals = [], [], []
     for (creators, annihilators), coeff in terms.items():
-        r, c, amps = basis.action(creators, annihilators)
+        r, c, amps, _ = basis.layout([(creators, annihilators)])
         rows.append(r)
         cols.append(c)
         vals.append(coeff * amps)
@@ -279,7 +288,7 @@ def test_state_keys_past_int64_still_find_rows(monkeypatch):
     terms = {((a,), (c,)): 1.0 + 0j, ((c,), ()): 2.0 + 0j, ((), ()): 0.5 + 0j,
              ((c, c), ()): -1j, ((), (a, b)): 0.25, ((b,), (b,)): 3.0,
              ((a, c), (b,)): 1 - 1j, ((), (c, c)): 2j, ((b, b), (a, a)): -0.5}
-    for sig, got in zip(terms, basis.actions(terms)):
+    for sig, got in zip(terms, _actions(basis, terms)):
         want = _action_state_by_state(basis, *sig)
         assert all(_same_bits(g, w) for g, w in zip(got, want)), sig
     got = matrix_of_terms(terms, basis)
@@ -305,7 +314,7 @@ def test_batched_actions_match_state_by_state_loop(monkeypatch, budget):
     pool = [system.modes[i] for i in (0, 2, 5)]
     sigs = [(c, a) for c in _multisets(pool, 3) for a in _multisets(pool, 3)]
     assert len(sigs) == 400
-    for sig, got in zip(sigs, basis.actions(sigs)):
+    for sig, got in zip(sigs, _actions(basis, sigs)):
         want = _action_state_by_state(basis, *sig)
         assert all(_same_bits(g, w) for g, w in zip(got, want)), sig
     rng = np.random.default_rng(7)
@@ -335,15 +344,12 @@ def test_actions_refuse_unknown_modes_and_are_read_only(system3, system5):
     basis = FockBasis(system3, 2, 2)
     z = mode(system3, 0)
     with pytest.raises(BasisError, match="unknown"):
-        basis.actions([((z,), ()), ((z,), (mode(system5, 2),))])
-    first = basis.actions([((z,), (z,)), ((), (z,))])
-    # a later lookup returns the cached arrays, which no caller can write
-    assert all(x is y for x, y in zip(first[1], basis.action((), (z,))))
-    for arrays in first:
-        for x in arrays:
-            with pytest.raises(ValueError):
-                x[:0] = 0
-            assert not x.flags.writeable
+        basis.layout([((z,), ()), ((z,), (mode(system5, 2),))])
+    # a layout is shared by every assembly from it, so no caller can write it
+    for x in basis.layout([((z,), (z,)), ((), (z,))]):
+        with pytest.raises(ValueError):
+            x[:0] = 0
+        assert not x.flags.writeable
 
 
 def test_matrix_of_series_evaluates_coupling(system1):
@@ -422,6 +428,32 @@ def test_assembler_keeps_the_bits_at_the_prune_edge(system3):
     # the data holds coefficients on which the two abs disagree
     mine = np.abs(np.array(coeffs)) <= PRUNE_THRESHOLD
     assert (mine != (np.array([abs(c) for c in coeffs]) <= PRUNE_THRESHOLD)).any()
+
+
+def test_a_basis_keeps_nothing_of_its_layouts():
+    # the H, R and K layouts are their assemblers' alone: once those are
+    # dropped, tracemalloc's current size is back at its level from before
+    # (but for what Python's and numpy's free lists keep, about 2 KB), and
+    # the basis holds what it held after its construction
+    model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3), max_order=2)
+    result = dress(model)
+    series = (model.hamiltonian(), result.generator, result.K)
+    for s in series:    # numpy's first-use allocations, before the count
+        SeriesAssembler(s, FockBasis(model.system, 6, 6))
+    basis = FockBasis(model.system, 6, 6)
+    held = dict(vars(basis))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assemblers = [SeriesAssembler(s, basis) for s in series]
+        during = tracemalloc.get_traced_memory()[0]
+        del assemblers
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < (during - before) / 10
+    assert vars(basis).keys() == held.keys()
+    assert all(vars(basis)[k] is v for k, v in held.items())
 
 
 def _raised(f, *args):
@@ -724,7 +756,7 @@ def _dense_bare_fields(model, basis, sites):
     for kvec in lat.k_vectors():
         m = model.system.mode(model.system.species[0].name, kvec)
         p = np.array(lat.momentum(kvec))
-        rows, cols, amps = basis.action((), (m,))
+        rows, cols, amps, _ = basis.layout([((), (m,))])
         alpha = np.zeros((n, n), dtype=complex)
         alpha[rows, cols] = amps
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(m) * lat.volume)
