@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .modes import ModeIndex, ModeSystem
 
@@ -54,8 +54,21 @@ def _sorted_map(terms: TermMap) -> TermMap:
     """The terms in signature order, pruned.  The keys of a map are unique,
     so sorting by signature alone gives the order of sorting the items, and
     no coefficient is ever compared."""
-    return {s: c for s, c in sorted(terms.items(), key=itemgetter(0))
-            if not abs(c) <= PRUNE_THRESHOLD}
+    return _pruned(sorted(terms.items(), key=itemgetter(0)))
+
+
+def _pruned(pairs: Collection[tuple[Signature, complex]]) -> TermMap:
+    """The (signature, coefficient) pairs in their order, less each whose
+    coefficient has abs <= PRUNE_THRESHOLD; a NaN is kept.  CPython's complex
+    abs returns a NaN without clearing errno, so it raises OverflowError
+    wherever an earlier C call left ERANGE behind; only then are the pairs
+    read again, keeping each NaN without asking abs.  Every other
+    coefficient is decided by abs both times, so one whose abs overflows
+    still raises."""
+    try:
+        return {s: c for s, c in pairs if not abs(c) <= PRUNE_THRESHOLD}
+    except OverflowError:
+        return {s: c for s, c in pairs if c != c or not abs(c) <= PRUNE_THRESHOLD}
 
 
 def dagger_signature(sig: Signature) -> Signature:
@@ -296,8 +309,7 @@ class OperatorSeries:
         series' own; pruned, in the order they are stored."""
         if max_order < 0:
             raise AlgebraError(f"max_order must be >= 0, got {max_order}")
-        kept = [{s: c for s, c in o.items() if not abs(c) <= PRUNE_THRESHOLD}
-                for o in self.orders[: max_order + 1]]
+        kept = [_pruned(o.items()) for o in self.orders[: max_order + 1]]
         return self._ordered(self.system,
                              kept + [{} for _ in range(max_order + 1 - len(kept))])
 
@@ -306,7 +318,10 @@ class OperatorSeries:
         return sum(len(o) for o in self.orders)
 
     def is_zero(self) -> bool:
-        return all(abs(c) <= PRUNE_THRESHOLD for o in self.orders for c in o.values())
+        try:
+            return all(abs(c) <= PRUNE_THRESHOLD for o in self.orders for c in o.values())
+        except OverflowError:       # a NaN's abs, as in `_pruned`
+            return not any(_pruned(o.items()) for o in self.orders)
 
     def max_abs(self) -> float:
         return max((abs(c) for o in self.orders for c in o.values()), default=0.0)
@@ -347,9 +362,7 @@ class OperatorSeries:
     def scaled(self, factor: complex) -> "OperatorSeries":
         """factor * self, pruned, in the order the terms are stored."""
         return self._ordered(self.system, [
-            {s: y for s, c in o.items() if not abs(y := factor * c) <= PRUNE_THRESHOLD}
-            for o in self.orders
-        ])
+            _pruned([(s, factor * c) for s, c in o.items()]) for o in self.orders])
 
 
 # ---- ring and Lie operations ----

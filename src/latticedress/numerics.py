@@ -158,8 +158,8 @@ class FockBasis:
         rows[j] with amplitude amps[j], cols ascending.  A state that is
         annihilated or pushed above a cutoff is dropped (projection).  The
         actions are computed one pass per shape (annihilators, creators) of
-        at most _BATCH_ELEMENTS (signature, state) elements; a mode unknown
-        to the basis raises BasisError.
+        at most _BATCH_ELEMENTS (signature, state) elements, then put in
+        order by one stable sort; a mode unknown to the basis raises BasisError.
         """
         import numpy as np
 
@@ -170,22 +170,23 @@ class FockBasis:
             except KeyError as exc:
                 raise BasisError(f"mode {exc.args[0]} unknown to the basis system") from None
             shapes.setdefault((len(annihilators), len(creators)), []).append((i, positions))
-        pieces = [None] * sum(map(len, shapes.values()))
         step = max(1, _BATCH_ELEMENTS // self.dimension)
-        for (n_ann, _), group in shapes.items():
-            for i in range(0, len(group), step):
-                self._act(group[i:i + step], n_ann, pieces)
-        empty = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-        rows, cols, amps = map(np.concatenate, zip(empty, *pieces))
-        counts = np.fromiter((len(a) for _, _, a in pieces), dtype=np.intp, count=len(pieces))
-        for a in (rows, cols, amps, counts):
+        batches = [self._act(g[i:i + step], n_ann)
+                   for (n_ann, _), g in shapes.items() for i in range(0, len(g), step)]
+        # each array is joined and reordered in turn, each batch's part dropped once copied
+        index = np.concatenate([np.zeros(0, np.intp)] + [b.pop(0) for b in batches])
+        order = np.argsort(index, kind="stable")    # keeps each signature's cols ascending
+        out = [np.concatenate([np.zeros(0, dtype)] + [b.pop(0) for b in batches])[order]
+               for dtype in (np.intp, np.intp, float)]
+        out.append(np.bincount(index, minlength=sum(map(len, shapes.values()))))
+        for a in out:
             a.flags.writeable = False
-        return rows, cols, amps, counts
+        return tuple(out)
 
-    def _act(self, batch, n_ann: int, out: list) -> None:
+    def _act(self, batch, n_ann: int) -> list:
         """The actions of (index, mode positions) pairs of one shape with
-        n_ann annihilators, over every basis state at once: out[index] gets
-        its signature's (rows, cols, amps), slices of the batch's arrays.
+        n_ann annihilators, over every basis state at once: four arrays of
+        each entry's signature index, row, column and amplitude, cols ascending.
 
         Step k of a signature acts on mode pos[:, k], whose occupation there
         is the state's own plus off[:, k], the net count of the signature's
@@ -207,9 +208,10 @@ class FockBasis:
         for k in range(n_steps):
             creator = k >= n_ann
             # the occupation under the sqrt: before an annihilator, after a creator
-            n = by_mode[pos[:, k]] + (off[:, k] + creator)[:, None]
+            n = by_mode[pos[:, k]]
+            n += (off[:, k] + creator)[:, None]
             live &= (n <= self.per_mode_cutoff) if creator else (n > 0)
-            amps *= np.sqrt(np.maximum(n, 0))
+            amps *= np.sqrt(np.maximum(n, 0, out=n))
         if n_steps > n_ann:
             live &= self.totals - n_ann + (n_steps - n_ann) <= self.total_cutoff
         # the key change; int64 sums may wrap, which leaves every shift that
@@ -219,10 +221,7 @@ class FockBasis:
         sig_of, cols = np.nonzero(live)     # cols ascending within each signature
         rows = np.searchsorted(self._keys, self._keys[cols] + shift[sig_of])
         amps = amps[sig_of, cols]
-        counts = live.sum(axis=1)
-        ends = np.cumsum(counts)
-        for (i, _), start, end in zip(batch, ends - counts, ends):
-            out[i] = rows[start:end], cols[start:end], amps[start:end]
+        return [np.array([i for i, _ in batch], dtype=np.intp)[sig_of], rows, cols, amps]
 
     def vacuum_index(self) -> int:
         return 0    # the grading puts the only zero-quanta state first
@@ -555,10 +554,12 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
     n = basis.dimension
     xs = [np.array(site, dtype=float) * lat.spacing for site in sites]
     out = [np.zeros((n, n), dtype=complex) for _ in sites]
-    for kvec in lat.k_vectors():
-        mode = model.system.mode(sp_name, kvec)
+    kvecs = lat.k_vectors()
+    modes = [model.system.mode(sp_name, kvec) for kvec in kvecs]
+    *ladder, counts = basis.layout([((), (mode,)) for mode in modes])
+    ladders = zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in ladder))
+    for kvec, mode, (rows, cols, amps) in zip(kvecs, modes, ladders):
         p = np.array(lat.momentum(kvec))
-        rows, cols, amps, _ = basis.layout([((), (mode,))])
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
         if w_inv is None:
             for field, x in zip(out, xs):

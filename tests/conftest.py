@@ -53,7 +53,8 @@ def report_text(obj) -> tuple[str, bool]:
 def evaluate(series, lam: float) -> dict:
     """The slow reference of `numerics.SeriesAssembler`'s coefficients: the
     series collapsed at a numeric coupling into one pruned term map in
-    signature order, summed term by term in Python."""
+    signature order, summed term by term in Python.  The prune is
+    `algebra._sorted_map`'s, which keeps a NaN whatever errno a C call left."""
     from latticedress.algebra import _sorted_map
 
     acc: dict = {}

@@ -93,6 +93,35 @@ def test_sorted_map_orders_as_sorting_the_items(system3, labels):
         assert sum(map(math.isnan, map(abs, got.values()))) == 2    # both NaNs kept
 
 
+def _after_a_range_error(f, *args):
+    """f(*args) right after math.exp(1000) has left errno at ERANGE."""
+    try:
+        math.exp(1000)
+    except OverflowError:
+        pass
+    return f(*args)
+
+
+def test_every_prune_keeps_a_nan_after_a_range_error(system3):
+    # CPython's complex abs of a NaN returns it without clearing errno, so
+    # a stale ERANGE made it raise OverflowError in place of a kept NaN
+    z, p = system3.modes[1:]
+    nan = complex(math.nan, 1.0)
+    # the NaN comes first in both the stored and the sorted order
+    terms = {((), (p,)): nan, ((p,), (z,)): 2.0 + 0j, ((z,), ()): 1e-15 + 0j}
+    s = OperatorSeries._ordered(system3, [terms])
+    kept = [((), (p,)), ((p,), (z,))]
+    assert list(_after_a_range_error(algebra._sorted_map, terms)) == kept
+    assert list(_after_a_range_error(s.truncated, 0).orders[0]) == kept
+    assert list(_after_a_range_error(s.scaled, 0.5).orders[0]) == kept
+    for c, zero in ((nan, False), (1e-15 + 0j, True)):
+        lone = OperatorSeries._ordered(system3, [{((z,), ()): c}])
+        assert _after_a_range_error(lone.is_zero) is zero
+    # a finite coefficient whose abs overflows still raises as abs does
+    with pytest.raises(OverflowError, match="absolute value too large"):
+        _after_a_range_error(algebra._sorted_map, {((z,), ()): complex(1.7e308, 1.7e308)})
+
+
 # ---------------------------------------------------------------------------
 # normal-ordered products
 

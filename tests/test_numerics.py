@@ -314,9 +314,20 @@ def test_batched_actions_match_state_by_state_loop(monkeypatch, budget):
     pool = [system.modes[i] for i in (0, 2, 5)]
     sigs = [(c, a) for c in _multisets(pool, 3) for a in _multisets(pool, 3)]
     assert len(sigs) == 400
-    for sig, got in zip(sigs, _actions(basis, sigs)):
+    actions = _actions(basis, sigs)
+    for sig, got in zip(sigs, actions):
         want = _action_state_by_state(basis, *sig)
         assert all(_same_bits(g, w) for g, w in zip(got, want)), sig
+    # ((), (y, y, y)) acts on no state, the per-mode cutoff being 2, and
+    # sits between live signatures of its shape, in one pass by default
+    x, y, z = pool
+    assert [len(actions[sigs.index(((), a))][0]) for a in
+            [(x, z, z), (y, y, y), (y, y, z)]] == [1, 0, 1]
+    # the layout of a permutation of the signatures is the same permutation
+    # of their actions
+    perm = np.random.default_rng(11).permutation(len(sigs))
+    for i, got in zip(perm, _actions(basis, [sigs[i] for i in perm])):
+        assert all(_same_bits(g, w) for g, w in zip(got, actions[i])), sigs[i]
     rng = np.random.default_rng(7)
     terms = {sigs[i]: complex(*rng.normal(size=2)) for i in rng.permutation(400)[:60]}
     got = matrix_of_terms(terms, basis)
@@ -345,11 +356,16 @@ def test_actions_refuse_unknown_modes_and_are_read_only(system3, system5):
     z = mode(system3, 0)
     with pytest.raises(BasisError, match="unknown"):
         basis.layout([((z,), ()), ((z,), (mode(system5, 2),))])
-    # a layout is shared by every assembly from it, so no caller can write it
-    for x in basis.layout([((z,), (z,)), ((), (z,))]):
-        with pytest.raises(ValueError):
-            x[:0] = 0
-        assert not x.flags.writeable
+    # a layout is shared by every assembly from it, so no caller can write
+    # it; no signatures lay out as four empty arrays of the usual dtypes
+    for sigs in ([((z,), (z,)), ((), (z,))], []):
+        layout = basis.layout(sigs)
+        assert [x.dtype for x in layout] == [np.intp, np.intp, np.float64, np.intp]
+        assert all(len(x) == 0 for x in layout) == (not sigs)
+        for x in layout:
+            with pytest.raises(ValueError):
+                x[:0] = 0
+            assert not x.flags.writeable
 
 
 def test_matrix_of_series_evaluates_coupling(system1):
@@ -479,14 +495,12 @@ def test_assembler_raises_as_the_evaluation_does(system3):
     # finite parts whose abs overflows
     assert both([{((z,), (z,)): complex(1.7e308, 1.7e308)}], 1.0) == (
         OverflowError, "absolute value too large")
-    # a product that overflows to inf, and a kept NaN, are non-finite
-    # elements; the NaN is not put to the reference, whose abs of a complex
-    # with a NaN part raises OverflowError where an earlier C call (such as
-    # the hypot above) left errno at ERANGE
+    # a kept NaN, and a product that overflows to inf, are non-finite
+    # elements; the NaN follows the hypot above, which left errno at ERANGE,
+    # so the reference's prune must keep it without a complex abs raising
+    kind, message = both([{((z,), (p,)): complex(math.nan, 1.0)}], 0.3)
+    assert kind is OracleError and "non-finite" in message
     assert both([{}, {((p,), (z,)): 1e300}], 1e10)[0] is OracleError
-    nan = OperatorSeries._ordered(system3, [{((z,), (p,)): complex(math.nan, 1.0)}])
-    with pytest.raises(OracleError, match="non-finite"):
-        SeriesAssembler(nan, basis)(0.3)
 
 
 # ---------------------------------------------------------------------------
