@@ -10,7 +10,8 @@ must therefore be restricted to low-quanta sub-blocks with a safety margin.
 A basis is a fixed table: it keeps no action.  `FockBasis.layout` computes
 the actions of the signatures it is given on every basis state, one numpy
 pass over (signatures x states) per operator shape under a fixed element
-budget, and returns them concatenated in the order given.  Rows are found
+budget, and returns them concatenated in the order given, which one stable
+sort of the entries' signature indices puts them in.  Rows are found
 by integer state keys, the one row lookup.  Matrix assembly forms all its
 entries in one product of the repeated coefficients with the layout's
 amplitudes, and builds the CSR matrix in one place (`_csr`).
@@ -158,8 +159,8 @@ class FockBasis:
         rows[j] with amplitude amps[j], cols ascending.  A state that is
         annihilated or pushed above a cutoff is dropped (projection).  The
         actions are computed one pass per shape (annihilators, creators) of
-        at most _BATCH_ELEMENTS (signature, state) elements, then put in
-        order by one stable sort; a mode unknown to the basis raises BasisError.
+        at most _BATCH_ELEMENTS (signature, state) elements and stably sorted
+        into the order given; a mode unknown to the basis raises BasisError.
         """
         import numpy as np
 
@@ -173,7 +174,7 @@ class FockBasis:
         step = max(1, _BATCH_ELEMENTS // self.dimension)
         batches = [self._act(g[i:i + step], n_ann)
                    for (n_ann, _), g in shapes.items() for i in range(0, len(g), step)]
-        # each array is joined and reordered in turn, each batch's part dropped once copied
+        # one array at a time, each batch's part dropped once it is copied
         index = np.concatenate([np.zeros(0, np.intp)] + [b.pop(0) for b in batches])
         order = np.argsort(index, kind="stable")    # keeps each signature's cols ascending
         out = [np.concatenate([np.zeros(0, dtype)] + [b.pop(0) for b in batches])[order]
@@ -209,7 +210,7 @@ class FockBasis:
             creator = k >= n_ann
             # the occupation under the sqrt: before an annihilator, after a creator
             n = by_mode[pos[:, k]]
-            n += (off[:, k] + creator)[:, None]
+            n += (off[:, k] + creator)[:, None]     # in place: one int array a step
             live &= (n <= self.per_mode_cutoff) if creator else (n > 0)
             amps *= np.sqrt(np.maximum(n, 0, out=n))
         if n_steps > n_ann:
