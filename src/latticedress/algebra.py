@@ -71,6 +71,30 @@ def _pruned(pairs: Collection[tuple[Signature, complex]]) -> TermMap:
         return {s: c for s, c in pairs if c != c or not abs(c) <= PRUNE_THRESHOLD}
 
 
+def coeff_abs(c: complex) -> float:
+    """abs(c), and a NaN for a NaN c whatever errno an earlier C call left:
+    as in `_pruned`, c is asked whether it is a NaN only once abs has raised
+    OverflowError, so a finite c whose abs overflows still raises."""
+    try:
+        return abs(c)
+    except OverflowError:
+        if c != c:
+            return math.nan
+        raise
+
+
+def largest(sizes: Iterable[float]) -> float:
+    """The largest of the sizes, 0.0 for none; a NaN among them is the
+    result, where `max` keeps whichever of a NaN and a number came first."""
+    worst = 0.0
+    for x in sizes:
+        if x != x:
+            return x
+        if x > worst:
+            worst = x
+    return worst
+
+
 def dagger_signature(sig: Signature) -> Signature:
     return (sig[1], sig[0])
 
@@ -324,16 +348,14 @@ class OperatorSeries:
             return not any(_pruned(o.items()) for o in self.orders)
 
     def max_abs(self) -> float:
-        return max((abs(c) for o in self.orders for c in o.values()), default=0.0)
+        """max |c| over all stored terms; NaN if any c is NaN."""
+        return largest(coeff_abs(c) for o in self.orders for c in o.values())
 
     def hermiticity_defect(self) -> float:
-        """max |c(sig) - conj(c(sig^dagger))| over all stored terms."""
-        worst = 0.0
-        for o in self.orders:
-            for sig, c in o.items():
-                other = o.get(dagger_signature(sig), 0j)
-                worst = max(worst, abs(c - other.conjugate()))
-        return worst
+        """max |c(sig) - conj(c(sig^dagger))| over all stored terms; NaN if
+        any difference is NaN."""
+        return largest(coeff_abs(c - o.get(dagger_signature(sig), 0j).conjugate())
+                       for o in self.orders for sig, c in o.items())
 
     def __repr__(self) -> str:
         return f"OperatorSeries(max_order={self.max_order}, terms={self.term_count()})"

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .algebra import OperatorSeries
+from .algebra import OperatorSeries, coeff_abs, largest
 from .models import ModelSpec, momentum_defect
 from .modes import ModeIndex
 from .numerics import (
@@ -60,17 +60,14 @@ def momentum_commutation_defect(k_series: OperatorSeries, model: ModelSpec) -> f
 
     Computed with the crystal-momentum convention: the momentum balance of
     each term is wrapped to the first zone, so umklapp-conserving terms
-    commute with the lattice momentum.
+    commute with the lattice momentum.  A component that a term conserves
+    adds nothing, whatever the coefficient; a NaN coefficient on one that
+    it breaks makes the defect NaN.
     """
     lat = model.system.lattice
     unit = 2.0 * math.pi / lat.physical_length
-    worst = 0.0
-    for o in k_series.orders:
-        for sig, c in o.items():
-            defect = momentum_defect(sig, lat)
-            for comp in defect:
-                worst = max(worst, abs(c) * abs(comp) * unit)
-    return worst
+    return largest(coeff_abs(c) * abs(comp) * unit for o in k_series.orders
+                   for sig, c in o.items() for comp in momentum_defect(sig, lat) if comp)
 
 
 # ---------------------------------------------------------------------------

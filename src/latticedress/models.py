@@ -98,6 +98,10 @@ class ModelSpec:
         for n, o in enumerate(self.interaction.orders):
             if n != 1 and o:
                 raise ModelError("interaction must carry only order-1 content")
+        import cmath    # here, off the import path of the command line
+        if not all(map(cmath.isfinite, itertools.chain.from_iterable(
+                o.values() for o in self.interaction.orders))):
+            raise ModelError("interaction has a non-finite coefficient")
         defect = self.interaction.hermiticity_defect()
         if defect > HERMITICITY_TOL:
             raise ModelError(

@@ -11,19 +11,20 @@ A basis is a fixed table: it keeps no action.  `FockBasis.layout` computes
 the actions of the signatures it is given on every basis state, one numpy
 pass over (signatures x states) per operator shape under a fixed element
 budget, and returns them concatenated in the order given, which one stable
-sort of the entries' signature indices puts them in.  Rows are found
-by integer state keys, the one row lookup.  Matrix assembly forms all its
-entries in one product of the repeated coefficients with the layout's
-amplitudes, and builds the CSR matrix in one place (`_csr`).
+sort of the entries' int32 signature indices puts them in.  Rows are
+found by integer state keys, the one row lookup.  One step forms every
+matrix's entries from coefficients and a layout (`_csr`): one product of
+the repeated coefficients with the layout's amplitudes, then the CSR matrix.
 
 An operator series is laid out in a basis once (`SeriesAssembler`): the
 layout of its signatures in signature order, the one holder of their
-actions, and one coefficient column per order.  Each coupling then forms
-its coefficients and the entries with numpy, and drops the pruned
-signatures' entries by a mask: the matrix of the evaluated term map, bit
-for bit, without the map.  `CouplingMatrices` holds the layouts of H, R
-and K of one dressing result, so a run lays each out once, and assembles
-H(lam) and R(lam) once per coupling for every check that needs them.
+actions, and one coefficient table, a row per order.  Each coupling then
+sums the rows with numpy, drops the pruned signatures from the sum and
+the layout, and hands the rest to `_csr`: the matrix of the evaluated
+term map, bit for bit, without the map.  `CouplingMatrices` holds the
+layouts of H, R and K of one dressing result, so a run lays each out once,
+and assembles H(lam) and R(lam) once per coupling for every check that
+needs them.
 
 A coupling whose R(lam) has no stored element, lam = 0 on every run and any
 lam for a free model, has exp(-+R) = 1 exactly: `dressing_matrices` then
@@ -175,7 +176,7 @@ class FockBasis:
         batches = [self._act(g[i:i + step], n_ann)
                    for (n_ann, _), g in shapes.items() for i in range(0, len(g), step)]
         # one array at a time, each batch's part dropped once it is copied
-        index = np.concatenate([np.zeros(0, np.intp)] + [b.pop(0) for b in batches])
+        index = np.concatenate([np.zeros(0, np.int32)] + [b.pop(0) for b in batches])
         order = np.argsort(index, kind="stable")    # keeps each signature's cols ascending
         out = [np.concatenate([np.zeros(0, dtype)] + [b.pop(0) for b in batches])[order]
                for dtype in (np.intp, np.intp, float)]
@@ -187,7 +188,8 @@ class FockBasis:
     def _act(self, batch, n_ann: int) -> list:
         """The actions of (index, mode positions) pairs of one shape with
         n_ann annihilators, over every basis state at once: four arrays of
-        each entry's signature index, row, column and amplitude, cols ascending.
+        each entry's signature index (int32), row, column and amplitude,
+        cols ascending.
 
         Step k of a signature acts on mode pos[:, k], whose occupation there
         is the state's own plus off[:, k], the net count of the signature's
@@ -222,7 +224,7 @@ class FockBasis:
         sig_of, cols = np.nonzero(live)     # cols ascending within each signature
         rows = np.searchsorted(self._keys, self._keys[cols] + shift[sig_of])
         amps = amps[sig_of, cols]
-        return [np.array([i for i, _ in batch], dtype=np.intp)[sig_of], rows, cols, amps]
+        return [np.array([i for i, _ in batch], dtype=np.int32)[sig_of], rows, cols, amps]
 
     def vacuum_index(self) -> int:
         return 0    # the grading puts the only zero-quanta state first
@@ -241,23 +243,22 @@ def matrix_of_terms(terms: TermMap, basis: FockBasis) -> sp.csr_matrix:
     keys, in the order of the map."""
     import numpy as np
 
-    rows, cols, amps, counts = basis.layout(terms)
     coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
-    # an infinite coefficient forms inf * 0 in the complex product; the
-    # NaN it leaves is reported by `_csr`
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = np.repeat(coeffs, counts) * amps
-    return _csr(data, rows, cols, basis.dimension)
+    return _csr(coeffs, basis.layout(terms), basis.dimension)
 
 
-def _csr(data, rows, cols, n: int) -> sp.csr_matrix:
-    """The n x n CSR matrix of (data, (rows, cols)), duplicates summed; a
-    non-finite element raises OracleError."""
+def _csr(coeffs, layout, n: int) -> sp.csr_matrix:
+    """The n x n CSR matrix whose entries are each signature's coefficient
+    times its amplitudes in a `FockBasis.layout`, duplicates summed; a
+    non-finite entry raises OracleError."""
     import numpy as np
     import scipy.sparse as sp
 
-    if not len(data):
-        return sp.csr_matrix((n, n), dtype=complex)
+    rows, cols, amps, counts = layout
+    # an infinite coefficient forms inf * 0 in the complex product; the
+    # NaN it leaves is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.repeat(coeffs, counts) * amps
     if not np.isfinite(data).all():
         raise OracleError("the Fock-space matrix of a term map has a non-finite element")
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=complex)
@@ -267,19 +268,19 @@ class SeriesAssembler:
     """The matrix of an operator series at any coupling, from a layout of
     the series in a basis that is built once.
 
-    It holds one coefficient column and one presence mask per order over
-    the sorted union of the series' signatures, and the basis' `layout` of
-    that union, which no other object holds.  A call at lam
-    forms the coefficients as a term map's evaluation does: from 0j, it
-    adds lam**k * c for each order k in turn where that order holds the
-    signature, and lam**k is taken for every order, an empty one too, so
-    an overflowing power raises OverflowError at the same order.  A
-    coefficient with abs <= PRUNE_THRESHOLD is dropped with its entries (a
-    NaN is kept), abs taken by `hypot` as Python's `abs` takes it (numpy's
-    own complex abs differs from it in the last bit).  The
-    result is, bit for bit, the matrix that `matrix_of_terms` gives of the
-    evaluated, pruned term map in signature order; a non-finite element
-    raises OracleError.
+    It holds one coefficient table, one row per order over the sorted
+    union of the series' signatures with 0 where an order lacks one, and
+    the basis' `layout` of that union, which no other object holds.  A call
+    at lam forms the coefficients as a term map's evaluation does: from 0j,
+    it adds lam**k times row k for each order k in turn, and lam**k is
+    taken for every order, an empty one too, so an overflowing power
+    raises OverflowError at the same order.  A coefficient with abs <=
+    PRUNE_THRESHOLD is dropped with its layout entries (a NaN is kept), abs
+    taken by `hypot` as Python's `abs` takes it (numpy's own complex abs
+    differs from it in the last bit), and `_csr` forms the entries of the
+    rest.  The result is, bit for bit, the matrix that `matrix_of_terms`
+    gives of the evaluated, pruned term map in signature order; a
+    non-finite element raises OracleError.
     """
 
     def __init__(self, series: OperatorSeries, basis: FockBasis):
@@ -288,49 +289,42 @@ class SeriesAssembler:
         # each order is a sorted run, which the sort merges
         sigs = sorted(dict.fromkeys(itertools.chain.from_iterable(series.orders)))
         at = {sig: i for i, sig in enumerate(sigs)}
-        self._orders = []       # per order: (column, mask), or None if empty
-        for terms in series.orders:
-            if not terms:
-                self._orders.append(None)
-                continue
-            where = np.fromiter(map(at.__getitem__, terms), dtype=np.intp,
-                                count=len(terms))
-            column = np.zeros(len(sigs), dtype=complex)
-            column[where] = np.fromiter(terms.values(), dtype=complex, count=len(terms))
-            mask = np.zeros(len(sigs), dtype=bool)
-            mask[where] = True
-            self._orders.append((column, mask))
+        self._table = np.zeros((len(series.orders), len(sigs)), dtype=complex)
+        for row, terms in zip(self._table, series.orders):
+            row[[at[sig] for sig in terms]] = list(terms.values())
         self._layout = basis.layout(sigs)
         self._dimension = basis.dimension
 
     def __call__(self, lam: float) -> sp.csr_matrix:
         import numpy as np
 
-        rows, cols, amps, counts = self._layout
-        acc = np.zeros(len(counts), dtype=complex)
+        acc = np.zeros(self._table.shape[1], dtype=complex)
         # numpy warns of an overflow that Python's arithmetic takes
-        # silently, and of the inf * 0 that an infinite coefficient forms in
-        # the complex product; `_csr` reports the non-finite entries
+        # silently, and of an infinite coefficient's inf * 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, order in enumerate(self._orders):
+            for k, row in enumerate(self._table):
                 try:
                     w = lam**k
                 except OverflowError:
                     raise OverflowError(
                         f"coupling {lam!r} to the power {k} overflows a float") from None
-                if order is not None:
-                    column, mask = order
-                    np.add(acc, w * column, out=acc, where=mask)
+                # a signature that order k lacks adds w * 0, a signed zero
+                # (for a finite lam, w is finite or lam**k raised); each
+                # part of acc starts at +0, and a round-to-nearest sum is
+                # -0.0 only of two -0.0s, so no part of acc is ever -0.0,
+                # and adding +-0 to it changes no bit
+                acc += w * row
             magnitude = np.hypot(acc.real, acc.imag)
             over = np.isinf(magnitude)
             if over.any() and np.isfinite(acc[over]).any():
                 raise OverflowError("absolute value too large")     # as abs() raises
-            data = np.repeat(acc, counts) * amps
+        rows, cols, amps, counts = self._layout
         keep = ~(magnitude <= PRUNE_THRESHOLD)
         if not keep.all():
             entries = np.repeat(keep, counts)
-            data, rows, cols = data[entries], rows[entries], cols[entries]
-        return _csr(data, rows, cols, self._dimension)
+            acc, counts = acc[keep], counts[keep]
+            rows, cols, amps = rows[entries], cols[entries], amps[entries]
+        return _csr(acc, (rows, cols, amps, counts), self._dimension)
 
 
 def _unitarity_defect(w: np.ndarray) -> float:

@@ -122,6 +122,29 @@ def test_every_prune_keeps_a_nan_after_a_range_error(system3):
         _after_a_range_error(algebra._sorted_map, {((z,), ()): complex(1.7e308, 1.7e308)})
 
 
+def test_every_maximum_lets_a_nan_win(system3):
+    # `max` keeps whichever of a NaN and a number it compares first, and a
+    # NaN's complex abs raises after a range error, as in the prunes above
+    z, p = system3.modes[1:]
+    nan = complex(math.nan, 1.0)
+    terms = {((), (p,)): 2.0 + 0j, ((p,), ()): 2.0 + 0j, ((p,), (z,)): nan}
+    assert list(terms) == sorted(terms)     # in signature order, the NaN last
+    s = OperatorSeries._ordered(system3, [terms])
+    for f in (s.max_abs, s.hermiticity_defect):
+        assert math.isnan(f())
+        assert math.isnan(_after_a_range_error(f))
+    # a conjugate pair of infinities differs by inf - inf
+    infinite = OperatorSeries._ordered(system3, [{((), (p,)): complex(math.inf, 0.0),
+                                                  ((p,), ()): complex(math.inf, -0.0)}])
+    assert math.isnan(infinite.hermiticity_defect())
+    assert infinite.max_abs() == math.inf
+    # a finite coefficient whose abs overflows still raises as abs does
+    big = OperatorSeries._ordered(system3, [{((z,), ()): complex(1.7e308, 1.7e308)}])
+    for f in (big.max_abs, big.hermiticity_defect):
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            _after_a_range_error(f)
+
+
 # ---------------------------------------------------------------------------
 # normal-ordered products
 

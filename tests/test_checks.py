@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -54,6 +55,26 @@ def test_momentum_defect_detects_violation(small_model):
     z, p1 = system.mode("phi", (0,)), system.mode("phi", (1,))
     moving = OperatorSeries.from_terms(system, [((p1,), (z,), 1.0)], order=0)
     assert momentum_commutation_defect(moving, small_model) > 0.0
+
+
+def test_momentum_defect_of_a_nan_term_is_nan(small_model):
+    # `max(0.0, nan)` kept 0.0, and after a range error the NaN's complex
+    # abs raised OverflowError
+    from latticedress.algebra import OperatorSeries
+
+    system = small_model.system
+    z, p1 = system.mode("phi", (0,)), system.mode("phi", (1,))
+    # a term that conserves momentum adds nothing, even with an infinite coefficient
+    kept = OperatorSeries.from_terms(system, [((z,), (z,), complex(math.inf, 0.0))], order=0)
+    assert momentum_commutation_defect(kept, small_model) == 0.0
+    broken = OperatorSeries.from_terms(system, [((z,), (z,), 1.0),
+                                                ((p1,), (z,), complex(math.nan, 1.0))], order=0)
+    assert math.isnan(momentum_commutation_defect(broken, small_model))
+    try:
+        math.exp(1000)      # leaves errno at ERANGE
+    except OverflowError:
+        pass
+    assert math.isnan(momentum_commutation_defect(broken, small_model))
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,11 @@ output:
      "model build: vertex kernel of the legs phi[2] (E = 2.0), phi[0] (E = 0.0), "
      "phi[-2] (E = 2.0): the product of 2E over the legs times the lattice volume "
      "6.283185307179586 is 0"),
+    # the coupling overflows two of the interaction's coefficients to inf
+    ("model:\n  lattice: {sites_per_dim: 3, physical_length: 0.5}\n"
+     "  species: [{name: phi, mass: 0.01}]\n"
+     "  interaction: {name: phi3, coupling_strength: 1.0e+308}\n", "dress",
+     "interaction has a non-finite coefficient"),
     ("model:\n  lattice: {dim: 2, sites_per_dim: 1, physical_length: 1.0e+300}\n"
      "  interaction: {name: scalar-yukawa}\n", "dress",
      "model build: lattice volume physical_length**dim = 1e+300**2 overflows a float"),

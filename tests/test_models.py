@@ -135,6 +135,17 @@ def test_modelspec_rejects_non_hermitian(system3):
         ModelSpec(system=system3, interaction=v)
 
 
+def test_modelspec_rejects_non_finite_coefficients(system3):
+    # a conjugate pair of NaNs, or of infinities, has a NaN Hermiticity
+    # defect, which no tolerance test refuses
+    z, p = system3.modes[1:]
+    for c in (complex(math.nan, 1.0), complex(math.inf, 0.0)):
+        v = OperatorSeries.from_terms(system3, [((z,), (p,), c), ((p,), (z,), c.conjugate())],
+                                      order=1)
+        with pytest.raises(ModelError, match="interaction has a non-finite coefficient"):
+            ModelSpec(system=system3, interaction=v)
+
+
 def test_modelspec_rejects_wrong_order_content(system3):
     z = mode(system3, 0)
     v = OperatorSeries.from_terms(system3, [((z,), (z,), 1.0)], order=0, max_order=1)

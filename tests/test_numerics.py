@@ -349,6 +349,11 @@ def test_matrix_of_terms_matches_per_term_products(system3):
     assert _same_bits(got.indptr, want.indptr)
     assert _same_bits(got.indices, want.indices)
     assert _same_bits(got.data, want.data)
+    # no term, or none that acts on a state within the cutoffs: scipy's own
+    # empty matrix
+    empty = sp.csr_matrix((basis.dimension, basis.dimension), dtype=complex)
+    for nothing in ({}, {((q,) * 5, ()): 1.0}):
+        assert _csr_bits(matrix_of_terms(nothing, basis)) == _csr_bits(empty)
 
 
 def test_actions_refuse_unknown_modes_and_are_read_only(system3, system5):
@@ -404,7 +409,7 @@ def oracle_series():
     return out
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.02, 0.04, 0.08, 0.16, 1e-6])
+@pytest.mark.parametrize("lam", [0.0, 0.02, 0.04, 0.08, 0.16, 1e-6, -0.08, -1e-6])
 def test_assembler_is_the_evaluated_term_maps_matrix(oracle_series, lam):
     partly_pruned = []
     for label, series, basis in oracle_series:
@@ -412,7 +417,7 @@ def test_assembler_is_the_evaluated_term_maps_matrix(oracle_series, lam):
         assert _csr_bits(got) == _csr_bits(matrix_of(series, basis, lam)), label
         if 0 < len(evaluate(series, lam)) < len(set().union(*series.orders)):
             partly_pruned.append(label)
-    if lam == 1e-6:     # lam**3 * c prunes: the mask drops some entries, not all
+    if abs(lam) == 1e-6:    # lam**3 * c prunes: the prune drops some entries, not all
         assert "phi3 order 3 K" in partly_pruned
 
 
