@@ -59,22 +59,27 @@ def _sorted_map(terms: TermMap) -> TermMap:
 
 def _pruned(pairs: Collection[tuple[Signature, complex]]) -> TermMap:
     """The (signature, coefficient) pairs in their order, less each whose
-    coefficient has abs <= PRUNE_THRESHOLD; a NaN is kept.  CPython's complex
-    abs returns a NaN without clearing errno, so it raises OverflowError
-    wherever an earlier C call left ERANGE behind; only then are the pairs
-    read again, keeping each NaN without asking abs.  Every other
-    coefficient is decided by abs both times, so one whose abs overflows
-    still raises."""
+    coefficient has abs <= PRUNE_THRESHOLD; a NaN is kept.  The first pass
+    asks abs itself, which is the dress loop's hot path; where it raises
+    OverflowError, as a NaN's abs does after a range error (see
+    `coeff_abs`, the one place that rule lives), the pairs are read again
+    through `coeff_abs`, so a NaN is kept and a finite coefficient whose
+    abs overflows still raises."""
     try:
         return {s: c for s, c in pairs if not abs(c) <= PRUNE_THRESHOLD}
     except OverflowError:
-        return {s: c for s, c in pairs if c != c or not abs(c) <= PRUNE_THRESHOLD}
+        return {s: c for s, c in pairs if not coeff_abs(c) <= PRUNE_THRESHOLD}
 
 
 def coeff_abs(c: complex) -> float:
-    """abs(c), and a NaN for a NaN c whatever errno an earlier C call left:
-    as in `_pruned`, c is asked whether it is a NaN only once abs has raised
-    OverflowError, so a finite c whose abs overflows still raises."""
+    """abs(c), and a NaN for a NaN c whatever errno an earlier C call left.
+
+    CPython's complex abs returns a NaN without clearing errno, so it
+    raises OverflowError wherever an earlier C call left ERANGE behind.
+    This is the one place that rule is handled: `_pruned`'s second pass,
+    `OperatorSeries.is_zero`, `max_abs` and `hermiticity_defect`, and
+    `checks.momentum_commutation_defect` read their magnitudes through it.  c is asked whether it is a NaN only once abs
+    has raised, so a finite c whose abs overflows still raises."""
     try:
         return abs(c)
     except OverflowError:
@@ -342,10 +347,9 @@ class OperatorSeries:
         return sum(len(o) for o in self.orders)
 
     def is_zero(self) -> bool:
-        try:
-            return all(abs(c) <= PRUNE_THRESHOLD for o in self.orders for c in o.values())
-        except OverflowError:       # a NaN's abs, as in `_pruned`
-            return not any(_pruned(o.items()) for o in self.orders)
+        """Whether every stored |c| is at most PRUNE_THRESHOLD, each read by
+        `coeff_abs`: a NaN makes it False, as it makes `max_abs` NaN."""
+        return all(coeff_abs(c) <= PRUNE_THRESHOLD for o in self.orders for c in o.values())
 
     def max_abs(self) -> float:
         """max |c| over all stored terms; NaN if any c is NaN."""

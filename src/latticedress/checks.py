@@ -308,6 +308,11 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     which coupling a failure names.  Each distinct grid point is formed
     once per coupling; the points are listed by grid point, then coupling,
     a repeated one and a repeated coupling each as often as given.
+
+    Each commutator's low-quanta block is gathered once, with the indices
+    `restricted_norm` gathers, and read for both numbers: its norm is the
+    magnitude, and its difference from the kept C(0) block gives the
+    subtracted norm.
     """
     import numpy as np
 
@@ -334,14 +339,13 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
         for point in distinct:
             x, y, tau = point
             c = _commutator(ctx.field(x, tau), ctx.field(y, 0.0))
+            cb = c[low]
             if lam == 0.0:
-                c0[point] = c[low]
+                c0[point] = cb
                 subtracted = 0.0
             else:
-                # the block of C(lam) - C(0), the gather taken first
-                subtracted = block_norm(c[low] - c0[point])
-            table[point, lam] = (restricted_norm(c, basis, block), ctx.vev(c),
-                                 subtracted)
+                subtracted = block_norm(cb - c0[point])
+            table[point, lam] = (block_norm(cb), ctx.vev(c), subtracted)
 
     # sorted is stable: 0 moves first, the rest keep the set's order
     _scan_each(matrices, sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0),

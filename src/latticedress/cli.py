@@ -117,13 +117,10 @@ def run_dress(model: ModelSpec, report: dict):
         "umklapp_count": len(model.umklapp_signatures),
     }
     if model.max_order >= 2 and model.name in VERTICES and VERTICES[model.name].legs:
-        table = []
-        for m in model.system.modes:
-            table.append({
-                "species": m.species, "k": list(m.k),
-                "delta": extract_energy_correction(result, m.species, m.k),
-            })
-        report["dressing"]["energy_corrections"] = table
+        report["dressing"]["energy_corrections"] = [
+            {"species": m.species, "k": list(m.k),
+             "delta": extract_energy_correction(result, m.species, m.k)}
+            for m in model.system.modes]
 
     if model.policy == "shirokov":
         left = bad.max_abs()
@@ -514,11 +511,16 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
+        # made only once the config has loaded, and before any stage runs
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:      # an unreadable config or an unusable out-dir
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     return run(cfg, args.command, args.out_dir)
 

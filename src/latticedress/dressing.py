@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 
 from .algebra import (
     OperatorSeries,
@@ -183,7 +182,7 @@ def dress(model: ModelSpec) -> DressingResult:
             diagnostics.extend(near)
             removed.append(target)
             rn = OperatorSeries.zero(system, n_max)
-            rn.orders[n] = dict(sorted(rn_terms.items(), key=itemgetter(0)))
+            rn.orders[n] = rn_terms
             generators.append(rn)
             r = r + rn
 

@@ -556,9 +556,9 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
     for kvec, mode, (rows, cols, amps) in zip(kvecs, modes, ladders):
         p = np.array(lat.momentum(kvec))
         coeff = 1.0 / math.sqrt(2.0 * model.system.energy(mode) * lat.volume)
+        phases = [np.exp(1j * float(np.dot(p, x))) for x in xs]
         if w_inv is None:
-            for field, x in zip(out, xs):
-                phase = np.exp(1j * float(np.dot(p, x)))
+            for field, phase in zip(out, phases):
                 term = coeff * (phase * amps)
                 field[rows, cols] += term
                 field[cols, rows] += np.conj(term)
@@ -568,8 +568,7 @@ def field_at_origin_time_zero(model: ModelSpec, basis: FockBasis,
         left = np.zeros((n, n), dtype=complex)
         left[:, cols] = w_inv[:, rows] * amps
         alpha = left @ w
-        for field, x in zip(out, xs):
-            phase = np.exp(1j * float(np.dot(p, x)))
+        for field, phase in zip(out, phases):
             field += coeff * (phase * alpha + np.conj(phase) * alpha.conj().T)
     return out
 

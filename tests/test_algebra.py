@@ -143,6 +143,13 @@ def test_every_maximum_lets_a_nan_win(system3):
     for f in (big.max_abs, big.hermiticity_defect):
         with pytest.raises(OverflowError, match="absolute value too large"):
             _after_a_range_error(f)
+    # a NaN before such a coefficient: is_zero reads the NaN, as max_abs
+    # does, and stops there
+    first = OperatorSeries._ordered(system3, [{((), (p,)): nan,
+                                               ((z,), ()): complex(1.7e308, 1.7e308)}])
+    assert list(first.orders[0]) == sorted(first.orders[0])
+    assert _after_a_range_error(first.is_zero) is False
+    assert math.isnan(_after_a_range_error(first.max_abs))
 
 
 # ---------------------------------------------------------------------------

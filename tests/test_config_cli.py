@@ -698,6 +698,42 @@ def test_cli_non_finite_number(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _config_directory(tmp_path):
+    (tmp_path / "configs").mkdir()
+    return tmp_path / "configs", tmp_path / "out"
+
+
+def _config_not_utf8(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("model:\n  interaction: {name: ph\xef3}\n".encode("latin-1"))
+    return path, tmp_path / "out"
+
+
+def _out_dir_a_file(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(FAST_YAML)
+    (tmp_path / "out").write_text("kept\n")
+    return path, tmp_path / "out"
+
+
+@pytest.mark.parametrize("paths, message", [
+    (_config_directory, "Is a directory"),
+    (_config_not_utf8, "is not UTF-8 text: invalid continuation byte"),
+    (_out_dir_a_file, "File exists"),
+], ids=["config-directory", "config-not-utf8", "out-dir-a-file"])
+def test_cli_unusable_path_exits_two(tmp_path, capsys, paths, message):
+    # one stderr line, no stage run, no report, and tmp_path as it was
+    config, out_dir = paths(tmp_path)
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    code = main(["--config", str(config), "--command", "dress",
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and message in err[0]
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
+
+
 def test_cli_bad_arguments():
     assert main(["--command", "dress"]) == 2
 
