@@ -78,8 +78,9 @@ def coeff_abs(c: complex) -> float:
     raises OverflowError wherever an earlier C call left ERANGE behind.
     This is the one place that rule is handled: `_pruned`'s second pass,
     `OperatorSeries.is_zero`, `max_abs` and `hermiticity_defect`, and
-    `checks.momentum_commutation_defect` read their magnitudes through it.  c is asked whether it is a NaN only once abs
-    has raised, so a finite c whose abs overflows still raises."""
+    `checks.momentum_commutation_defect` read their magnitudes through it.
+    c is asked whether it is a NaN only once abs has raised, so a finite c
+    whose abs overflows still raises."""
     try:
         return abs(c)
     except OverflowError:
