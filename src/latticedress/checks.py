@@ -15,14 +15,22 @@ states are the basis states and the dressed fields the bare ones, exactly.
 The spacelike rows at lam = 0 have C(0)'s norm as magnitude and baseline,
 and C(0) - C(0) as the exact 0.0.
 
+Each scan's couplings are independent: `_scan_each` runs the first in
+this process and, where more than one core is usable, the rest in forked
+worker processes, one per usable core at most.  The workers send back
+small results, and this process forms every row, subtraction and fit from
+them, so a report's bytes do not depend on the number of cores.
+
 As in `numerics`, numpy and scipy are imported inside the functions that
-use them, so that importing the command line, and running its symbolic
-path, loads no numerical stack.
+use them, and so is `multiprocessing`, so that importing the command line,
+and running its symbolic path, loads no numerical stack and no process
+pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -201,8 +209,9 @@ class _LambdaContext:
     the context is created, and each time's evolution once asked for.
     exp(-R) and exp(+R) come from `dressing_matrices` as one pair that
     shares its Pade structure, exp(+R) formed after exp(-R) has passed its
-    checks; they are not kept, and not formed where R is zero.  The scans
-    keep one context alive at a time."""
+    checks; they are not kept, and not formed where R is zero.  Each
+    process that runs a scan's couplings keeps one context alive at a time
+    (see `_scan_each`)."""
 
     def __init__(self, matrices: CouplingMatrices, lam, sites):
         import numpy as np
@@ -239,11 +248,118 @@ def _commutator(ax, ay):
     return ax @ ay - ay @ ax
 
 
-def _scan_each(matrices: CouplingMatrices, couplings, sites, scan) -> None:
-    """scan(lam, context) for each coupling in turn; the context is held by
-    the call only, so it is freed before the next coupling's is built."""
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the system
+    has one, else every core."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _one_thread() -> bool:
+    """Whether this process runs a single thread: its tasks where the system
+    lists them (a BLAS thread pool counts), else Python's threads."""
+    import threading
+
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
+
+
+def _scan_each(matrices: CouplingMatrices, couplings, sites, work) -> list:
+    """[work(lam, context) for lam in couplings], each coupling's context
+    built by the process that runs it and freed before that process builds
+    its next.
+
+    This process runs the first coupling (the spacelike scan's 0).  The
+    rest go round-robin to forked worker processes, at most one per usable
+    core, which inherit `matrices` and `work` and send back the results,
+    so no work result depends on the number of cores.  The couplings all
+    run here, in turn, where one core is usable, no coupling is left to
+    hand out, the system cannot fork or the process has other threads
+    (forking a multi-threaded process can deadlock the child).
+
+    The results are read in the couplings' order, and the first coupling
+    that failed raises as it does here: the same type, the same message.
+    A worker that dies raises ArithmeticError naming its coupling and the
+    signal or exit code.  Every worker is joined before this returns or
+    raises.
+    """
+    def one(lam):
+        return work(lam, _LambdaContext(matrices, lam, sites))
+
+    cores = _usable_cores()
+    workers = min(cores, len(couplings) - 1)
+    if cores > 1 and workers > 0 and _one_thread():
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _fork_each(multiprocessing.get_context("fork"), one, couplings,
+                              workers)
+    return [one(lam) for lam in couplings]
+
+
+def _fork_each(ctx, one, couplings, workers: int) -> list:
+    """[one(lam) for lam in couplings]: the first here, the rest round-robin
+    over `workers` processes forked from `ctx`, read back in order (see
+    `_scan_each`)."""
+    first, rest = couplings[0], couplings[1:]
+    pipes, procs = [], []
+    done = False
+    try:
+        for k in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            procs.append(ctx.Process(target=_serve, args=(one, rest[k::workers], send)))
+            procs[-1].start()
+            send.close()
+        results = [one(first)]
+        for i, lam in enumerate(rest):
+            try:
+                ok, value = pipes[i % workers].recv()
+            except EOFError:
+                proc = procs[i % workers]
+                proc.join()
+                raise ArithmeticError(
+                    f"the scan's worker process for coupling {lam!r} died "
+                    f"({_ending(proc.exitcode)})") from None
+            if not ok:
+                raise value
+            results.append(value)
+        done = True
+        return results
+    finally:
+        for proc in procs:
+            if not done:
+                proc.terminate()
+            proc.join()
+        for recv in pipes:
+            recv.close()
+
+
+def _serve(one, couplings, conn) -> None:
+    """A worker's loop: send (True, one(lam)) for each coupling in turn, or
+    at the first failure (False, the exception), and stop."""
     for lam in couplings:
-        scan(lam, _LambdaContext(matrices, lam, sites))
+        try:
+            conn.send((True, one(lam)))
+        except Exception as exc:        # raised in the parent, in order
+            conn.send((False, exc))
+            return
+
+
+def _ending(exitcode: int) -> str:
+    """How a process ended, from its multiprocessing exit code."""
+    import signal
+
+    if exitcode < 0:
+        try:
+            return f"signal {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"signal {-exitcode}"
+    return f"exit code {exitcode}"
 
 
 def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
@@ -253,9 +369,10 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
     requested site pair, time and coupling, of the dressing result and basis
     of `matrices`.
 
-    The couplings are scanned one at a time, in the order given, each
-    through its own context, which is dropped before the next is built; the
-    points are listed by time, then coupling, then pair.
+    Each coupling is scanned through its own context by `_scan_each`,
+    which may spread the couplings over worker processes; each returns its
+    points, and the points are listed by time, then coupling, then pair,
+    whatever the number of cores.
     """
     basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
@@ -268,14 +385,16 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
                         "a coupling and a site pair")
     sites = list(dict.fromkeys(s for pair in pairs for s in pair))
     couplings = list(dict.fromkeys(lambdas))
-    rows: dict = {}     # (time index, coupling) -> its points, pair by pair
 
     def scan(lam, ctx):
-        for i, t in enumerate(times):
+        """The coupling's points, a list per time, pair by pair."""
+        rows = []
+        for t in times:
             # each site's A(x,t) once for all its pairs, dropped before the
             # next time forms its own
             fields = {s: ctx.field(s, t) for s in sites}
-            rows[i, lam] = points = []
+            points = []
+            rows.append(points)
             for x, y in pairs:
                 c = _commutator(fields[x], fields[y])
                 points.append(ScanPoint(
@@ -287,10 +406,11 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
                     vev_modulus=ctx.vev(c),
                 ))
             del fields
+        return rows
 
-    _scan_each(matrices, couplings, sites, scan)
+    rows = _scan_each(matrices, couplings, sites, scan)
     return ScanReport(points=[
-        p for i in range(len(times)) for lam in couplings for p in rows[i, lam]])
+        p for i in range(len(times)) for by_time in rows for p in by_time[i]])
 
 
 def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
@@ -301,18 +421,19 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     The free-lattice baseline C(0) is subtracted so the reported magnitude
     isolates the interaction-induced piece; its coupling scaling is fitted.
-    The couplings are scanned one at a time, each through its own context,
-    which is dropped before the next is built: first 0, whose C(0) of each
-    distinct grid point is kept, as its low-quanta block only, for the
-    others, then the rest in the order of `set(lambdas)`, which decides
-    which coupling a failure names.  Each distinct grid point is formed
-    once per coupling; the points are listed by grid point, then coupling,
-    a repeated one and a repeated coupling each as often as given.
+    Each coupling is scanned through its own context by `_scan_each`: first
+    0, in this process, then the rest in the order of `set(lambdas)`, which
+    decides which coupling a failure names, here or spread over worker
+    processes.  Each distinct grid point is formed once per coupling; the
+    points are listed by grid point, then coupling, a repeated one and a
+    repeated coupling each as often as given.
 
     Each commutator's low-quanta block is gathered once, with the indices
-    `restricted_norm` gathers, and read for both numbers: its norm is the
-    magnitude, and its difference from the kept C(0) block gives the
-    subtracted norm.
+    `restricted_norm` gathers; a coupling's scan returns, per distinct grid
+    point, that block, its norm (the magnitude) and the vev.  This process
+    then subtracts each C(0) block from the other couplings' for the
+    subtracted norms, and fits, so no number depends on the number of
+    cores.
     """
     import numpy as np
 
@@ -332,24 +453,25 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     lambdas = list(lambdas)
     distinct = list(dict.fromkeys(grid))
     low = np.ix_(*[basis.block_indices(block)] * 2)
-    c0: dict = {}       # grid point -> C(0)'s low-quanta block
-    table: dict = {}    # (grid point, coupling) -> (magnitude, vev, subtracted)
 
     def scan(lam, ctx):
-        for point in distinct:
-            x, y, tau = point
+        """(block, its norm, vev) of each distinct grid point's commutator."""
+        out = []
+        for x, y, tau in distinct:
             c = _commutator(ctx.field(x, tau), ctx.field(y, 0.0))
             cb = c[low]
-            if lam == 0.0:
-                c0[point] = cb
-                subtracted = 0.0
-            else:
-                subtracted = block_norm(cb - c0[point])
-            table[point, lam] = (block_norm(cb), ctx.vev(c), subtracted)
+            out.append((cb, block_norm(cb), ctx.vev(c)))
+        return out
 
     # sorted is stable: 0 moves first, the rest keep the set's order
-    _scan_each(matrices, sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0),
-               [s for x, y, _ in distinct for s in (x, y)], scan)
+    couplings = sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0)
+    scanned = _scan_each(matrices, couplings,
+                         [s for x, y, _ in distinct for s in (x, y)], scan)
+    table: dict = {}    # (grid point, coupling) -> (magnitude, vev, subtracted)
+    for lam, blocks in zip(couplings, scanned):
+        for point, (cb, magnitude, vev), (c0, _, _) in zip(distinct, blocks, scanned[0]):
+            subtracted = 0.0 if lam == 0.0 else block_norm(cb - c0)
+            table[point, lam] = (magnitude, vev, subtracted)
     points = []
     for point in grid:
         x, y, tau = point

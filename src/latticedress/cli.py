@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -49,6 +50,9 @@ from .numerics import (
     restricted_norm,
 )
 
+# the BLAS and OpenMP thread counts, set to 1 by `main` unless the user set them
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 SCHEMA_VERSION = 1
 COMMANDS = ("dress", "verify", "scan", "all")
 NONFINITE_FAILURE = {"check": "report", "reason": "non-finite number in the report"}
@@ -498,6 +502,12 @@ def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
 
 
 def main(argv=None) -> int:
+    """The command line.  Each of _THREAD_VARIABLES that is unset is set to 1
+    before numpy loads: a BLAS thread count other than one changes the
+    oracle's last bits, and the scans give the cores to worker processes
+    instead."""
+    for name in _THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
     parser = argparse.ArgumentParser(
         prog="latticedress",
         description="Dressing transformation engine on a finite momentum lattice",

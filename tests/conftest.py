@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from latticedress.cli import report_chunks
+from latticedress.cli import _THREAD_VARIABLES, report_chunks
 from latticedress.config import _put, parse_config
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
 
@@ -28,6 +31,24 @@ def system5():
 def system1():
     """A single mode (1-site lattice)."""
     return ModeSystem(LatticeSpec(dim=1, sites_per_dim=1), [FieldSpecies("phi", 1.0)])
+
+
+def run_python(args, pinned=True, **env):
+    """`python` with `args` in a fresh interpreter with `src` on its path,
+    one BLAS thread and the variables `env`; with `pinned` False, every
+    BLAS and OpenMP thread variable is removed instead, as in a shell that
+    sets none."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])),
+               **env)
+    if pinned:
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    else:
+        for name in _THREAD_VARIABLES:
+            env.pop(name, None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def mode(system, k, species=None):

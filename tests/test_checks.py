@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import threading
 import weakref
 
 import numpy as np
@@ -20,7 +23,7 @@ from latticedress.models import build_model
 from latticedress.modes import LatticeSpec
 from latticedress.numerics import CouplingMatrices, FockBasis, dressing_matrices
 
-from conftest import phi3_config, squeeze_deviation
+from conftest import phi3_config, run_python, squeeze_deviation
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,53 @@ def small_result(small_model):
 @pytest.fixture(scope="module")
 def small_basis(small_model):
     return FockBasis(small_model.system, 4, 4)
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """One usable core: the scans run every coupling in this process, where
+    a test can count what they call."""
+    monkeypatch.setattr(checks, "_usable_cores", lambda: 1)
+
+
+# the small model, result and basis of the fixtures above, built in a fresh
+# interpreter with one BLAS thread and two usable cores, so that the scans
+# take their worker processes on any machine; `log(*values)` appends a line
+# of this process's id and the values to the file named by argv[1]
+FORKED_PRELUDE = """
+import json, multiprocessing, os, sys
+from latticedress import checks
+from latticedress.checks import equal_time_scan, spacelike_scan
+from latticedress.dressing import dress
+from latticedress.models import build_model
+from latticedress.modes import LatticeSpec
+from latticedress.numerics import CouplingMatrices, FockBasis
+
+model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3,
+                                                physical_length=6.0))
+result = dress(model)
+basis = FockBasis(model.system, 4, 4)
+parent = os.getpid()
+checks._usable_cores = lambda: 2
+
+def log(*values):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(json.dumps([os.getpid(), *values]) + "\\n")
+
+log()
+"""
+
+
+def _forked(tmp_path, script: str, *args) -> tuple[object, list]:
+    """Run FORKED_PRELUDE + script with the arguments log file, *args;
+    return (the JSON of its last output line, the logged lines after the
+    prelude's own as [in the first process, process id, *values])."""
+    log = tmp_path / "log.jsonl"
+    proc = run_python(["-c", FORKED_PRELUDE + script, str(log), *map(str, args)])
+    assert proc.returncode == 0, proc.stderr
+    (parent,), *lines = [json.loads(line) for line in log.read_text().splitlines()]
+    return (json.loads(proc.stdout.splitlines()[-1]),
+            [[pid == parent, pid, *values] for pid, *values in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +285,7 @@ def test_equal_time_scan_without_points_is_refused(monkeypatch, small_basis,
                         lambdas=lambdas, site_pairs=site_pairs)
 
 
-def test_each_coupling_builds_its_fields_once(monkeypatch, small_model, small_result):
+def test_each_coupling_builds_its_fields_once(monkeypatch, serial, small_model, small_result):
     calls = []
     build = checks.field_at_origin_time_zero
 
@@ -258,7 +308,39 @@ def test_each_coupling_builds_its_fields_once(monkeypatch, small_model, small_re
     assert len(calls) == 3
 
 
-def test_equal_time_scan_evolves_each_site_once_per_time_and_coupling(monkeypatch):
+FIELDS_ONCE_SCRIPT = """
+build = checks.field_at_origin_time_zero
+
+def counted(*args, **kwargs):
+    log(args[-1])
+    return build(*args, **kwargs)
+
+checks.field_at_origin_time_zero = counted
+small = FockBasis(model.system, 3, 3)
+equal_time_scan(CouplingMatrices(result, small), times=[0.0, 1.0], lambdas=[0.0, 0.1],
+                site_pairs=[((0,), (1,)), ((0,), (2,)), ((1,), (2,))])
+log("spacelike")
+spacelike_scan(CouplingMatrices(result, small), lambdas=[0.05, 0.1],
+               grid=[((0,), (1,), 1.0), ((1,), (2,), -1.0)])
+print(json.dumps(len(multiprocessing.active_children())))
+"""
+
+
+def test_each_coupling_builds_its_fields_once_in_one_process(tmp_path):
+    # the test above with worker processes: one field build per coupling,
+    # the first coupling's in the scan's own process, each other one in a
+    # worker, and every worker joined
+    children, lines = _forked(tmp_path, FIELDS_ONCE_SCRIPT)
+    cut = next(i for i, line in enumerate(lines) if line[2:] == ["spacelike"])
+    equal_time, spacelike = lines[:cut], lines[cut + 1:]
+    assert sorted(here for here, *_ in equal_time) == [False, True]
+    assert sorted(here for here, *_ in spacelike) == [False, False, True]
+    assert len({pid for here, pid, _ in spacelike if not here}) == 2
+    assert all(sites == [[0], [1], [2]] for *_, sites in equal_time)
+    assert children == 0
+
+
+def test_equal_time_scan_evolves_each_site_once_per_time_and_coupling(monkeypatch, serial):
     # 5 sites in 10 pairs, two nonzero times, two couplings: 20 evolved
     # fields u A(x,0) u^H, where evolving per pair formed 80; the rows keep
     # every bit of the per-pair evaluation
@@ -373,7 +455,7 @@ def test_spacelike_scan_equals_all_contexts_first(small_basis, small_result):
 
 
 @pytest.mark.parametrize("scan", ["equal_time", "spacelike"])
-def test_scans_keep_one_context_alive(monkeypatch, small_basis, small_result, scan):
+def test_scans_keep_one_context_alive(monkeypatch, serial, small_basis, small_result, scan):
     alive = weakref.WeakSet()
     init = checks._LambdaContext.__init__
     built = []
@@ -394,6 +476,49 @@ def test_scans_keep_one_context_alive(monkeypatch, small_basis, small_result, sc
         spacelike_scan(matrices, lambdas=[0.05, 0.1, 0.2],
                        grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
         assert built[0] == 0.0 and sorted(built[1:]) == [0.05, 0.1, 0.2]
+
+
+ONE_CONTEXT_SCRIPT = """
+import weakref
+
+alive = weakref.WeakSet()
+init = checks._LambdaContext.__init__
+
+def tracked(self, matrices, lam, sites):
+    assert not list(alive), f"a context is alive when coupling {lam}'s is built"
+    init(self, matrices, lam, sites)
+    alive.add(self)
+    log(lam)
+
+checks._LambdaContext.__init__ = tracked
+matrices = CouplingMatrices(result, basis)
+if sys.argv[2] == "equal_time":
+    equal_time_scan(matrices, times=[0.0, 1.0], lambdas=[0.0, 0.1, 0.05],
+                    site_pairs=[((0,), (1,)), ((0,), (2,))])
+else:
+    spacelike_scan(matrices, lambdas=[0.05, 0.1, 0.2],
+                   grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
+print(json.dumps(None))
+"""
+
+
+@pytest.mark.parametrize("scan", ["equal_time", "spacelike"])
+def test_each_process_keeps_one_context_alive(tmp_path, scan):
+    # the test above with worker processes: each process checks its own
+    # contexts, and a failed check would fail the scan; the first coupling
+    # is built in the scan's own process, each other one once, in a worker,
+    # and one spacelike worker builds two in turn
+    _, lines = _forked(tmp_path, ONE_CONTEXT_SCRIPT, scan)
+    assert [lam for here, _, lam in lines if here] == [0.0]
+    workers = {}
+    for here, pid, lam in lines:
+        if not here:
+            workers.setdefault(pid, []).append(lam)
+    if scan == "equal_time":
+        assert sorted(workers.values()) == [[0.05], [0.1]]
+    else:
+        assert sorted(map(len, workers.values())) == [1, 2]
+        assert sorted(lam for lams in workers.values() for lam in lams) == [0.05, 0.1, 0.2]
 
 
 def _keep_weakly(monkeypatch, module, name) -> list[bool]:
@@ -455,7 +580,7 @@ def test_verify_keeps_no_pair_past_its_checks(residuals):
 
 
 def test_spacelike_scan_forms_each_distinct_point_once_per_coupling(
-        monkeypatch, small_basis, small_result):
+        monkeypatch, serial, small_basis, small_result):
     commutators = []
     commutator = checks._commutator
 
@@ -471,6 +596,185 @@ def test_spacelike_scan_forms_each_distinct_point_once_per_coupling(
     assert len(commutators) == 2 * 3
     assert len(rep.points) == 3 * 3
     assert rep.points[:3] == rep.points[6:]
+
+
+COMMUTATORS_SCRIPT = """
+commutator = checks._commutator
+
+def counted(ax, ay):
+    log()
+    return commutator(ax, ay)
+
+checks._commutator = counted
+grid = [((0,), (1,), 1.0), ((0,), (2,), 0.5), ((0,), (1,), 1.0)]
+rep = spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.1], grid=grid)
+print(json.dumps([len(rep.points), rep.points[:3] == rep.points[6:]]))
+"""
+
+
+def test_spacelike_scan_forms_each_distinct_point_once_per_coupling_in_all_processes(
+        tmp_path):
+    # the test above with worker processes: 2 distinct points, couplings 0
+    # (in the scan's own process), 0.05 and 0.1 (in the workers)
+    (n_points, repeats), lines = _forked(tmp_path, COMMUTATORS_SCRIPT)
+    assert len(lines) == 2 * 3
+    assert sorted(here for here, _ in lines) == [False] * 4 + [True] * 2
+    assert n_points == 3 * 3 and repeats
+
+
+SAME_SCANS_SCRIPT = """
+def scans():
+    matrices = CouplingMatrices(result, basis)
+    grid = [((0,), (1,), 1.0), ((0,), (2,), 0.5), ((0,), (1,), 1.0)]
+    return (spacelike_scan(matrices, lambdas=[0.1, 0.0, 0.05, 0.1], grid=grid),
+            equal_time_scan(matrices, times=[0.0, 1.0], lambdas=[0.1, 0.0, 0.05, 0.1],
+                            site_pairs=[((0,), (1,)), ((0,), (2,))]))
+
+build = checks._LambdaContext.__init__
+
+def logged(self, matrices, lam, sites):
+    log(lam)
+    build(self, matrices, lam, sites)
+
+checks._LambdaContext.__init__ = logged
+parallel = scans()
+checks._usable_cores = lambda: 1
+serial = scans()
+print(json.dumps([parallel == serial, len(serial[0].points), len(serial[1].points)]))
+"""
+
+
+def test_scans_are_the_same_on_one_core_and_on_two(tmp_path):
+    # a repeated grid point and a repeated coupling; the workers' points
+    # and blocks come back bit for bit, and the rows, subtractions and fit
+    # are formed in the scan's own process either way
+    (same, n_spacelike, n_equal_time), lines = _forked(tmp_path, SAME_SCANS_SCRIPT)
+    assert same
+    assert n_spacelike == 3 * 4 and n_equal_time == 2 * 3 * 2
+    # the first two scans spread 2 + 2 couplings over workers
+    assert sum(not here for here, *_ in lines) == 4
+
+
+FAILURES_SCRIPT = """
+import time
+from latticedress.numerics import OracleError
+
+lambdas = [0.05, 0.1, 0.2]
+order = sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0)
+first, later = [lam for lam in order if lam in (0.1, 0.2)]
+build = checks.dressing_matrices
+
+def failing(matrices, lam, plus=False):
+    if lam == first:
+        time.sleep(0.5)     # fails after the later coupling has failed
+        raise MemoryError if sys.argv[2] == "memory" else OracleError(f"{lam} refused")
+    if lam == later:
+        raise OracleError(f"{lam} refused")
+    return build(matrices, lam, plus)
+
+checks.dressing_matrices = failing
+
+def outcome(cores):
+    checks._usable_cores = lambda: cores
+    try:
+        spacelike_scan(CouplingMatrices(result, basis), lambdas=lambdas,
+                       grid=[((0,), (1,), 1.0)])
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+print(json.dumps([outcome(2), outcome(1), first, len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.parametrize("kind", ["oracle", "memory"])
+def test_the_first_failing_coupling_is_the_serial_runs(tmp_path, kind):
+    # two couplings fail, the one the serial run reaches first last in time;
+    # with worker processes the same coupling's exception is raised, with
+    # the same type and message, and every worker is joined
+    (parallel, serial, first, children), _ = _forked(tmp_path, FAILURES_SCRIPT, kind)
+    assert parallel == serial
+    assert serial == (["MemoryError", ""] if kind == "memory"
+                      else ["OracleError", f"{first} refused"])
+    assert children == 0
+
+
+DEATH_SCRIPT = """
+import signal
+from latticedress import cli
+from latticedress.config import parse_config
+
+build = checks.dressing_matrices
+
+def dying(matrices, lam, plus=False):
+    if os.getpid() != parent and lam == 0.1:
+        if sys.argv[2] == "exit":
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return build(matrices, lam, plus)
+
+checks.dressing_matrices = dying
+cfg = parse_config("model:\\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\\n"
+                   "checks:\\n  spacelike: {enabled: true}\\n")
+code = cli.run(cfg, "scan", sys.argv[3])
+with open(os.path.join(sys.argv[3], "report.json")) as fh:
+    report = json.load(fh)
+print(json.dumps([code, report["verdicts"], report["failures"],
+                  len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.parametrize("how, ending", [("exit", "exit code 3"),
+                                         ("kill", "signal SIGKILL")])
+def test_a_worker_that_dies_is_a_setup_failure(tmp_path, how, ending):
+    # the run exits 1 with its report, which keeps the verdicts before the
+    # scan and names the coupling and how its worker ended; no process is
+    # left running
+    (code, verdicts, failures, children), _ = _forked(
+        tmp_path, DEATH_SCRIPT, how, tmp_path / "out")
+    assert code == 1
+    assert [v["check"] for v in verdicts] == ["no_bad_terms"]
+    assert failures == [{"check": "setup", "reason": "the scan's worker process "
+                         f"for coupling 0.1 died ({ending})"}]
+    assert children == 0
+
+
+@pytest.mark.parametrize("cores, lambdas, one_thread", [
+    (1, [0.0, 0.1], True), (2, [0.0], True), (2, [0.0, 0.1], False),
+], ids=["one core", "one coupling", "other threads"])
+def test_scans_fork_nothing_where_they_stay_serial(monkeypatch, small_basis,
+                                                   small_result, cores, lambdas,
+                                                   one_thread):
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker process was asked for")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(checks, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(checks, "_one_thread", lambda: one_thread)
+    rep = equal_time_scan(CouplingMatrices(small_result, small_basis), times=[0.0],
+                          lambdas=lambdas, site_pairs=[((0,), (1,))])
+    assert [p.lam for p in rep.points] == lambdas
+
+
+def test_usable_cores_are_the_affinity(monkeypatch):
+    # `taskset -c 0` leaves one usable core, so the scans stay serial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert checks._usable_cores() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert checks._usable_cores() == 5
+
+
+def test_a_running_thread_keeps_the_scans_serial():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not checks._one_thread()
+    finally:
+        stop.set()
+        thread.join()
 
 
 def test_spacelike_scan_rejects_timelike_points(small_basis, small_result):

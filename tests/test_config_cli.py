@@ -1,8 +1,6 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -18,7 +16,7 @@ from latticedress.cli import NONFINITE_FAILURE, main, model_from_config, run
 from latticedress.config import ConfigError, load_config, parse_config
 from latticedress.models import VERTICES
 
-from conftest import REPO_ROOT, phi3_config
+from conftest import REPO_ROOT, phi3_config, run_python
 
 FAST_YAML = """
 model:
@@ -866,18 +864,6 @@ output:
 """
 
 
-def _run_python(args, **env):
-    """`python` with `args` in a fresh interpreter with `src` on its path,
-    one BLAS thread and the variables `env`."""
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               **env)
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
-
-
 GOLDEN_BOTH_SCANS_YAML = """
 model:
   lattice: {sites_per_dim: 3, physical_length: 3.0}
@@ -892,7 +878,7 @@ output:
 """
 
 
-@pytest.mark.parametrize("command, text, digest", [
+GOLDEN_ORACLE_CASES = [
     ("verify", GOLDEN_VERIFY_YAML,
      "4e1a9105553ef88745d70bbef22a09c95e21d182610723b9f46f2b859f4cd7ae"),
     ("verify", GOLDEN_VERIFY_ZERO_YAML,
@@ -905,20 +891,70 @@ output:
      "837fcc151270c1a6183ce369a720b0a2ede98116fb73a5275321d16b81baddd5"),
     ("all", GOLDEN_BOTH_SCANS_YAML,
      "1e2aedc4725956caae72c0377207537e839e348d015244349e5acd523e788e7f"),
-])
-def test_golden_oracle_report(tmp_path, command, text, digest):
-    # the oracle's numbers go through BLAS, whose rounding depends on the
-    # thread count (and on the BLAS build), so the run is pinned to one
-    # thread; text None runs the shipped configs/phi3.yaml
+]
+
+
+def _golden_run(tmp_path, command, text, pinned=True) -> str:
+    """The digest of `python -m latticedress`'s report on `text`, or on the
+    shipped configs/phi3.yaml for text None."""
     path = REPO_ROOT / "configs" / "phi3.yaml"
     if text is not None:
         path = tmp_path / "run.yaml"
         path.write_text(text)
-    proc = _run_python(["-m", "latticedress", "--config", str(path),
-                        "--command", command, "--out-dir", str(tmp_path / "out")])
+    proc = run_python(["-m", "latticedress", "--config", str(path),
+                       "--command", command, "--out-dir", str(tmp_path / "out")],
+                      pinned=pinned)
     assert proc.returncode == 0, proc.stderr
-    got = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
-    assert got == digest
+    return hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command, text, digest", GOLDEN_ORACLE_CASES)
+def test_golden_oracle_report(tmp_path, command, text, digest):
+    # the oracle's numbers go through BLAS, whose rounding depends on the
+    # thread count (and on the BLAS build), so the run is pinned to one
+    # thread; text None runs the shipped configs/phi3.yaml
+    assert _golden_run(tmp_path, command, text) == digest
+
+
+@pytest.mark.parametrize("command, text, digest", GOLDEN_ORACLE_CASES)
+def test_golden_oracle_report_without_thread_variables(tmp_path, command, text, digest):
+    # a shell that sets no thread count: the command line sets one BLAS
+    # thread before numpy loads, so the report keeps the golden bytes
+    assert _golden_run(tmp_path, command, text, pinned=False) == digest
+
+
+FORCED_CORES_SCRIPT = """
+import sys
+from latticedress import checks, cli
+
+checks._usable_cores = lambda: int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("command, text", [("scan", GOLDEN_SCAN_YAML),
+                                           ("all", GOLDEN_BOTH_SCANS_YAML)],
+                         ids=["scan", "all"])
+def test_report_bytes_do_not_depend_on_the_number_of_cores(tmp_path, command, text):
+    # one usable core scans every coupling in this process; two spread the
+    # couplings after the first over worker processes; the report's bytes
+    # are the same, whatever the BLAS build
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    reports = []
+    for cores in ("1", "2"):
+        out = tmp_path / f"cores{cores}"
+        proc = run_python(["-c", FORCED_CORES_SCRIPT, cores, "--config", str(path),
+                           "--command", command, "--out-dir", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_ci_scan_config_is_the_golden_scan():
+    # the workflow compares this config's report on one core and on all
+    assert load_config(str(REPO_ROOT / "configs" / "phi3-scan.yaml")) == \
+        parse_config(GOLDEN_SCAN_YAML)
 
 
 HASH_SEED_YAML = """
@@ -939,7 +975,7 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     reports = []
     for seed in ("1", "977"):
         out = tmp_path / f"seed{seed}"
-        proc = _run_python(["-m", "latticedress", "--config", str(path),
+        proc = run_python(["-m", "latticedress", "--config", str(path),
                             "--command", "all", "--out-dir", str(out)],
                            PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
@@ -948,7 +984,7 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 def test_python_dash_m_entry_point():
-    proc = _run_python(["-m", "latticedress", "--help"])
+    proc = run_python(["-m", "latticedress", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert "--command" in proc.stdout
 
@@ -975,7 +1011,7 @@ def test_symbolic_path_loads_no_numerical_stack(tmp_path):
     good, bad = tmp_path / "run.yaml", tmp_path / "bad.yaml"
     good.write_text(FAST_YAML)
     bad.write_text("model:\n  policy: frobnicate\n")
-    proc = _run_python(["-c", IMPORT_GUARD_SCRIPT, str(good), str(bad),
+    proc = run_python(["-c", IMPORT_GUARD_SCRIPT, str(good), str(bad),
                         str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
@@ -983,6 +1019,25 @@ def test_symbolic_path_loads_no_numerical_stack(tmp_path):
                             ["verify", 0]]
     assert got["loaded"] == [[], ["numpy", "scipy"]]
     assert got["basis"] == "FockBasis"
+
+
+def test_importing_the_command_line_loads_no_process_pool():
+    # the scans import multiprocessing when they run, not before
+    proc = run_python(["-c", "import json, sys, latticedress.cli; print(json.dumps("
+                       "[m for m in ('multiprocessing', 'concurrent.futures') "
+                       "if m in sys.modules]))"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_thread_variables_are_the_benchmarks():
+    # the command line sets the thread counts that perfbench pins
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    try:
+        import run as perfbench_run
+    finally:
+        sys.path.pop(0)
+    assert cli._THREAD_VARIABLES == perfbench_run.PINNED_THREADS
 
 
 # ---------------------------------------------------------------------------
