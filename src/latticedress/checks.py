@@ -15,11 +15,12 @@ states are the basis states and the dressed fields the bare ones, exactly.
 The spacelike rows at lam = 0 have C(0)'s norm as magnitude and baseline,
 and C(0) - C(0) as the exact 0.0.
 
-Each scan's couplings are independent: `_scan_each` runs the first in
-this process and, where more than one core is usable, the rest in forked
-worker processes, one per usable core at most.  The workers send back
-small results, and this process forms every row, subtraction and fit from
-them, so a report's bytes do not depend on the number of cores.
+Each scan's couplings are independent, and `_scan_each` runs them all.
+The spacelike scan spreads them over this process and forked worker
+processes, one process per usable core at most, as many as free memory
+holds contexts (`_workers`).  The workers send back small results, and
+this process forms every row, subtraction and fit from them, so a report's
+bytes do not depend on the number of cores.
 
 As in `numerics`, numpy and scipy are imported inside the functions that
 use them, and so is `multiprocessing`, so that importing the command line,
@@ -52,6 +53,10 @@ if TYPE_CHECKING:     # the annotations' names
 DEFAULT_TIME_HORIZON_UNITS = 6.0
 DEFAULT_BLOCK = 2       # the scans' and the oracle's low-quanta block
 ZERO_FLOOR = 1e-12      # a value at or below this is zero
+# dense matrices a spacelike coupling's context holds at its peak besides
+# its fields and evolutions, H included: 9 with 2 sites, 10 with 5, by
+# tracemalloc at 252 states
+_SPARE_MATRICES = 10
 SLOPE_FLOOR = 1e-13     # a value at or below this is left out of a slope fit
 
 
@@ -257,6 +262,15 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _free_bytes() -> int:
+    """The memory that no process holds, by the system's count of free
+    pages; 0 where the system keeps no such count."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
 def _one_thread() -> bool:
     """Whether this process runs a single thread: its tasks where the system
     lists them (a BLAS thread pool counts), else Python's threads."""
@@ -268,74 +282,86 @@ def _one_thread() -> bool:
         return threading.active_count() == 1
 
 
-def _scan_each(matrices: CouplingMatrices, couplings, sites, work) -> list:
-    """[work(lam, context) for lam in couplings], each coupling's context
-    built by the process that runs it and freed before that process builds
-    its next.
+def _workers(couplings: int, context_bytes: int) -> int:
+    """How many worker processes may run a scan's `couplings` beside this
+    process, which runs its own share: one per usable core besides this
+    process's, no more than the couplings after the first, and no more than
+    free memory holds contexts of `context_bytes` each, one of them this
+    process's.  0, so that nothing forks, where this process has other
+    threads."""
+    workers = min(_usable_cores() - 1, couplings - 1,
+                  _free_bytes() // max(context_bytes, 1) - 1)
+    return workers if workers > 0 and _one_thread() else 0
 
-    This process runs the first coupling (the spacelike scan's 0).  The
-    rest go round-robin to forked worker processes, at most one per usable
-    core, which inherit `matrices` and `work` and send back the results,
-    so no work result depends on the number of cores.  The couplings all
-    run here, in turn, where one core is usable, no coupling is left to
-    hand out, the system cannot fork or the process has other threads
-    (forking a multi-threaded process can deadlock the child).
 
-    The results are read in the couplings' order, and the first coupling
-    that failed raises as it does here: the same type, the same message.
-    A worker that dies raises ArithmeticError naming its coupling and the
-    signal or exit code.  Every worker is joined before this returns or
-    raises.
+def _scan_each(matrices: CouplingMatrices, couplings, sites, work, take,
+               workers: int = 0) -> None:
+    """take(lam, work(lam, context)) for each coupling in order, each
+    coupling's context built by the process that runs it and freed before
+    that process builds its next.
+
+    With `workers` (see `_workers`) and a fork start method, coupling i
+    runs in process i % (workers + 1) of this one (0, which takes the first
+    coupling) and `workers` forked worker processes, so at most one process
+    per usable core.  The workers inherit `matrices` and `work` and send
+    back each result; `take` runs here, on the results in the couplings'
+    order as they come, so nothing it forms depends on the number of
+    cores.  Else every coupling runs here, in turn.
+
+    The first coupling that failed raises as it does in turn: the same
+    type, the same message.  A worker that dies raises ArithmeticError
+    naming its coupling and the signal or exit code.  Every worker is
+    joined before this returns or raises.
     """
     def one(lam):
         return work(lam, _LambdaContext(matrices, lam, sites))
 
-    cores = _usable_cores()
-    workers = min(cores, len(couplings) - 1)
-    if cores > 1 and workers > 0 and _one_thread():
+    if workers:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            return _fork_each(multiprocessing.get_context("fork"), one, couplings,
-                              workers)
-    return [one(lam) for lam in couplings]
+            _fork_each(multiprocessing.get_context("fork"), one, take, couplings,
+                       workers + 1)
+            return
+    for lam in couplings:
+        take(lam, one(lam))
 
 
-def _fork_each(ctx, one, couplings, workers: int) -> list:
-    """[one(lam) for lam in couplings]: the first here, the rest round-robin
-    over `workers` processes forked from `ctx`, read back in order (see
-    `_scan_each`)."""
-    first, rest = couplings[0], couplings[1:]
-    pipes, procs = [], []
+def _fork_each(ctx, one, take, couplings, processes: int) -> None:
+    """take(lam, one(lam)) for each coupling in order, coupling i run by
+    process i % `processes`: 0 is this one, the others are forked from
+    `ctx` (see `_scan_each`)."""
+    pipes, procs = {}, {}       # worker k's end of its pipe, its process
     done = False
     try:
-        for k in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            pipes.append(recv)
-            procs.append(ctx.Process(target=_serve, args=(one, rest[k::workers], send)))
-            procs[-1].start()
+        for k in range(1, processes):
+            pipes[k], send = ctx.Pipe(duplex=False)
+            procs[k] = ctx.Process(target=_serve,
+                                   args=(one, couplings[k::processes], send))
+            procs[k].start()
             send.close()
-        results = [one(first)]
-        for i, lam in enumerate(rest):
+        for i, lam in enumerate(couplings):
+            k = i % processes
+            if k == 0:
+                take(lam, one(lam))
+                continue
             try:
-                ok, value = pipes[i % workers].recv()
+                ok, value = pipes[k].recv()
             except EOFError:
-                proc = procs[i % workers]
-                proc.join()
+                procs[k].join()
                 raise ArithmeticError(
                     f"the scan's worker process for coupling {lam!r} died "
-                    f"({_ending(proc.exitcode)})") from None
+                    f"({_ending(procs[k].exitcode)})") from None
             if not ok:
                 raise value
-            results.append(value)
+            take(lam, value)
         done = True
-        return results
     finally:
-        for proc in procs:
+        for proc in procs.values():
             if not done:
                 proc.terminate()
             proc.join()
-        for recv in pipes:
+        for recv in pipes.values():
             recv.close()
 
 
@@ -369,10 +395,11 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
     requested site pair, time and coupling, of the dressing result and basis
     of `matrices`.
 
-    Each coupling is scanned through its own context by `_scan_each`,
-    which may spread the couplings over worker processes; each returns its
-    points, and the points are listed by time, then coupling, then pair,
-    whatever the number of cores.
+    The couplings are scanned one at a time, in the order given, each
+    through its own context by `_scan_each`, in this process: no benchmark
+    workload has measured worker processes here, and the default couplings
+    (0 and 0.1) would fork one for one coupling.  The points are listed by
+    time, then coupling, then pair.
     """
     basis, lat = matrices.basis, matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
@@ -408,9 +435,11 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
             del fields
         return rows
 
-    rows = _scan_each(matrices, couplings, sites, scan)
+    by_coupling: list = []
+    _scan_each(matrices, couplings, sites, scan,
+               lambda lam, rows: by_coupling.append(rows))
     return ScanReport(points=[
-        p for i in range(len(times)) for by_time in rows for p in by_time[i]])
+        p for i in range(len(times)) for rows in by_coupling for p in rows[i]])
 
 
 def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
@@ -422,18 +451,18 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     The free-lattice baseline C(0) is subtracted so the reported magnitude
     isolates the interaction-induced piece; its coupling scaling is fitted.
     Each coupling is scanned through its own context by `_scan_each`: first
-    0, in this process, then the rest in the order of `set(lambdas)`, which
-    decides which coupling a failure names, here or spread over worker
-    processes.  Each distinct grid point is formed once per coupling; the
-    points are listed by grid point, then coupling, a repeated one and a
-    repeated coupling each as often as given.
+    0, then the rest in the order of `set(lambdas)`, which decides which
+    coupling a failure names, spread over this process and as many worker
+    processes as `_workers` allows.  Each distinct grid point is formed
+    once per coupling; the points are listed by grid point, then coupling,
+    a repeated one and a repeated coupling each as often as given.
 
     Each commutator's low-quanta block is gathered once, with the indices
     `restricted_norm` gathers; a coupling's scan returns, per distinct grid
     point, that block, its norm (the magnitude) and the vev.  This process
-    then subtracts each C(0) block from the other couplings' for the
-    subtracted norms, and fits, so no number depends on the number of
-    cores.
+    keeps C(0)'s blocks, and subtracts them from each other coupling's as
+    it comes, keeping three numbers per point; it then fits, so no number
+    depends on the number of cores.
     """
     import numpy as np
 
@@ -463,15 +492,28 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
             out.append((cb, block_norm(cb), ctx.vev(c)))
         return out
 
+    c0: dict = {}       # grid point -> C(0)'s low-quanta block
+    table: dict = {}    # (grid point, coupling) -> (magnitude, vev, subtracted)
+
+    def take(lam, scanned):
+        for point, (cb, magnitude, vev) in zip(distinct, scanned):
+            if lam == 0.0:
+                c0[point] = cb
+                subtracted = 0.0
+            else:
+                subtracted = block_norm(cb - c0[point])
+            table[point, lam] = (magnitude, vev, subtracted)
+
     # sorted is stable: 0 moves first, the rest keep the set's order
     couplings = sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0)
-    scanned = _scan_each(matrices, couplings,
-                         [s for x, y, _ in distinct for s in (x, y)], scan)
-    table: dict = {}    # (grid point, coupling) -> (magnitude, vev, subtracted)
-    for lam, blocks in zip(couplings, scanned):
-        for point, (cb, magnitude, vev), (c0, _, _) in zip(distinct, blocks, scanned[0]):
-            subtracted = 0.0 if lam == 0.0 else block_norm(cb - c0)
-            table[point, lam] = (magnitude, vev, subtracted)
+    sites = list(dict.fromkeys(s for x, y, _ in distinct for s in (x, y)))
+    times = {tau for _, _, tau in distinct if tau != 0.0}
+    # a context's peak: H, its fields and evolutions, and the spare matrices
+    # of its build and of one commutator
+    context_bytes = 16 * basis.dimension ** 2 * (
+        len(sites) + len(times) + _SPARE_MATRICES)
+    _scan_each(matrices, couplings, sites, scan, take,
+               _workers(len(couplings), context_bytes))
     points = []
     for point in grid:
         x, y, tau = point

@@ -51,8 +51,8 @@ def serial(monkeypatch):
 
 
 # the small model, result and basis of the fixtures above, built in a fresh
-# interpreter with one BLAS thread and two usable cores, so that the scans
-# take their worker processes on any machine; `log(*values)` appends a line
+# interpreter with one BLAS thread and three usable cores, so that the
+# spacelike scan takes two worker processes on any machine; `log(*values)` appends a line
 # of this process's id and the values to the file named by argv[1]
 FORKED_PRELUDE = """
 import json, multiprocessing, os, sys
@@ -68,7 +68,7 @@ model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3,
 result = dress(model)
 basis = FockBasis(model.system, 4, 4)
 parent = os.getpid()
-checks._usable_cores = lambda: 2
+checks._usable_cores = lambda: 3
 
 def log(*values):
     with open(sys.argv[1], "a") as fh:
@@ -327,13 +327,14 @@ print(json.dumps(len(multiprocessing.active_children())))
 
 
 def test_each_coupling_builds_its_fields_once_in_one_process(tmp_path):
-    # the test above with worker processes: one field build per coupling,
-    # the first coupling's in the scan's own process, each other one in a
-    # worker, and every worker joined
+    # the test above with worker processes: one field build per coupling;
+    # the equal-time scan builds both in its own process, the spacelike
+    # scan its first coupling there and each other one in a worker; every
+    # worker is joined
     children, lines = _forked(tmp_path, FIELDS_ONCE_SCRIPT)
     cut = next(i for i, line in enumerate(lines) if line[2:] == ["spacelike"])
     equal_time, spacelike = lines[:cut], lines[cut + 1:]
-    assert sorted(here for here, *_ in equal_time) == [False, True]
+    assert [here for here, *_ in equal_time] == [True, True]
     assert sorted(here for here, *_ in spacelike) == [False, False, True]
     assert len({pid for here, pid, _ in spacelike if not here}) == 2
     assert all(sites == [[0], [1], [2]] for *_, sites in equal_time)
@@ -491,34 +492,25 @@ def tracked(self, matrices, lam, sites):
     log(lam)
 
 checks._LambdaContext.__init__ = tracked
-matrices = CouplingMatrices(result, basis)
-if sys.argv[2] == "equal_time":
-    equal_time_scan(matrices, times=[0.0, 1.0], lambdas=[0.0, 0.1, 0.05],
-                    site_pairs=[((0,), (1,)), ((0,), (2,))])
-else:
-    spacelike_scan(matrices, lambdas=[0.05, 0.1, 0.2],
-                   grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
+spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
+               grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
 print(json.dumps(None))
 """
 
 
-@pytest.mark.parametrize("scan", ["equal_time", "spacelike"])
-def test_each_process_keeps_one_context_alive(tmp_path, scan):
-    # the test above with worker processes: each process checks its own
-    # contexts, and a failed check would fail the scan; the first coupling
-    # is built in the scan's own process, each other one once, in a worker,
-    # and one spacelike worker builds two in turn
-    _, lines = _forked(tmp_path, ONE_CONTEXT_SCRIPT, scan)
-    assert [lam for here, _, lam in lines if here] == [0.0]
+def test_each_process_keeps_one_context_alive(tmp_path):
+    # the spacelike case above with worker processes: each process checks
+    # its own contexts, and a failed check would fail the scan; coupling i
+    # of 0, 0.05, 0.1, 0.2 is built in process i % 3, once: the scan's own
+    # process builds the first and the fourth in turn
+    _, lines = _forked(tmp_path, ONE_CONTEXT_SCRIPT)
+    order = sorted({0.05, 0.1, 0.2} | {0.0}, key=lambda lam: lam != 0.0)
+    assert [lam for here, _, lam in lines if here] == order[::3]
     workers = {}
     for here, pid, lam in lines:
         if not here:
             workers.setdefault(pid, []).append(lam)
-    if scan == "equal_time":
-        assert sorted(workers.values()) == [[0.05], [0.1]]
-    else:
-        assert sorted(map(len, workers.values())) == [1, 2]
-        assert sorted(lam for lams in workers.values() for lam in lams) == [0.05, 0.1, 0.2]
+    assert sorted(workers.values()) == [[lam] for lam in sorted(order[1:3])]
 
 
 def _keep_weakly(monkeypatch, module, name) -> list[bool]:
@@ -637,22 +629,27 @@ def logged(self, matrices, lam, sites):
     build(self, matrices, lam, sites)
 
 checks._LambdaContext.__init__ = logged
-parallel = scans()
+three = scans()
+checks._usable_cores = lambda: 2
+two = scans()
 checks._usable_cores = lambda: 1
 serial = scans()
-print(json.dumps([parallel == serial, len(serial[0].points), len(serial[1].points)]))
+print(json.dumps([three == serial, two == serial, len(serial[0].points),
+                  len(serial[1].points)]))
 """
 
 
-def test_scans_are_the_same_on_one_core_and_on_two(tmp_path):
-    # a repeated grid point and a repeated coupling; the workers' points
-    # and blocks come back bit for bit, and the rows, subtractions and fit
-    # are formed in the scan's own process either way
-    (same, n_spacelike, n_equal_time), lines = _forked(tmp_path, SAME_SCANS_SCRIPT)
-    assert same
+def test_scans_are_the_same_on_one_two_and_three_cores(tmp_path):
+    # a repeated grid point and a repeated coupling; the workers' blocks
+    # come back bit for bit, and the rows, subtractions and fit are formed
+    # in the scan's own process either way
+    (*same, n_spacelike, n_equal_time), lines = _forked(tmp_path, SAME_SCANS_SCRIPT)
+    assert same == [True, True]
     assert n_spacelike == 3 * 4 and n_equal_time == 2 * 3 * 2
-    # the first two scans spread 2 + 2 couplings over workers
-    assert sum(not here for here, *_ in lines) == 4
+    # the spacelike couplings after 0 go to two workers on three cores, the
+    # second of them to one worker on two; the equal-time scans run in the
+    # test's own process
+    assert sum(not here for here, *_ in lines) == 2 + 1
 
 
 FAILURES_SCRIPT = """
@@ -682,17 +679,19 @@ def outcome(cores):
     except Exception as exc:
         return [type(exc).__name__, str(exc)]
 
-print(json.dumps([outcome(2), outcome(1), first, len(multiprocessing.active_children())]))
+print(json.dumps([outcome(2), outcome(3), outcome(1), first,
+                  len(multiprocessing.active_children())]))
 """
 
 
 @pytest.mark.parametrize("kind", ["oracle", "memory"])
 def test_the_first_failing_coupling_is_the_serial_runs(tmp_path, kind):
-    # two couplings fail, the one the serial run reaches first last in time;
-    # with worker processes the same coupling's exception is raised, with
-    # the same type and message, and every worker is joined
-    (parallel, serial, first, children), _ = _forked(tmp_path, FAILURES_SCRIPT, kind)
-    assert parallel == serial
+    # two couplings fail; on two cores the one the serial run reaches first
+    # runs in the scan's own process and fails last in time, on three in a
+    # worker; either way the same coupling's exception is raised, with the
+    # same type and message, and every worker is joined
+    (two, three, serial, first, children), _ = _forked(tmp_path, FAILURES_SCRIPT, kind)
+    assert two == serial and three == serial
     assert serial == (["MemoryError", ""] if kind == "memory"
                       else ["OracleError", f"{first} refused"])
     assert children == 0
@@ -738,12 +737,17 @@ def test_a_worker_that_dies_is_a_setup_failure(tmp_path, how, ending):
     assert children == 0
 
 
-@pytest.mark.parametrize("cores, lambdas, one_thread", [
-    (1, [0.0, 0.1], True), (2, [0.0], True), (2, [0.0, 0.1], False),
-], ids=["one core", "one coupling", "other threads"])
+@pytest.mark.parametrize("scan, cores, lambdas, one_thread, spare", [
+    ("spacelike", 1, [0.1], True, None), ("spacelike", 2, [0.0], True, None),
+    ("spacelike", 2, [0.1], False, None), ("spacelike", 2, [0.1], True, 10**9),
+    ("equal_time", 4, [0.0, 0.1, 0.2], True, None),
+], ids=["one core", "one coupling", "other threads", "memory for one context",
+        "equal-time scan"])
 def test_scans_fork_nothing_where_they_stay_serial(monkeypatch, small_basis,
-                                                   small_result, cores, lambdas,
-                                                   one_thread):
+                                                   small_result, scan, cores,
+                                                   lambdas, one_thread, spare):
+    # `spare` forces a context estimate larger than the free memory; the
+    # other cases have room for any number of contexts
     import multiprocessing
 
     def refuse(*args, **kwargs):
@@ -752,9 +756,44 @@ def test_scans_fork_nothing_where_they_stay_serial(monkeypatch, small_basis,
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
     monkeypatch.setattr(checks, "_usable_cores", lambda: cores)
     monkeypatch.setattr(checks, "_one_thread", lambda: one_thread)
-    rep = equal_time_scan(CouplingMatrices(small_result, small_basis), times=[0.0],
-                          lambdas=lambdas, site_pairs=[((0,), (1,))])
+    if spare:
+        monkeypatch.setattr(checks, "_SPARE_MATRICES", spare)
+    else:
+        monkeypatch.setattr(checks, "_free_bytes", lambda: 2**60)
+    matrices = CouplingMatrices(small_result, small_basis)
+    if scan == "equal_time":
+        rep = equal_time_scan(matrices, times=[0.0], lambdas=lambdas,
+                              site_pairs=[((0,), (1,))])
+    else:
+        rep = spacelike_scan(matrices, lambdas=lambdas, grid=[((0,), (1,), 1.0)])
     assert [p.lam for p in rep.points] == lambdas
+
+
+def test_workers_fit_beside_this_process(monkeypatch):
+    # one process per usable core, this one included; no more workers than
+    # couplings after the first; no more contexts than free memory holds,
+    # this process's included
+    monkeypatch.setattr(checks, "_one_thread", lambda: True)
+    monkeypatch.setattr(checks, "_usable_cores", lambda: 8)
+    free = 10**12
+    monkeypatch.setattr(checks, "_free_bytes", lambda: free)
+    assert checks._workers(4, 100) == 3
+    assert checks._workers(20, 100) == 7
+    for free, workers in [(399, 2), (300, 2), (299, 1), (199, 0), (0, 0)]:
+        assert checks._workers(20, 100) == workers
+    monkeypatch.setattr(checks, "_one_thread", lambda: False)
+    free = 10**12
+    assert checks._workers(20, 100) == 0
+
+
+def test_free_memory_is_zero_where_the_system_does_not_count_it(monkeypatch):
+    assert checks._free_bytes() > 0
+
+    def uncounted(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(os, "sysconf", uncounted)
+    assert checks._free_bytes() == 0
 
 
 def test_usable_cores_are_the_affinity(monkeypatch):

@@ -936,19 +936,19 @@ sys.exit(cli.main(sys.argv[2:]))
                                            ("all", GOLDEN_BOTH_SCANS_YAML)],
                          ids=["scan", "all"])
 def test_report_bytes_do_not_depend_on_the_number_of_cores(tmp_path, command, text):
-    # one usable core scans every coupling in this process; two spread the
-    # couplings after the first over worker processes; the report's bytes
-    # are the same, whatever the BLAS build
+    # one usable core scans every coupling in this process; two and three
+    # share the spacelike couplings between it and one or two worker
+    # processes; the report's bytes are the same, whatever the BLAS build
     path = tmp_path / "run.yaml"
     path.write_text(text)
     reports = []
-    for cores in ("1", "2"):
+    for cores in ("1", "2", "3"):
         out = tmp_path / f"cores{cores}"
         proc = run_python(["-c", FORCED_CORES_SCRIPT, cores, "--config", str(path),
                            "--command", command, "--out-dir", str(out)])
         assert proc.returncode == 0, proc.stderr
         reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_ci_scan_config_is_the_golden_scan():
@@ -980,7 +980,7 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
                            PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_python_dash_m_entry_point():
