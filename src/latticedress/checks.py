@@ -283,12 +283,12 @@ def _one_thread() -> bool:
 
 
 def _workers(couplings: int, context_bytes: int) -> int:
-    """How many worker processes may run a scan's `couplings` beside this
-    process, which runs its own share: one per usable core besides this
-    process's, no more than the couplings after the first, and no more than
-    free memory holds contexts of `context_bytes` each, one of them this
-    process's.  0, so that nothing forks, where this process has other
-    threads."""
+    """How many worker processes a scan of `couplings` couplings forks
+    beside this process, which runs a share of them too: one per usable
+    core after this process's, no more than the couplings after the first,
+    and no more than free memory holds a context of `context_bytes` in each
+    process, this one included.  0, so that nothing forks, where this
+    process has other threads."""
     workers = min(_usable_cores() - 1, couplings - 1,
                   _free_bytes() // max(context_bytes, 1) - 1)
     return workers if workers > 0 and _one_thread() else 0
@@ -300,13 +300,14 @@ def _scan_each(matrices: CouplingMatrices, couplings, sites, work, take,
     coupling's context built by the process that runs it and freed before
     that process builds its next.
 
-    With `workers` (see `_workers`) and a fork start method, coupling i
-    runs in process i % (workers + 1) of this one (0, which takes the first
-    coupling) and `workers` forked worker processes, so at most one process
-    per usable core.  The workers inherit `matrices` and `work` and send
-    back each result; `take` runs here, on the results in the couplings'
-    order as they come, so nothing it forms depends on the number of
-    cores.  Else every coupling runs here, in turn.
+    With `workers` (see `_workers`) and a fork start method, the couplings
+    are dealt round-robin over this process and `workers` forked ones:
+    coupling i runs in process i % (workers + 1), where 0 is this one,
+    which so runs the first coupling.  The workers inherit `matrices` and
+    `work` and send back each result.  `take` runs here on every result, in
+    the couplings' order, as soon as the earlier ones are taken, so nothing
+    it forms depends on the number of cores.  Else every coupling runs
+    here, in turn.
 
     The first coupling that failed raises as it does in turn: the same
     type, the same message.  A worker that dies raises ArithmeticError

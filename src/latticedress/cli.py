@@ -504,8 +504,8 @@ def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
 def main(argv=None) -> int:
     """The command line.  Each of _THREAD_VARIABLES that is unset is set to 1
     before numpy loads: a BLAS thread count other than one changes the
-    oracle's last bits, and the scans give the cores to worker processes
-    instead."""
+    oracle's last bits, and the spacelike scan gives the cores to worker
+    processes instead."""
     for name in _THREAD_VARIABLES:
         os.environ.setdefault(name, "1")
     parser = argparse.ArgumentParser(

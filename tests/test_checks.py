@@ -479,6 +479,32 @@ def test_scans_keep_one_context_alive(monkeypatch, serial, small_basis, small_re
         assert built[0] == 0.0 and sorted(built[1:]) == [0.05, 0.1, 0.2]
 
 
+def test_spacelike_scan_keeps_only_the_baseline_blocks(monkeypatch, serial, small_basis,
+                                                       small_result):
+    # each coupling's low-quanta blocks are subtracted from C(0)'s and
+    # dropped before the next coupling's context is built: 2 distinct
+    # points keep 2 blocks alive, whatever the number of couplings
+    blocks = []
+    norm = checks.block_norm
+
+    def tracked(block):
+        blocks.append(weakref.ref(block))
+        return norm(block)
+
+    alive = []
+    init = checks._LambdaContext.__init__
+
+    def counted(self, matrices, lam, sites):
+        alive.append(sum(ref() is not None for ref in blocks))
+        init(self, matrices, lam, sites)
+
+    monkeypatch.setattr(checks, "block_norm", tracked)
+    monkeypatch.setattr(checks._LambdaContext, "__init__", counted)
+    spacelike_scan(CouplingMatrices(small_result, small_basis), lambdas=[0.05, 0.1, 0.2],
+                   grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
+    assert alive == [0, 2, 2, 2]
+
+
 ONE_CONTEXT_SCRIPT = """
 import weakref
 
