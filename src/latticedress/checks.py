@@ -17,10 +17,14 @@ and C(0) - C(0) as the exact 0.0.
 
 Each scan's couplings are independent, and `_scan_each` runs them all.
 The spacelike scan spreads them over this process and forked worker
-processes, one process per usable core at most, as many as free memory
-holds contexts (`_workers`).  The workers send back small results, and
-this process forms every row, subtraction and fit from them, so a report's
-bytes do not depend on the number of cores.
+processes, one process per usable core at most, as many as available
+memory holds contexts (`_workers`).  This process runs its own share without
+waiting for the workers, then forms the evolutions exp(i tau H) that they
+have not reached yet and hands them over in shared memory (`_Handover`);
+no process ever waits for another's evolution, and a handed-over one is
+bit for bit what the worker would form.  The workers send back small
+results, and this process forms every row, subtraction and fit from them,
+so a report's bytes do not depend on the number of cores.
 
 As in `numerics`, numpy and scipy are imported inside the functions that
 use them, and so is `multiprocessing`, so that importing the command line,
@@ -30,6 +34,8 @@ pool.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -58,6 +64,7 @@ ZERO_FLOOR = 1e-12      # a value at or below this is zero
 # tracemalloc at 252 states
 _SPARE_MATRICES = 10
 SLOPE_FLOOR = 1e-13     # a value at or below this is left out of a slope fit
+_MEMINFO = "/proc/meminfo"
 
 
 class ScanError(ValueError):
@@ -218,6 +225,10 @@ class _LambdaContext:
     process that runs a scan's couplings keeps one context alive at a time
     (see `_scan_each`)."""
 
+    # a worker's coupling: a function of the time that claims its slot in
+    # the scan's `_Handover` and gives the evolution published there, or None
+    published = None
+
     def __init__(self, matrices: CouplingMatrices, lam, sites):
         import numpy as np
 
@@ -233,12 +244,19 @@ class _LambdaContext:
         self._evolution: dict = {}
 
     def field(self, site, t: float):
+        """A(site, t) = U A(site, 0) U^+, with U = exp(i t H) formed on the
+        first call at t and kept.  On a worker's coupling that first call
+        claims the time's slot: U is the one the calling process published
+        there, bit for bit the same, or else formed here."""
         import scipy.linalg
 
         if t == 0.0:
             return self._fields[site]
         if t not in self._evolution:
-            self._evolution[t] = scipy.linalg.expm(1j * t * self.mh)
+            u = self.published(t) if self.published else None
+            if u is None:
+                u = scipy.linalg.expm(1j * t * self.mh)
+            self._evolution[t] = u
         u = self._evolution[t]
         return u @ self._fields[site] @ u.conj().T
 
@@ -263,8 +281,17 @@ def _usable_cores() -> int:
 
 
 def _free_bytes() -> int:
-    """The memory that no process holds, by the system's count of free
-    pages; 0 where the system keeps no such count."""
+    """The memory that processes can take without swapping: the kernel's
+    MemAvailable, which counts reclaimable page cache, where the system
+    has /proc/meminfo; else its count of free pages, or 0 where it keeps
+    neither."""
+    try:
+        with open(_MEMINFO, "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024     # in kB
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -282,20 +309,22 @@ def _one_thread() -> bool:
         return threading.active_count() == 1
 
 
-def _workers(couplings: int, context_bytes: int) -> int:
+def _workers(couplings: int, context_bytes: int, slot_bytes: int = 0) -> int:
     """How many worker processes a scan of `couplings` couplings forks
     beside this process, which runs a share of them too: one per usable
     core after this process's, no more than the couplings after the first,
-    and no more than free memory holds a context of `context_bytes` in each
-    process, this one included.  0, so that nothing forks, where this
-    process has other threads."""
+    and no more than available memory holds, beside `slot_bytes` of shared
+    evolutions for each coupling after the first (`_Handover`), a context of
+    `context_bytes` in each process, this one included.  0, so that nothing
+    forks, where this process has other threads."""
+    spare = _free_bytes() - (couplings - 1) * slot_bytes
     workers = min(_usable_cores() - 1, couplings - 1,
-                  _free_bytes() // max(context_bytes, 1) - 1)
+                  spare // max(context_bytes, 1) - 1)
     return workers if workers > 0 and _one_thread() else 0
 
 
 def _scan_each(matrices: CouplingMatrices, couplings, sites, work, take,
-               workers: int = 0) -> None:
+               workers: int = 0, times=()) -> None:
     """take(lam, work(lam, context)) for each coupling in order, each
     coupling's context built by the process that runs it and freed before
     that process builds its next.
@@ -304,55 +333,77 @@ def _scan_each(matrices: CouplingMatrices, couplings, sites, work, take,
     are dealt round-robin over this process and `workers` forked ones:
     coupling i runs in process i % (workers + 1), where 0 is this one,
     which so runs the first coupling.  The workers inherit `matrices` and
-    `work` and send back each result.  `take` runs here on every result, in
-    the couplings' order, as soon as the earlier ones are taken, so nothing
-    it forms depends on the number of cores.  Else every coupling runs
-    here, in turn.
+    `work` and send back each result.  This process runs its own share
+    without waiting for any worker, then forms exp(i t H(lam)) at each of
+    `times` (the nonzero times that `work` evolves to) for the workers'
+    couplings that have not reached it yet, and hands it over
+    (`_Handover`).  `take` then runs here on every result, in the couplings'
+    order, so nothing it forms depends on the number of cores.  Else every
+    coupling runs here, in turn.
 
     The first coupling that failed raises as it does in turn: the same
     type, the same message.  A worker that dies raises ArithmeticError
     naming its coupling and the signal or exit code.  Every worker is
-    joined before this returns or raises.
+    joined, and every hand-over slot unmapped, before this returns or
+    raises.
     """
-    def one(lam):
-        return work(lam, _LambdaContext(matrices, lam, sites))
+    def one(lam, handover=None):
+        context = _LambdaContext(matrices, lam, sites)
+        if handover is not None:
+            context.published = functools.partial(handover.claim, lam)
+        return work(lam, context)
 
     if workers:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            _fork_each(multiprocessing.get_context("fork"), one, take, couplings,
-                       workers + 1)
+            _fork_each(multiprocessing.get_context("fork"), matrices, one, take,
+                       couplings, workers + 1, times)
             return
     for lam in couplings:
         take(lam, one(lam))
 
 
-def _fork_each(ctx, one, take, couplings, processes: int) -> None:
+def _fork_each(ctx, matrices, one, take, couplings, processes: int, times) -> None:
     """take(lam, one(lam)) for each coupling in order, coupling i run by
     process i % `processes`: 0 is this one, the others are forked from
-    `ctx` (see `_scan_each`)."""
+    `ctx`.  This process runs its share first, keeping each result or its
+    first failure, then publishes the workers' pending evolutions at
+    `times`, then takes every result in order (see `_scan_each`)."""
+    owned = [lam for i, lam in enumerate(couplings) if i % processes]
+    handover = None
+    if times:
+        try:
+            handover = _Handover(ctx, matrices, owned, times)
+        except (ImportError, OSError):  # no semaphores or shared maps here
+            pass                        # (no /dev/shm, say): no hand-over
     pipes, procs = {}, {}       # worker k's end of its pipe, its process
     done = False
     try:
         for k in range(1, processes):
             pipes[k], send = ctx.Pipe(duplex=False)
-            procs[k] = ctx.Process(target=_serve,
-                                   args=(one, couplings[k::processes], send))
+            procs[k] = ctx.Process(target=_serve, args=(
+                functools.partial(one, handover=handover),
+                couplings[k::processes], send.send))
             procs[k].start()
             send.close()
+        own: list = []
+        _serve(one, couplings[::processes], own.append)
+        if handover is not None:
+            handover.publish()
+        own = iter(own)
         for i, lam in enumerate(couplings):
             k = i % processes
             if k == 0:
-                take(lam, one(lam))
-                continue
-            try:
-                ok, value = pipes[k].recv()
-            except EOFError:
-                procs[k].join()
-                raise ArithmeticError(
-                    f"the scan's worker process for coupling {lam!r} died "
-                    f"({_ending(procs[k].exitcode)})") from None
+                ok, value = next(own)
+            else:
+                try:
+                    ok, value = pipes[k].recv()
+                except EOFError:
+                    procs[k].join()
+                    raise ArithmeticError(
+                        f"the scan's worker process for coupling {lam!r} died "
+                        f"({_ending(procs[k].exitcode)})") from None
             if not ok:
                 raise value
             take(lam, value)
@@ -364,17 +415,111 @@ def _fork_each(ctx, one, take, couplings, processes: int) -> None:
             proc.join()
         for recv in pipes.values():
             recv.close()
+        if handover is not None:
+            handover.close()
 
 
-def _serve(one, couplings, conn) -> None:
-    """A worker's loop: send (True, one(lam)) for each coupling in turn, or
-    at the first failure (False, the exception), and stop."""
+def _serve(one, couplings, send) -> None:
+    """A share's loop: send((True, one(lam))) for each coupling in turn, or
+    at the first failure send((False, the exception)), and stop.  A worker
+    sends through its pipe; this process keeps its own share's."""
     for lam in couplings:
         try:
-            conn.send((True, one(lam)))
+            send((True, one(lam)))
         except Exception as exc:        # raised in the parent, in order
-            conn.send((False, exc))
+            send((False, exc))
             return
+
+
+# a hand-over slot's states
+_EMPTY, _CLAIMED, _PUBLISHED = 0, 1, 2
+# the slot lock is held for one byte: a holder that keeps it this long has died
+_LOCK_SECONDS = 1.0
+
+
+class _Handover:
+    """exp(i t H(lam)) for each worker coupling lam and nonzero time t, formed
+    by whichever of the calling process and the coupling's worker gets to
+    it first, so that neither ever waits for the other's.
+
+    A slot is a state byte and a 16 n^2-byte anonymous shared mmap, both
+    mapped before the fork so that every process sees the same pages; the
+    state bytes change under one lock.  The worker claims its slot when its
+    context first evolves to the time (`claim`), and takes the matrix if it
+    was published.  The calling process, its own share done, forms every
+    slot that is still unclaimed, in coupling order, and publishes it only
+    if it is still unclaimed then (`publish`).  It takes H(lam) from the
+    same assembler in `matrices` and forms exp(i t H) by the context's own
+    expression, so a published matrix is the worker's own, bit for bit."""
+
+    def __init__(self, ctx, matrices: CouplingMatrices, couplings, times):
+        import mmap
+
+        self._matrices = matrices
+        self._n = matrices.basis.dimension
+        self._lock = ctx.Lock()
+        index = itertools.count()
+        # lam -> t -> slot index, in coupling order
+        self._slots = {lam: {t: next(index) for t in times} for lam in couplings}
+        slots = len(couplings) * len(times)
+        self._states = mmap.mmap(-1, slots)
+        self._buffers = [mmap.mmap(-1, 16 * self._n ** 2) for _ in range(slots)]
+
+    def _exchange(self, i: int, state: int, only_from: int | None = None):
+        """Slot i's state before, set to `state` (only where it was
+        `only_from`, if given); None, with nothing changed, where the lock
+        is not had within `_LOCK_SECONDS`."""
+        if not self._lock.acquire(timeout=_LOCK_SECONDS):
+            return None
+        try:
+            before = self._states[i]
+            if only_from is None or before == only_from:
+                self._states[i] = state
+            return before
+        finally:
+            self._lock.release()
+
+    def _matrix(self, i: int):
+        import numpy as np
+
+        return np.frombuffer(self._buffers[i], dtype=complex).reshape(self._n, self._n)
+
+    def claim(self, lam, t):
+        """The worker's side: exp(i t H(lam)) as published, or None, so that
+        the caller forms its own; the slot is claimed either way."""
+        i = self._slots[lam][t]
+        if self._exchange(i, _CLAIMED) != _PUBLISHED:
+            return None
+        return self._matrix(i).copy()
+
+    def publish(self) -> None:
+        """The calling process's side: form and publish each slot that its
+        worker has not claimed, in coupling order, with H(lam) formed once
+        per coupling.  A slot whose forming raises is left to its worker,
+        which forms its own, and raises, if it does, as it would alone."""
+        import scipy.linalg
+
+        for lam, slots in self._slots.items():
+            mh = None
+            for t, i in slots.items():
+                if self._states[i] != _EMPTY:   # read unlocked: a stale read costs work only
+                    continue
+                try:
+                    if mh is None:
+                        mh = self._matrices.pop(lam)[0].toarray()
+                    self._matrix(i)[...] = scipy.linalg.expm(1j * t * mh)
+                except Exception:
+                    continue
+                if self._exchange(i, _PUBLISHED, only_from=_EMPTY) is None:
+                    return
+
+    def close(self) -> None:
+        """Unmap every slot and drop the lock's semaphore, even while a
+        traceback still holds this object."""
+        for buffer in self._buffers:
+            buffer.close()
+        self._states.close()
+        self._lock = None
 
 
 def _ending(exitcode: int) -> str:
@@ -508,13 +653,15 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     # sorted is stable: 0 moves first, the rest keep the set's order
     couplings = sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0)
     sites = list(dict.fromkeys(s for x, y, _ in distinct for s in (x, y)))
-    times = {tau for _, _, tau in distinct if tau != 0.0}
+    times = list(dict.fromkeys(tau for _, _, tau in distinct if tau != 0.0))
     # a context's peak: H, its fields and evolutions, and the spare matrices
-    # of its build and of one commutator
-    context_bytes = 16 * basis.dimension ** 2 * (
-        len(sites) + len(times) + _SPARE_MATRICES)
+    # of its build and of one commutator; a worker coupling's hand-over
+    # slots hold one more evolution per time
+    matrix_bytes = 16 * basis.dimension ** 2
+    context_bytes = matrix_bytes * (len(sites) + len(times) + _SPARE_MATRICES)
     _scan_each(matrices, couplings, sites, scan, take,
-               _workers(len(couplings), context_bytes))
+               _workers(len(couplings), context_bytes, matrix_bytes * len(times)),
+               times)
     points = []
     for point in grid:
         x, y, tau = point

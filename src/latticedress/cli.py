@@ -501,6 +501,15 @@ def emit_report(report: dict, out_dir: str | Path, formats) -> list[Path]:
     return written
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take one stderr line, as every
+    exit-2 case does; `--help` still prints the usage."""
+
+    def error(self, message):
+        # an unrecognized argument is echoed as given, line breaks included
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())} (see --help)\n")
+
+
 def main(argv=None) -> int:
     """The command line.  Each of _THREAD_VARIABLES that is unset is set to 1
     before numpy loads: a BLAS thread count other than one changes the
@@ -508,7 +517,7 @@ def main(argv=None) -> int:
     processes instead."""
     for name in _THREAD_VARIABLES:
         os.environ.setdefault(name, "1")
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="latticedress",
         description="Dressing transformation engine on a finite momentum lattice",
     )

@@ -225,7 +225,10 @@ def _mapping(value, keys, path):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
     for key in value:
         if key not in keys:
-            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(keys)})")
+            # a key with a line break or other unprintable character is
+            # quoted, so that the message stays on one line
+            name = str(key) if str(key).isprintable() else repr(str(key))
+            raise ConfigError(f"{path}.{name}: unknown key (allowed: {sorted(keys)})")
     return value
 
 
@@ -251,6 +254,19 @@ def _attribute(path: str) -> str:
     return "interaction" if path == "model.interaction.name" else path.rsplit(".", 1)[1]
 
 
+def _one_line(exc: yaml.YAMLError) -> str:
+    """A YAML error on one line, since the command line promises one: its
+    context and its problem, each with the line and column it names, or,
+    where it has neither, its text with the line breaks folded."""
+    parts = []
+    for text, mark in ((getattr(exc, "context", None), getattr(exc, "context_mark", None)),
+                       (getattr(exc, "problem", None), getattr(exc, "problem_mark", None))):
+        if text:
+            where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+            parts.append(" ".join(text.split()) + where)
+    return ", ".join(parts) or " ".join(str(exc).split())
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML configuration document.
 
@@ -262,7 +278,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"not valid YAML: {exc}") from exc
+        raise ConfigError(f"not valid YAML: {_one_line(exc)}") from exc
     values: dict = {}
     _walk(doc, _TREE, "", values)
     dim = values["model.lattice.dim"]

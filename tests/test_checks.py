@@ -763,6 +763,240 @@ def test_a_worker_that_dies_is_a_setup_failure(tmp_path, how, ending):
     assert children == 0
 
 
+NO_WAIT_SCRIPT = """
+import time
+
+build = checks.dressing_matrices
+
+def slowed(matrices, lam, plus=False):
+    if os.getpid() == parent:
+        log("built", lam)
+    elif lam == 0.05:
+        time.sleep(0.5)
+        log("woke", lam)
+    return build(matrices, lam, plus)
+
+checks._usable_cores = lambda: 2
+checks.dressing_matrices = slowed
+spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
+               grid=[((0,), (1,), 1.0)])
+print(json.dumps(None))
+"""
+
+
+def test_this_process_runs_its_share_before_taking_a_worker_result(tmp_path):
+    # on two cores the scan's own process runs 0 and 0.1, its worker 0.05
+    # and 0.2; the worker's 0.05 is slowed down, and the scan's own process
+    # builds 0.1 before that coupling's result could have come back
+    _, lines = _forked(tmp_path, NO_WAIT_SCRIPT)
+    events = [(here, *values) for here, _, *values in lines]
+    assert events.index((True, "built", 0.1)) < events.index((False, "woke", 0.05))
+    assert [e for e in events if e[0]] == [(True, "built", 0.0), (True, "built", 0.1)]
+
+
+# on two cores: the worker runs 0.05 and 0.2, and sleeps at the start of
+# 0.2, so that the scan's own process publishes 0.2's evolutions first
+HANDOVER_PRELUDE = """
+import time
+import scipy.linalg
+
+build = checks.dressing_matrices
+
+def slowed(matrices, lam, plus=False):
+    if os.getpid() != parent and lam == 0.2:
+        time.sleep(0.5)
+    return build(matrices, lam, plus)
+
+checks.dressing_matrices = slowed
+
+def outcome(cores):
+    checks._usable_cores = lambda: cores
+    try:
+        rep = spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
+                             grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return [rep.points, rep.slope]
+"""
+
+PUBLISHED_SCRIPT = HANDOVER_PRELUDE + """
+claim = checks._Handover.claim
+
+def compared(self, lam, t):
+    u = claim(self, lam, t)
+    if u is None:
+        log(lam, t, None)
+    else:
+        own = scipy.linalg.expm(1j * t * CouplingMatrices(result, basis).pop(lam)[0].toarray())
+        log(lam, t, [u.tobytes() == own.tobytes(), u.dtype == own.dtype,
+                     u.strides == own.strides])
+    return u
+
+checks._Handover.claim = compared
+print(json.dumps(outcome(2) == outcome(1)))
+"""
+
+
+def test_a_published_evolution_is_the_owners_own_bit_for_bit(tmp_path):
+    same, lines = _forked(tmp_path, PUBLISHED_SCRIPT)
+    assert same
+    claims = {(lam, t): published for here, _, lam, t, published in lines}
+    assert not any(here for here, *_ in lines)      # only the worker claims
+    assert sorted(claims) == [(0.05, 0.5), (0.05, 1.0), (0.2, 0.5), (0.2, 1.0)]
+    assert claims[0.2, 1.0] == claims[0.2, 0.5] == [True, True, True]
+    assert all(p in (None, [True, True, True]) for p in claims.values())
+
+
+HELPER_FAILS_SCRIPT = HANDOVER_PRELUDE + """
+from latticedress.numerics import OracleError
+
+expm = scipy.linalg.expm
+publish = checks._Handover.publish
+helping = []
+
+def failing_expm(a, *args, **kwargs):
+    if helping:
+        log("raised")
+        raise MemoryError
+    return expm(a, *args, **kwargs)
+
+def flagged(self):
+    helping.append(True)
+    try:
+        publish(self)
+    finally:
+        helping.clear()
+
+def refused(matrices, lam, plus=False):
+    if sys.argv[2] == "failing" and lam == 0.05:
+        raise OracleError(f"{lam} refused")
+    return slowed(matrices, lam, plus)
+
+scipy.linalg.expm = failing_expm
+checks._Handover.publish = flagged
+checks.dressing_matrices = refused
+two, serial = outcome(2), outcome(1)
+print(json.dumps([two == serial, serial if sys.argv[2] == "failing" else None]))
+"""
+
+
+@pytest.mark.parametrize("scan", ["passing", "failing"])
+def test_a_helper_whose_expm_raises_changes_nothing(tmp_path, scan):
+    # every exp(i t H) the scan's own process forms for its worker raises;
+    # the worker forms its own, and the scan, or its failure, is the one-core
+    # one; in the failing scan the worker's 0.05 is refused before it
+    # claims a slot, so both of its evolutions are tried too
+    (same, failure), lines = _forked(tmp_path, HELPER_FAILS_SCRIPT, scan)
+    assert same
+    assert failure == (["OracleError", "0.05 refused"] if scan == "failing" else None)
+    raised = [here for here, _, event in lines if event == "raised"]
+    assert raised and all(raised)
+    assert len(raised) >= (4 if scan == "failing" else 2)
+
+
+NO_SEMAPHORE_SCRIPT = HANDOVER_PRELUDE + """
+claim = checks._Handover.claim
+
+def logged(self, lam, t):
+    log(lam, t)
+    return claim(self, lam, t)
+
+def refused(self):
+    raise ImportError("This platform lacks a functioning sem_open implementation")
+
+checks._Handover.claim = logged
+multiprocessing.context.BaseContext.Lock = refused
+print(json.dumps([outcome(3) == outcome(1), outcome(2) == outcome(1),
+                  len(multiprocessing.active_children())]))
+"""
+
+
+def test_scans_without_semaphores_hand_nothing_over(tmp_path):
+    # where the system has no semaphores (no /dev/shm, say), the slot lock
+    # cannot be made: the workers still run, each forming its own evolutions
+    (three, two, children), lines = _forked(tmp_path, NO_SEMAPHORE_SCRIPT)
+    assert three and two and children == 0
+    assert lines == []
+
+
+def test_a_held_slot_lock_holds_up_no_process(monkeypatch, small_basis, small_result):
+    # a process killed while it holds the slot lock never releases it: the
+    # worker then forms its own evolution, and this process publishes
+    # nothing more, each after `_LOCK_SECONDS`
+    import multiprocessing
+    import scipy.linalg
+
+    monkeypatch.setattr(checks, "_LOCK_SECONDS", 0.01)
+    matrices = CouplingMatrices(small_result, small_basis)
+    handover = checks._Handover(multiprocessing.get_context("fork"), matrices,
+                                [0.1, 0.2], [1.0, 0.5])
+    try:
+        handover._lock.acquire()
+        handover.publish()
+        assert handover.claim(0.1, 1.0) is None
+        handover._lock.release()
+        assert handover.claim(0.2, 1.0) is None             # nothing published
+        handover.publish()                                  # the rest, unclaimed
+        u = handover.claim(0.2, 0.5)
+        h = CouplingMatrices(small_result, small_basis).pop(0.2)[0].toarray()
+        assert u.tobytes() == scipy.linalg.expm(0.5j * h).tobytes()
+        assert handover.claim(0.1, 1.0) is not None     # the timed-out claim changed nothing
+    finally:
+        handover.close()
+
+
+LINGER_SCRIPT = """
+import signal
+
+def shared():
+    # shared writable mappings: the hand-over slots and the slot lock
+    with open("/proc/self/maps") as fh:
+        return sum(" rw-s " in line for line in fh)
+
+build = checks.dressing_matrices
+publish = checks._Handover.publish
+during = []
+
+def dying(matrices, lam, plus=False):
+    if sys.argv[2] == "kill" and os.getpid() != parent and lam == 0.1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return build(matrices, lam, plus)
+
+def counted(self):
+    during.append(shared())
+    publish(self)
+
+checks.dressing_matrices = dying
+checks._Handover.publish = counted
+before = shared()
+try:
+    spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
+                   grid=[((0,), (1,), 1.0)])
+    failure = None
+except ArithmeticError as exc:      # counted while the traceback holds the frames
+    failure = str(exc)
+    after = shared()
+else:
+    after = shared()
+print(json.dumps([failure, before, during, after, len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="the system lists no process mappings")
+@pytest.mark.parametrize("how, failure", [
+    ("pass", None),
+    ("kill", "the scan's worker process for coupling 0.1 died (signal SIGKILL)")])
+def test_no_slot_or_child_outlives_a_scan(tmp_path, how, failure):
+    # three cores: couplings 0.05 and 0.1 go to the workers, one slot each;
+    # the second worker is killed in the kill case, and the slots are gone
+    # while its failure is still being handled
+    (got, before, during, after, children), _ = _forked(tmp_path, LINGER_SCRIPT, how)
+    assert got == failure
+    assert during and during[0] > before
+    assert after == before and children == 0
+
+
 @pytest.mark.parametrize("scan, cores, lambdas, one_thread, spare", [
     ("spacelike", 1, [0.1], True, None), ("spacelike", 2, [0.0], True, None),
     ("spacelike", 2, [0.1], False, None), ("spacelike", 2, [0.1], True, 10**9),
@@ -807,19 +1041,46 @@ def test_workers_fit_beside_this_process(monkeypatch):
     assert checks._workers(20, 100) == 7
     for free, workers in [(399, 2), (300, 2), (299, 1), (199, 0), (0, 0)]:
         assert checks._workers(20, 100) == workers
+    # the hand-over slots of every coupling after the first come off first
+    for free, workers in [(10**12, 7), (300 + 19 * 50, 2), (299 + 19 * 50, 1)]:
+        assert checks._workers(20, 100, 50) == workers
     monkeypatch.setattr(checks, "_one_thread", lambda: False)
     free = 10**12
     assert checks._workers(20, 100) == 0
 
 
-def test_free_memory_is_zero_where_the_system_does_not_count_it(monkeypatch):
+def test_free_memory_is_zero_where_the_system_does_not_count_it(monkeypatch, tmp_path):
     assert checks._free_bytes() > 0
 
     def uncounted(name):
         raise ValueError(f"unrecognized configuration name {name}")
 
+    monkeypatch.setattr(checks, "_MEMINFO", str(tmp_path / "no-meminfo"))
     monkeypatch.setattr(os, "sysconf", uncounted)
     assert checks._free_bytes() == 0
+
+
+def test_free_memory_is_what_the_kernel_calls_available(monkeypatch, tmp_path):
+    # MemAvailable counts the page cache that the kernel can reclaim, which
+    # MemFree (the system's free page count) leaves out
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:       16000000 kB\nMemFree:         6000000 kB\n"
+                       "MemAvailable:    7500000 kB\nBuffers:          100000 kB\n")
+    monkeypatch.setattr(checks, "_MEMINFO", str(meminfo))
+    assert checks._free_bytes() == 7500000 * 1024
+
+
+@pytest.mark.parametrize("meminfo", [None, "MemTotal: 16000000 kB\nMemFree: 6000 kB\n",
+                                     "MemAvailable: many kB\n"],
+                         ids=["no file", "no MemAvailable", "unreadable"])
+def test_free_memory_falls_back_to_the_free_page_count(monkeypatch, tmp_path, meminfo):
+    path = tmp_path / "meminfo"
+    if meminfo is not None:
+        path.write_text(meminfo)
+    monkeypatch.setattr(checks, "_MEMINFO", str(path))
+    pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert checks._free_bytes() == 1000 * 4096
 
 
 def test_usable_cores_are_the_affinity(monkeypatch):

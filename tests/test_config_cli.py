@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latticedress import algebra, checks, cli, numerics
@@ -732,8 +734,61 @@ def test_cli_unusable_path_exits_two(tmp_path, capsys, paths, message):
             for p in tmp_path.rglob("*")} == before
 
 
+# pieces of YAML syntax, config keys and characters that libyaml and the
+# schema treat specially, for drawing config-like text
+_YAML_PIECES = ["model", "order", "lattice", "numerics", "lambdas", "checks", "output",
+                ":", ": ", " ", "  ", "\t", "\n", "\r\n", "- ", "[", "]", "{", "}", ",",
+                "'", '"', "\\", "&a ", "*a", "!!str ", "!!binary ", "!!python/tuple ",
+                "!x ", "%YAML 1.1", "%TAG", "---", "...", "? ", "|", ">", "#", "@", "`",
+                "1", "-0.5", "1e3", ".inf", ".nan", "0x1F", "null", "~", "true", "no",
+                "2001-01-01", "<<", "=", "\x00", "\x85", " ", "﻿", "\x1c",
+                "é", "\udcff"]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@example(b"%.:\t*")                    # libyaml's error spans four lines
+@example(b'checks: {"a\\nb": 1}')       # an unknown key with a line break
+@given(st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.sampled_from(_YAML_PIECES), max_size=16).map(
+        lambda pieces: "".join(pieces).encode("utf-8", "surrogateescape"))))
+def test_cli_random_config_exits_two_with_one_line(data):
+    # any config file the loader refuses gets exit 2 and one stderr line,
+    # runs no stage, writes no report and leaves the out-dir unmade; a draw
+    # that happens to be a valid config (an empty one, say) is out of scope
+    try:
+        parse_config(data.decode("utf-8"))
+    except (ConfigError, UnicodeDecodeError):
+        pass
+    else:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out_dir = Path(tmp) / "run.yaml", Path(tmp) / "out"
+        config.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", str(config), "--command", "dress",
+                         "--out-dir", str(out_dir)])
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("config error: ")
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["run.yaml"]
+
+
 def test_cli_bad_arguments():
     assert main(["--command", "dress"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--command", "dress"], "the following arguments are required: --config"),
+    (["--config", "c.yaml", "--command", "fit"], "argument --command: invalid choice"),
+    (["--config", "c.yaml", "--command", "dress", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--config", "c.yaml", "--command", "dress", "a\nb"], "unrecognized arguments: a b"),
+], ids=["missing", "choice", "unknown", "line-break"])
+def test_cli_usage_error_is_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -952,7 +1007,7 @@ def test_report_bytes_do_not_depend_on_the_number_of_cores(tmp_path, command, te
 
 
 def test_ci_scan_config_is_the_golden_scan():
-    # the workflow compares this config's report on one core and on all
+    # the workflow compares this config's report on one core, on two and on all
     assert load_config(str(REPO_ROOT / "configs" / "phi3-scan.yaml")) == \
         parse_config(GOLDEN_SCAN_YAML)
 
