@@ -6,25 +6,28 @@
 * the dressed field commutes at equal times,
 * the interaction induces a spacelike nonlocality scaling as coupling^2.
 
-The residual and scan checks read the dressing result and the basis they
-judge from one `numerics.CouplingMatrices`, and share its H(lam), R(lam).
-Where R(lam) is zero, at lam = 0 (the spacelike baseline, the equal-time
-scan's default coupling, a residual grid that holds 0) or for a free model,
-`numerics.dressing_matrices` hands over exp(-R) = 1 as None: the dressed
-states are the basis states and the dressed fields the bare ones, exactly.
-The spacelike rows at lam = 0 have C(0)'s norm as magnitude and baseline,
-and C(0) - C(0) as the exact 0.0.
+The verify, residual and scan checks read the dressing result and the basis
+they judge from one `numerics.CouplingMatrices`, and assemble its H(lam),
+R(lam) once per coupling.  `verify_pass` runs the oracle and the residuals
+in one pass per coupling, the oracle difference formed on the low-quanta
+block's rows alone.  Where R(lam) is zero, at lam = 0 (the spacelike
+baseline, the equal-time scan's default coupling, a residual grid that
+holds 0) or for a free model, `numerics.dressing_matrices` hands over
+exp(-R) = 1 as None: the dressed states are the basis states and the
+dressed fields the bare ones, exactly.  The spacelike rows at lam = 0 have
+C(0)'s norm as magnitude and baseline, and C(0) - C(0) as the exact 0.0.
 
-Each scan's couplings are independent, and `_scan_each` runs them all.
-The spacelike scan spreads them over this process and forked worker
-processes, one process per usable core at most, as many as available
-memory holds contexts (`_workers`).  This process runs its own share without
-waiting for the workers, then forms the evolutions exp(i tau H) that they
-have not reached yet and hands them over in shared memory (`_Handover`);
-no process ever waits for another's evolution, and a handed-over one is
-bit for bit what the worker would form.  The workers send back small
-results, and this process forms every row, subtraction and fit from them,
-so a report's bytes do not depend on the number of cores.
+Each check's couplings are independent, and `_each_coupling` runs them all.
+`verify_pass` and the spacelike scan spread them over this process and
+forked worker processes, one process per usable core at most, as many as
+available memory holds (`_workers`).  This process runs its own share
+without waiting for the workers.  The spacelike scan's then forms the
+evolutions exp(i tau H) that the workers have not reached yet and hands
+them over in shared memory (`_Handover`); no process ever waits for
+another's evolution, and a handed-over one is bit for bit what the worker
+would form.  The workers send back small results, and this process forms
+every row, subtraction and fit from them, so a report's bytes do not
+depend on the number of cores.
 
 As in `numerics`, numpy and scipy are imported inside the functions that
 use them, and so is `multiprocessing`, so that importing the command line,
@@ -47,6 +50,7 @@ from .modes import ModeIndex
 from .numerics import (
     CouplingMatrices,
     block_norm,
+    conjugate_numeric,
     dressed_state,
     dressing_matrices,
     field_at_origin_time_zero,
@@ -63,6 +67,9 @@ ZERO_FLOOR = 1e-12      # a value at or below this is zero
 # its fields and evolutions, H included: 9 with 2 sites, 10 with 5, by
 # tracemalloc at 252 states
 _SPARE_MATRICES = 10
+# dense matrices a verify coupling holds at its peak, either part: 7.6 to
+# 7.9 by tracemalloc at 126 to 252 states
+_VERIFY_MATRICES = 8
 SLOPE_FLOOR = 1e-13     # a value at or below this is left out of a slope fit
 _MEMINFO = "/proc/meminfo"
 
@@ -153,29 +160,118 @@ def _state_residual(mh: np.ndarray, psi: np.ndarray) -> float:
     return float(np.linalg.norm(h_psi - np.vdot(psi, h_psi) * psi))
 
 
-def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
-    """Residuals of the dressed vacuum exp(-R)|0> and one-particle states
-    exp(-R) a+_k |0> as approximate eigenstates of H, per coupling value,
-    for the dressing result and basis of `matrices`; each dressed state is
-    a column of exp(-R), a basis state where R(lam) is zero.  The couplings
-    are taken in turn, and each one's dense H and exp(-R) are freed before
-    the next coupling's are formed."""
-    lambdas = list(lambdas)
-    basis, system = matrices.basis, matrices.result.model.system
-    vac_res: list[float] = []
-    one_res: dict[ModeIndex, list[float]] = {m: [] for m in system.modes}
-    vac_idx = basis.vacuum_index()
-    one_idx = {m: basis.index_of([int(n == m) for n in basis.modes])
-               for m in system.modes}
-    n = basis.dimension
-    for lam in lambdas:
-        mh, _, w_inv = dressing_matrices(matrices, lam)
-        vac_res.append(_state_residual(mh, dressed_state(w_inv, vac_idx, n)))
-        for m, i in one_idx.items():
-            one_res[m].append(_state_residual(mh, dressed_state(w_inv, i, n)))
-        del mh, w_inv
+class VerifyPass:
+    """The oracle differences and the eigenstate residuals that `verify_pass`
+    formed, each read in its own couplings' order.  Reading a part raises
+    the exception of its first failing coupling in that order, the one the
+    part would raise running its couplings one after another."""
 
-    return ResidualReport(lambdas=lambdas, vacuum=vac_res, one_particle=one_res)
+    def __init__(self, lambdas: list, modes, outcomes: dict):
+        self.lambdas = lambdas
+        self._modes = modes
+        self._outcomes = outcomes   # coupling -> each part's (ok, value), or None
+
+    def _values(self, part: int, lambdas) -> list:
+        values = []
+        for lam in lambdas:
+            ok, value = self._outcomes[lam][part]
+            if not ok:
+                raise value
+            values.append(value)
+        return values
+
+    def differences(self) -> list[float]:
+        """The oracle differences at the positive couplings, in order."""
+        return self._values(0, [lam for lam in self.lambdas if lam > 0])
+
+    def residuals(self) -> ResidualReport:
+        """The residuals at every coupling, in order."""
+        rows = self._values(1, self.lambdas)
+        return ResidualReport(lambdas=self.lambdas, vacuum=[r[0] for r in rows],
+                              one_particle={m: [r[i] for r in rows]
+                                            for i, m in enumerate(self._modes, 1)})
+
+
+def verify_pass(matrices: CouplingMatrices, lambdas, block: int | None = None,
+                residuals: bool = True) -> VerifyPass:
+    """The oracle and residual checks of the dressing result and basis of
+    `matrices`, one pass per distinct coupling.
+
+    * Oracle, with `block`, at each positive coupling: the spectral norm of
+      (P w) H (P w)^H - K[P, P], with w = exp(+R) (`conjugate_numeric`) and
+      P the states of at most `block` quanta; these are bit for bit the
+      entries of w H w^H - K that the block reads.
+    * Residuals, with `residuals`, at each coupling: those of the dressed
+      vacuum exp(-R)|0> and one-particle states exp(-R) a+_k |0> as
+      approximate eigenstates of H, each dressed state a column of exp(-R)
+      (`dressing_matrices`), a basis state where R(lam) is zero.
+
+    A coupling's (H, R) pair is assembled once for both parts, and each
+    part's dense matrices are freed before the next part's are formed.  A
+    part that has failed in a process runs at none of that process's later
+    couplings.  The couplings are dealt over this process and as many
+    forked workers as `_workers` allows (`_each_coupling`), with K's layout
+    built before the fork; a result is a few numbers, so nothing depends
+    on the number of cores.
+    """
+    lambdas = list(lambdas)
+    basis, modes = matrices.basis, matrices.result.model.system.modes
+    n = basis.dimension
+    states = [basis.vacuum_index()] + [
+        basis.index_of([int(m == k) for m in basis.modes]) for k in modes]
+    rows = None if block is None else basis.block_indices(block)
+
+    def runs(lam) -> tuple[bool, bool]:
+        """Whether the oracle, and the residuals, run at lam."""
+        return block is not None and lam > 0, residuals
+
+    couplings = [lam for lam in dict.fromkeys(lambdas) if any(runs(lam))]
+    if any(runs(lam)[0] for lam in couplings):
+        matrices.transformed    # K's layout, laid out once for every process
+    failed = [False, False]     # each part, in this process
+
+    def oracle(pair, lam):
+        mh, mr = pair
+        mk = matrices.transformed(lam)
+        return block_norm(conjugate_numeric(mr, mh, rows) - mk[rows][:, rows].toarray())
+
+    def residual(pair, lam):
+        mh, _, w_inv = dressing_matrices(pair, lam)
+        return [_state_residual(mh, dressed_state(w_inv, i, n)) for i in states]
+
+    def one(lam):
+        """Each part's (True, value) or (False, its exception) at lam, or None
+        where the part does not run."""
+        pair, out = None, []
+        for part, (form, run) in enumerate(zip((oracle, residual), runs(lam))):
+            if failed[part] or not run:
+                out.append(None)
+                continue
+            try:
+                pair = pair or matrices.pair(lam)
+                out.append((True, form(pair, lam)))
+            except Exception as exc:        # raised by the reader, in order
+                import traceback
+
+                # the frames' locals would hold the coupling's dense
+                # matrices while the other part runs on
+                traceback.clear_frames(exc.__traceback__)
+                failed[part] = True
+                out.append((False, exc))
+        return out
+
+    outcomes: dict = {}
+    _each_coupling(couplings, one, outcomes.__setitem__,
+                   _workers(len(couplings), 16 * n ** 2 * _VERIFY_MATRICES),
+                   who="verify's")
+    return VerifyPass(lambdas, modes, outcomes)
+
+
+def eigenstate_residuals(matrices: CouplingMatrices, lambdas) -> ResidualReport:
+    """Residuals of the dressed vacuum and one-particle states as
+    approximate eigenstates of H, per coupling value: the residual half of
+    `verify_pass`, whose first failing coupling raises here."""
+    return verify_pass(matrices, lambdas).residuals()
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +319,7 @@ class _LambdaContext:
     shares its Pade structure, exp(+R) formed after exp(-R) has passed its
     checks; they are not kept, and not formed where R is zero.  Each
     process that runs a scan's couplings keeps one context alive at a time
-    (see `_scan_each`)."""
+    (see `_each_coupling`)."""
 
     # a worker's coupling: a function of the time that claims its slot in
     # the scan's `_Handover` and gives the evolution published there, or None
@@ -235,7 +331,7 @@ class _LambdaContext:
         model, basis = matrices.result.model, matrices.basis
         if len(model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
-        self.mh, w, w_inv = dressing_matrices(matrices, lam, plus=True)
+        self.mh, w, w_inv = dressing_matrices(matrices.pair(lam), lam, plus=True)
         psi = dressed_state(w_inv, basis.vacuum_index(), basis.dimension)
         self.vacuum = psi / np.linalg.norm(psi)
         sites = list(dict.fromkeys(sites))
@@ -323,68 +419,69 @@ def _workers(couplings: int, context_bytes: int, slot_bytes: int = 0) -> int:
     return workers if workers > 0 and _one_thread() else 0
 
 
-def _scan_each(matrices: CouplingMatrices, couplings, sites, work, take,
-               workers: int = 0, times=()) -> None:
-    """take(lam, work(lam, context)) for each coupling in order, each
-    coupling's context built by the process that runs it and freed before
-    that process builds its next.
+def _each_coupling(couplings, one, take, workers: int = 0, who: str = "the scan's",
+                   hand_over=None) -> None:
+    """take(lam, one(lam)) for each coupling in order, each coupling run by
+    one process, which frees what it formed before its next coupling.
 
     With `workers` (see `_workers`) and a fork start method, the couplings
     are dealt round-robin over this process and `workers` forked ones:
     coupling i runs in process i % (workers + 1), where 0 is this one,
-    which so runs the first coupling.  The workers inherit `matrices` and
-    `work` and send back each result.  This process runs its own share
-    without waiting for any worker, then forms exp(i t H(lam)) at each of
-    `times` (the nonzero times that `work` evolves to) for the workers'
-    couplings that have not reached it yet, and hands it over
-    (`_Handover`).  `take` then runs here on every result, in the couplings'
-    order, so nothing it forms depends on the number of cores.  Else every
-    coupling runs here, in turn.
+    which so runs the first coupling.  The workers inherit what `one` uses
+    and send back each result.  This process runs its own share without
+    waiting for any worker.  With `hand_over`, a function of the fork
+    context and the workers' couplings that makes their `_Handover`, a
+    worker runs one(lam, published), `published` being the function of the
+    time that claims the coupling's evolution there, and this process
+    then forms the evolutions that the workers have not reached yet and
+    hands them over.  `take` then runs here on every result, in the
+    couplings' order, so nothing it forms depends on the number of cores.
+    Else every coupling runs here, in turn.
 
     The first coupling that failed raises as it does in turn: the same
     type, the same message.  A worker that dies raises ArithmeticError
-    naming its coupling and the signal or exit code.  Every worker is
-    joined, and every hand-over slot unmapped, before this returns or
-    raises.
+    naming whose worker it was (`who`), its coupling and the signal or exit
+    code.  Every worker is joined, and every hand-over slot unmapped,
+    before this returns or raises.
     """
-    def one(lam, handover=None):
-        context = _LambdaContext(matrices, lam, sites)
-        if handover is not None:
-            context.published = functools.partial(handover.claim, lam)
-        return work(lam, context)
-
     if workers:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            _fork_each(multiprocessing.get_context("fork"), matrices, one, take,
-                       couplings, workers + 1, times)
+            _fork_each(multiprocessing.get_context("fork"), one, take, couplings,
+                       workers + 1, who, hand_over)
             return
     for lam in couplings:
         take(lam, one(lam))
 
 
-def _fork_each(ctx, matrices, one, take, couplings, processes: int, times) -> None:
+def _fork_each(ctx, one, take, couplings, processes: int, who: str, hand_over) -> None:
     """take(lam, one(lam)) for each coupling in order, coupling i run by
     process i % `processes`: 0 is this one, the others are forked from
     `ctx`.  This process runs its share first, keeping each result or its
-    first failure, then publishes the workers' pending evolutions at
-    `times`, then takes every result in order (see `_scan_each`)."""
-    owned = [lam for i, lam in enumerate(couplings) if i % processes]
+    first failure, then publishes the workers' pending evolutions if it
+    hands any over, then takes every result in order (see
+    `_each_coupling`)."""
     handover = None
-    if times:
+    if hand_over is not None:
         try:
-            handover = _Handover(ctx, matrices, owned, times)
+            handover = hand_over(ctx, [lam for i, lam in enumerate(couplings)
+                                       if i % processes])
         except (ImportError, OSError):  # no semaphores or shared maps here
             pass                        # (no /dev/shm, say): no hand-over
+
+    def worker_one(lam):
+        if handover is None:
+            return one(lam)
+        return one(lam, functools.partial(handover.claim, lam))
+
     pipes, procs = {}, {}       # worker k's end of its pipe, its process
     done = False
     try:
         for k in range(1, processes):
             pipes[k], send = ctx.Pipe(duplex=False)
             procs[k] = ctx.Process(target=_serve, args=(
-                functools.partial(one, handover=handover),
-                couplings[k::processes], send.send))
+                worker_one, couplings[k::processes], send.send))
             procs[k].start()
             send.close()
         own: list = []
@@ -402,7 +499,7 @@ def _fork_each(ctx, matrices, one, take, couplings, processes: int, times) -> No
                 except EOFError:
                     procs[k].join()
                     raise ArithmeticError(
-                        f"the scan's worker process for coupling {lam!r} died "
+                        f"{who} worker process for coupling {lam!r} died "
                         f"({_ending(procs[k].exitcode)})") from None
             if not ok:
                 raise value
@@ -506,7 +603,7 @@ class _Handover:
                     continue
                 try:
                     if mh is None:
-                        mh = self._matrices.pop(lam)[0].toarray()
+                        mh = self._matrices.pair(lam)[0].toarray()
                     self._matrix(i)[...] = scipy.linalg.expm(1j * t * mh)
                 except Exception:
                     continue
@@ -542,7 +639,7 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
     of `matrices`.
 
     The couplings are scanned one at a time, in the order given, each
-    through its own context by `_scan_each`, in this process: no benchmark
+    through its own context by `_each_coupling`, in this process: no benchmark
     workload has measured worker processes here, and the default couplings
     (0 and 0.1) would fork one for one coupling.  The points are listed by
     time, then coupling, then pair.
@@ -582,8 +679,8 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
         return rows
 
     by_coupling: list = []
-    _scan_each(matrices, couplings, sites, scan,
-               lambda lam, rows: by_coupling.append(rows))
+    _each_coupling(couplings, lambda lam: scan(lam, _LambdaContext(matrices, lam, sites)),
+                   lambda lam, rows: by_coupling.append(rows))
     return ScanReport(points=[
         p for i in range(len(times)) for rows in by_coupling for p in rows[i]])
 
@@ -596,7 +693,7 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     The free-lattice baseline C(0) is subtracted so the reported magnitude
     isolates the interaction-induced piece; its coupling scaling is fitted.
-    Each coupling is scanned through its own context by `_scan_each`: first
+    Each coupling is scanned through its own context by `_each_coupling`: first
     0, then the rest in the order of `set(lambdas)`, which decides which
     coupling a failure names, spread over this process and as many worker
     processes as `_workers` allows.  Each distinct grid point is formed
@@ -659,9 +756,18 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
     # slots hold one more evolution per time
     matrix_bytes = 16 * basis.dimension ** 2
     context_bytes = matrix_bytes * (len(sites) + len(times) + _SPARE_MATRICES)
-    _scan_each(matrices, couplings, sites, scan, take,
-               _workers(len(couplings), context_bytes, matrix_bytes * len(times)),
-               times)
+
+    def one(lam, published=None):
+        context = _LambdaContext(matrices, lam, sites)
+        context.published = published
+        return scan(lam, context)
+
+    def hand_over(ctx, owned):
+        return _Handover(ctx, matrices, owned, times)
+
+    _each_coupling(couplings, one, take,
+                   _workers(len(couplings), context_bytes, matrix_bytes * len(times)),
+                   hand_over=hand_over if times else None)
     points = []
     for point in grid:
         x, y, tau = point

@@ -29,6 +29,8 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import TermMap, bad_part, signature_json
+# eigenstate_residuals, conjugate_numeric and restricted_norm are not called
+# here: perfbench's layer hooks look them up where this module imports them
 from .checks import (
     ZERO_FLOOR,
     ScanError,
@@ -37,6 +39,7 @@ from .checks import (
     fall_off,
     momentum_commutation_defect,
     spacelike_scan,
+    verify_pass,
 )
 from .config import ConfigError, RunConfig, load_config
 from .dressing import ZeroDenominatorError, dress, extract_energy_correction
@@ -140,7 +143,14 @@ def _coeff_json(c):
 def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
     """Oracle, residual and momentum checks of a dressing result; each verdict
     goes into the report as soon as it is computed, so a later setup failure
-    keeps it.  Returns the result's `CouplingMatrices` in the config's basis."""
+    keeps it.  Returns the result's `CouplingMatrices` in the config's basis.
+
+    The oracle and the residuals come from one `checks.verify_pass` over the
+    couplings, which may run some of them in worker processes.  The oracle's
+    first failing coupling, in the order of its positive couplings, raises
+    before the oracle verdict is written, and the residuals' first, in the
+    order of `cfg.lambdas`, after it: what running the oracle over every
+    coupling, then the residuals, raises."""
     model = result.model
     verdicts = report["verdicts"]
     n = model.max_order
@@ -157,19 +167,13 @@ def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
     report["verify"] = {"basis_dimension": basis.dimension}
 
     oracle, residuals = cfg.checks["oracle"], cfg.checks["residuals"]
+    checked = verify_pass(matrices, cfg.lambdas,
+                          oracle.params["block"] if oracle.enabled else None,
+                          residuals.enabled)
     if oracle.enabled:
-        block = oracle.params["block"]
         tol = oracle.params["slope_tolerance"]
         lams = [l for l in cfg.lambdas if l > 0]
-        # the residuals take each pair later; without them, nothing is kept
-        take = matrices if residuals.enabled else matrices.pop
-        diffs = []
-        for lam in lams:
-            mh, mr = take(lam)
-            mk = matrices.transformed(lam)
-            # one expression: no dense matrix outlives its coupling
-            diffs.append(restricted_norm(conjugate_numeric(mr, mh) - mk.toarray(),
-                                         basis, block))
+        diffs = checked.differences()
         (slope,), got, ok = fall_off(lams, [diffs], n + 1, tol)
         report["verify"]["oracle"] = {
             "lambdas": lams, "differences": diffs, "slope": _finite(slope),
@@ -178,7 +182,7 @@ def run_verify(cfg: RunConfig, report: dict, result) -> CouplingMatrices:
 
     if residuals.enabled:
         tol = residuals.params["slope_tolerance"]
-        rep = eigenstate_residuals(matrices, cfg.lambdas)
+        rep = checked.residuals()
         (vacuum_slope, *mode_slopes), got, ok = fall_off(
             rep.lambdas, [rep.vacuum, *rep.one_particle.values()], n + 1, tol)
         report["verify"]["residuals"] = {

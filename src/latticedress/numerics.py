@@ -22,9 +22,9 @@ actions, and one coefficient table, a row per order.  Each coupling then
 sums the rows with numpy, drops the pruned signatures from the sum and
 the layout, and hands the rest to `_csr`: the matrix of the evaluated
 term map, bit for bit, without the map.  `CouplingMatrices` holds the
-layouts of H, R and K of one dressing result, so a run lays each out once,
-and assembles H(lam) and R(lam) once per coupling for every check that
-needs them.
+layouts of H, R and K of one dressing result, so a run lays each out once;
+each check assembles the (H(lam), R(lam)) pair it needs, once per coupling,
+and is its only holder.
 
 A coupling whose R(lam) has no stored element, lam = 0 on every run and any
 lam for a free model, has exp(-+R) = 1 exactly: `dressing_matrices` then
@@ -36,8 +36,8 @@ The field scans need both exp(-R) and exp(+R).  `expm_pair` forms them from
 one choice of scipy's Pade order and scaling, which -R shares with +R, and
 runs scipy's own Pade and squaring kernels once per sign, so that each is
 byte for byte what `scipy.linalg.expm` gives; exp(+R) is formed only after
-exp(-R) has passed its checks.  The residuals, which need exp(-R) alone, and
-exp(i tau H) call `scipy.linalg.expm`.
+exp(-R) has passed its checks.  The residuals, which need exp(-R) alone,
+the oracle's exp(+R) and exp(i tau H) call `scipy.linalg.expm`.
 
 numpy and scipy are imported inside the functions that use them, not at
 module level: the command line imports this module for its names, and the
@@ -48,6 +48,7 @@ time and memory.  The oracle commands load it on first use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING
@@ -345,8 +346,11 @@ def _check_unitary(w: np.ndarray, name: str) -> None:
         raise OracleError(f"{name} failed unitarity check (defect {defect:.3e})")
 
 
-def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray) -> np.ndarray:
-    """exp(r) h exp(-r) by dense scaling-and-squaring matrix exponential.
+def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray,
+                      rows: np.ndarray | None = None) -> np.ndarray:
+    """exp(r) h exp(-r) by dense scaling-and-squaring matrix exponential, or
+    only its `rows` and the same columns: (P w) h (P w)^H with w = exp(r)
+    and P the rows' projection, bit for bit those entries of the whole.
 
     r must be anti-Hermitian; the unitarity of exp(r) is verified, and
     OracleError is raised when it fails.  The dense r is freed once exp(r)
@@ -363,6 +367,8 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray) 
     w = scipy.linalg.expm(rd)
     del rd
     _check_unitary(w, "exp(R)")
+    if rows is not None:
+        w = w[rows]
     hd = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=complex)
     return w @ hd @ w.conj().T
 
@@ -370,12 +376,11 @@ def conjugate_numeric(r: sp.spmatrix | np.ndarray, h: sp.spmatrix | np.ndarray) 
 class CouplingMatrices:
     """The sparse H(lam), R(lam) and K(lam) of a dressing result in a basis,
     each from its series' `SeriesAssembler`: the H and R layouts are built
-    with the object, K's on first use, so a run lays each series out once.
-    A pair (H(lam), R(lam)) is assembled once per coupling and kept until
-    `pop` hands it to its last user, so that the checks at one coupling
-    share it and no pair outlives them.  A basis over
-    DENSE_DIMENSION_LIMIT is refused with BasisError, before any layout:
-    the checks form dense matrices of its dimension."""
+    with the object, K's on first use of `transformed`, so a run lays each
+    series out once.  `pair` assembles (H(lam), R(lam)) anew on each call
+    and keeps nothing, so a check that assembles a pair is its only holder.
+    A basis over DENSE_DIMENSION_LIMIT is refused with BasisError, before
+    any layout: the checks form dense matrices of its dimension."""
 
     def __init__(self, result, basis: FockBasis):
         n = basis.dimension
@@ -388,26 +393,16 @@ class CouplingMatrices:
         self.basis = basis
         self._hamiltonian = SeriesAssembler(result.model.hamiltonian(), basis)
         self._generator = SeriesAssembler(result.generator, basis)
-        self._transformed = None
-        self._kept: dict = {}
 
-    def __call__(self, lam: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        if lam not in self._kept:
-            self._kept[lam] = self._assemble(lam)
-        return self._kept[lam]
-
-    def pop(self, lam: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The pair at lam, no longer kept: the kept one, or a new one."""
-        return self._kept.pop(lam) if lam in self._kept else self._assemble(lam)
-
-    def transformed(self, lam: float) -> sp.csr_matrix:
-        """K(lam), the transformed Hamiltonian's matrix; not kept."""
-        if self._transformed is None:
-            self._transformed = SeriesAssembler(self.result.K, self.basis)
-        return self._transformed(lam)
-
-    def _assemble(self, lam):
+    def pair(self, lam: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(H(lam), R(lam)), not kept."""
         return self._hamiltonian(lam), self._generator(lam)
+
+    @functools.cached_property
+    def transformed(self) -> SeriesAssembler:
+        """K's assembler, laid out on first use: `transformed(lam)` is
+        K(lam), the transformed Hamiltonian's matrix, not kept."""
+        return SeriesAssembler(self.result.K, self.basis)
 
 
 # the workspace slots that scipy's pade_UV_calc reads at each Pade order
@@ -476,15 +471,15 @@ def expm_pair(a: np.ndarray):
     yield e
 
 
-def dressing_matrices(matrices: CouplingMatrices, lam: float, plus: bool = False):
-    """(H(lam), exp(+R(lam)), exp(-R(lam))) dense matrices of the dressing
-    result of `matrices`; exp(+R(lam)) is None unless `plus`.
+def dressing_matrices(pair, lam: float, plus: bool = False):
+    """(H(lam), exp(+R(lam)), exp(-R(lam))) dense matrices from a pair
+    (H(lam), R(lam)) of `CouplingMatrices.pair`; exp(+R(lam)) is None unless
+    `plus`.
 
     With K = exp(R) H exp(-R), the approximate eigenvectors of H are the
     dressed states exp(-R)|i>: the dressed state of basis state i is column
-    i of exp(-R), see `dressed_state`.  The caller is the last user of
-    H(lam) and R(lam), which leave `matrices`.  The dense R is formed only
-    as the exponential's argument, and is freed once exp(-R) is formed.  An
+    i of exp(-R), see `dressed_state`.  The dense R is formed only as the
+    exponential's argument, and is freed once exp(-R) is formed.  An
     exp(-R) that is not finite or not unitary raises OracleError.  exp(+R)
     is formed after exp(-R) has passed, from the same Pade structure
     (`expm_pair`).
@@ -497,16 +492,16 @@ def dressing_matrices(matrices: CouplingMatrices, lam: float, plus: bool = False
     import numpy as np
     import scipy.linalg
 
-    mh, mr = matrices.pop(lam)
+    mh, mr = pair
     if not mr.nnz:
         return mh.toarray(), None, None
-    pair = expm_pair(mr.toarray()) if plus else None
-    w_inv = next(pair) if plus else scipy.linalg.expm(-mr.toarray())
+    exps = expm_pair(mr.toarray()) if plus else None
+    w_inv = next(exps) if plus else scipy.linalg.expm(-mr.toarray())
     name = f"exp(-R) at coupling {lam!r}"
     if not np.isfinite(w_inv).all():
         raise OracleError(f"{name} is not finite")
     _check_unitary(w_inv, name)
-    w = next(pair) if plus else None
+    w = next(exps) if plus else None
     # H is made dense last, so that the exponentials run without it
     return mh.toarray(), w, w_inv
 

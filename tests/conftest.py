@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from latticedress import checks
 from latticedress.cli import _THREAD_VARIABLES, report_chunks
 from latticedress.config import _put, parse_config
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
@@ -31,6 +32,13 @@ def system5():
 def system1():
     """A single mode (1-site lattice)."""
     return ModeSystem(LatticeSpec(dim=1, sites_per_dim=1), [FieldSpecies("phi", 1.0)])
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """One usable core: the scans and `verify` run every coupling in this
+    process, where a test can count what they call."""
+    monkeypatch.setattr(checks, "_usable_cores", lambda: 1)
 
 
 def run_python(args, pinned=True, **env):

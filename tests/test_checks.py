@@ -23,7 +23,7 @@ from latticedress.models import build_model
 from latticedress.modes import LatticeSpec
 from latticedress.numerics import CouplingMatrices, FockBasis, dressing_matrices
 
-from conftest import phi3_config, run_python, squeeze_deviation
+from conftest import REPO_ROOT, phi3_config, run_python, squeeze_deviation
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +41,6 @@ def small_result(small_model):
 @pytest.fixture(scope="module")
 def small_basis(small_model):
     return FockBasis(small_model.system, 4, 4)
-
-
-@pytest.fixture
-def serial(monkeypatch):
-    """One usable core: the scans run every coupling in this process, where
-    a test can count what they call."""
-    monkeypatch.setattr(checks, "_usable_cores", lambda: 1)
 
 
 # the small model, result and basis of the fixtures above, built in a fresh
@@ -558,7 +551,7 @@ def _keep_weakly(monkeypatch, module, name) -> list[bool]:
     return dead
 
 
-def test_residuals_hold_one_couplings_dense_matrices(monkeypatch, small_basis,
+def test_residuals_hold_one_couplings_dense_matrices(monkeypatch, serial, small_basis,
                                                      small_result):
     # each coupling's H and exp(-R) are freed before the next coupling's
     # are formed, and no dense R is handed out
@@ -566,13 +559,13 @@ def test_residuals_hold_one_couplings_dense_matrices(monkeypatch, small_basis,
     dead = _keep_weakly(monkeypatch, checks, "dressing_matrices")
     eigenstate_residuals(matrices, [0.02, 0.04, 0.08])
     assert dead == [True, True, True]
-    assert dressing_matrices(matrices, 0.1)[1] is None
+    assert dressing_matrices(matrices.pair(0.1), 0.1)[1] is None
 
 
-def test_verify_holds_one_couplings_dense_matrices(monkeypatch, tmp_path):
+def test_verify_holds_one_couplings_dense_matrices(monkeypatch, serial, tmp_path):
     # the oracle's conjugated H and the residuals' H and exp(-R) of one
     # coupling are dead when the next coupling's are formed
-    conjugated = _keep_weakly(monkeypatch, cli, "conjugate_numeric")
+    conjugated = _keep_weakly(monkeypatch, checks, "conjugate_numeric")
     dressed = _keep_weakly(monkeypatch, checks, "dressing_matrices")
     cfg = phi3_config({"model.lattice.sites_per_dim": 3,
                        "numerics.per_mode_cutoff": 3, "numerics.total_cutoff": 3,
@@ -582,10 +575,271 @@ def test_verify_holds_one_couplings_dense_matrices(monkeypatch, tmp_path):
     assert dressed == [True, True, True]
 
 
+HELD_SCRIPT = """
+import weakref
+from latticedress.checks import verify_pass
+
+def keep_weakly(name):
+    function = getattr(checks, name)
+    earlier = []
+
+    def wrapped(*args, **kwargs):
+        log(name, all(ref() is None for ref in earlier))
+        out = function(*args, **kwargs)
+        earlier.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,))
+                       if a is not None)
+        return out
+
+    setattr(checks, name, wrapped)
+
+keep_weakly("conjugate_numeric")
+keep_weakly("dressing_matrices")
+checked = verify_pass(CouplingMatrices(result, basis), [0.02, 0.04, 0.08, 0.16, 0.32], 2)
+print(json.dumps([len(checked.differences()), len(checked.residuals().vacuum)]))
+"""
+
+
+def test_each_verify_process_holds_one_couplings_dense_matrices(tmp_path):
+    # the case above on three cores: couplings 0.02 and 0.16 run in the
+    # calling process, 0.04 and 0.32 in one worker, 0.08 in the other; in
+    # each process a coupling's dense matrices are dead when the next's are
+    # formed
+    sizes, lines = _forked(tmp_path, HELD_SCRIPT)
+    assert sizes == [5, 5]
+    assert all(dead for *_, dead in lines)
+    for name in ("conjugate_numeric", "dressing_matrices"):
+        calls: dict = {}
+        for here, pid, called, _ in lines:
+            if called == name:
+                calls[pid] = calls.get(pid, 0) + 1
+        assert sorted(calls.values()) == [1, 2, 2]
+        assert sum(here for here, _, called, _ in lines if called == name) == 2
+
+
+ASSEMBLY_SCRIPT = """
+from latticedress import cli, numerics
+from latticedress.config import load_config
+
+assemble, lay_out = numerics.SeriesAssembler.__call__, numerics.SeriesAssembler.__init__
+
+def counted(self, lam):
+    log("assembled", lam)
+    return assemble(self, lam)
+
+def laid_out(self, series, basis):
+    log("laid out", None)
+    lay_out(self, series, basis)
+
+numerics.SeriesAssembler.__call__ = counted
+numerics.SeriesAssembler.__init__ = laid_out
+print(json.dumps(cli.run(load_config(sys.argv[2]), "verify", sys.argv[3])))
+"""
+
+
+def test_verify_assembles_each_coupling_once_in_one_process(tmp_path):
+    # the verify-phi3 benchmark job (phi3 S=5, order 3, cutoffs 4, four
+    # couplings) on three cores: the calling process lays out H, R and K
+    # before the fork, and each coupling's H, R and K are assembled once,
+    # all in the process that runs it: 0.02 and 0.16 here, 0.04 and 0.08
+    # in a worker each
+    path = tmp_path / "run.yaml"
+    path.write_text((REPO_ROOT / "configs" / "phi3.yaml").read_text()
+                    .replace("order: 2", "order: 3"))
+    code, lines = _forked(tmp_path, ASSEMBLY_SCRIPT, path, tmp_path / "out")
+    assert code == 0
+    assert [here for here, _, event, _ in lines if event == "laid out"] == [True] * 3
+    by_coupling: dict = {}
+    for here, pid, event, lam in lines:
+        if event == "assembled":
+            by_coupling.setdefault(lam, []).append((here, pid))
+    assert sorted(by_coupling) == [0.02, 0.04, 0.08, 0.16]
+    assert all(len(runs) == 3 and len(set(runs)) == 1 for runs in by_coupling.values())
+    assert [lam for lam, runs in sorted(by_coupling.items()) if runs[0][0]] == [0.02, 0.16]
+    assert by_coupling[0.04][0][1] != by_coupling[0.08][0][1]
+
+
+VERIFY_FAILURES_SCRIPT = """
+from latticedress import cli
+from latticedress.config import parse_config
+from latticedress.numerics import OracleError
+
+pair, conjugate, dressing = (CouplingMatrices.pair, checks.conjugate_numeric,
+                             checks.dressing_matrices)
+at = []
+refused = {"oracle": {"oracle": (0.04, 0.16), "residuals": (0.02,)},
+           "residuals": {"oracle": (), "residuals": (0.04, 0.16)}}[sys.argv[2]]
+
+def noted(self, lam):
+    at.append(lam)
+    return pair(self, lam)
+
+def conjugate_refused(*args, **kwargs):
+    if at[-1] in refused["oracle"]:
+        raise OracleError(f"the oracle refused {at[-1]}")
+    return conjugate(*args, **kwargs)
+
+def dressing_refused(pair, lam, plus=False):
+    if lam in refused["residuals"]:
+        raise OracleError(f"the residuals refused {lam}")
+    return dressing(pair, lam, plus)
+
+CouplingMatrices.pair = noted
+checks.conjugate_numeric = conjugate_refused
+checks.dressing_matrices = dressing_refused
+cfg = parse_config("model:\\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\\n"
+                   "numerics: {per_mode_cutoff: 3, total_cutoff: 3}\\n")
+reports = []
+for cores in (1, 2, 3):
+    checks._usable_cores = lambda: cores
+    out = os.path.join(sys.argv[3], str(cores))
+    code = cli.run(cfg, "verify", out)
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        reports.append(fh.read())
+report = json.loads(reports[0])
+print(json.dumps([code, reports[1] == reports[0], reports[2] == reports[0],
+                  [v["check"] for v in report["verdicts"]], report["failures"],
+                  len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.parametrize("kind, verdicts, reason", [
+    ("oracle", ["no_bad_terms", "momentum_commutation"], "the oracle refused 0.04"),
+    ("residuals", ["no_bad_terms", "momentum_commutation", "oracle_equivalence_slope"],
+     "the residuals refused 0.04"),
+])
+def test_verify_fails_as_its_serial_run_does(tmp_path, kind, verdicts, reason):
+    # couplings 0.02, 0.04, 0.08, 0.16: 0.04 runs in a worker on two and
+    # three cores, 0.16 in the calling process on three.  The oracle case
+    # also fails the residuals at 0.02, in the calling process, but the
+    # serial run checks the oracle at every coupling first; the residual
+    # case fails the residuals at 0.04 and 0.16 only, after the oracle
+    # verdict.  The reports on one, two and three cores are the same bytes
+    (code, two, three, checks_run, failures, children), _ = _forked(
+        tmp_path, VERIFY_FAILURES_SCRIPT, kind, tmp_path / "out")
+    assert code == 1 and two and three
+    assert checks_run == verdicts
+    assert failures == [{"check": "setup", "reason": reason}]
+    assert children == 0
+
+
+VERIFY_DEATH_SCRIPT = """
+import signal
+from latticedress import cli
+from latticedress.config import parse_config
+
+dressing = checks.dressing_matrices
+
+def dying(pair, lam, plus=False):
+    if os.getpid() != parent and lam == 0.04:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return dressing(pair, lam, plus)
+
+checks.dressing_matrices = dying
+cfg = parse_config("model:\\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\\n"
+                   "numerics: {per_mode_cutoff: 3, total_cutoff: 3}\\n")
+code = cli.run(cfg, "verify", sys.argv[2])
+with open(os.path.join(sys.argv[2], "report.json")) as fh:
+    report = json.load(fh)
+print(json.dumps([code, report["verdicts"], report["failures"],
+                  len(multiprocessing.active_children())]))
+"""
+
+
+def test_a_verify_worker_that_dies_is_a_setup_failure(tmp_path):
+    # the run exits 1 with its report, which keeps the verdicts before the
+    # oracle's and names the check, the coupling and how its worker ended; no process
+    # is left running
+    (code, verdicts, failures, children), _ = _forked(
+        tmp_path, VERIFY_DEATH_SCRIPT, tmp_path / "out")
+    assert code == 1
+    assert [v["check"] for v in verdicts] == ["no_bad_terms", "momentum_commutation"]
+    assert failures == [{"check": "setup", "reason": "verify's worker process "
+                         "for coupling 0.04 died (signal SIGKILL)"}]
+    assert children == 0
+
+
+def _whole_oracle(matrices, lambdas, block) -> list[float]:
+    """The slow reference of `verify_pass`'s oracle: the whole exp(R) H
+    exp(-R) - K, restricted to the block."""
+    from latticedress.numerics import conjugate_numeric, restricted_norm
+
+    out = []
+    for lam in lambdas:
+        mh, mr = matrices.pair(lam)
+        whole = conjugate_numeric(mr, mh) - matrices.transformed(lam).toarray()
+        out.append(restricted_norm(whole, matrices.basis, block))
+    return out
+
+
+@pytest.mark.parametrize("changes", [
+    {"model.order": 3},                                         # the golden verify
+    {"model.order": 3, "numerics.lambdas": [0.0, 0.02, 0.04, 0.08, 0.16]},
+    {"model.interaction.name": "free", "model.lattice.sites_per_dim": 3,
+     "model.lattice.physical_length": 2.0 * math.pi,
+     "numerics.per_mode_cutoff": 3, "numerics.total_cutoff": 3},
+    {"model.lattice.sites_per_dim": 3, "model.lattice.physical_length": 3.0},
+    {"numerics.per_mode_cutoff": 5, "numerics.total_cutoff": 5},
+    {"model.lattice.dim": 2, "model.lattice.sites_per_dim": 3,
+     "model.lattice.physical_length": 3.0,
+     "numerics.per_mode_cutoff": 3, "numerics.total_cutoff": 3},
+    {"model.interaction.name": "scalar-yukawa", "model.lattice.sites_per_dim": 3,
+     "model.lattice.physical_length": 3.0,
+     "model.species": [{"name": "N", "mass": 1.0}, {"name": "phi", "mass": 0.5}],
+     "numerics.per_mode_cutoff": 3, "numerics.total_cutoff": 3},
+], ids=["golden", "golden-zero", "golden-free", "1d-S3", "1d-S5", "2d-S3", "yukawa"])
+def test_oracle_block_rows_are_the_whole_conjugation_bit_for_bit(changes):
+    # the oracle forms (P w) H (P w)^H - K[P, P] on the block's rows alone;
+    # its norms are those of the whole w H w^H - K restricted to the block,
+    # bit for bit, and so are the block's entries
+    from latticedress.numerics import conjugate_numeric
+
+    cfg = phi3_config(changes)
+    model = cli.model_from_config(cfg)
+    matrices = CouplingMatrices(dress(model), cli._basis_from_config(model, cfg))
+    lambdas = [lam for lam in cfg.lambdas if lam > 0] + [0.3]
+    block = cfg.checks["oracle"].params["block"]
+    got = checks.verify_pass(matrices, lambdas, block, residuals=False).differences()
+    assert got == _whole_oracle(matrices, lambdas, block)
+    rows = matrices.basis.block_indices(block)
+    mh, mr = matrices.pair(0.16)
+    whole = conjugate_numeric(mr, mh)[np.ix_(rows, rows)]
+    assert conjugate_numeric(mr, mh, rows).tobytes() == whole.tobytes()
+
+
+def test_a_failed_part_holds_none_of_its_couplings_matrices(monkeypatch, serial,
+                                                            small_basis, small_result):
+    # the oracle fails at the first coupling; the residuals run on, and
+    # the failure kept for the reader holds none of that coupling's matrices
+    from latticedress.numerics import OracleError
+
+    formed = []
+    dressing = checks.dressing_matrices
+    alive_then = []
+
+    def failing(r, h, rows=None):
+        dense = np.ones((small_basis.dimension,) * 2)
+        formed.append(weakref.ref(dense))
+        raise OracleError("refused")
+
+    def residual(pair, lam, plus=False):
+        alive_then.append([ref() is not None for ref in formed])
+        return dressing(pair, lam, plus)
+
+    monkeypatch.setattr(checks, "conjugate_numeric", failing)
+    monkeypatch.setattr(checks, "dressing_matrices", residual)
+    checked = checks.verify_pass(CouplingMatrices(small_result, small_basis),
+                                 [0.02, 0.04], block=2)
+    assert alive_then == [[False], [False]]
+    assert len(checked.residuals().vacuum) == 2
+    with pytest.raises(OracleError, match="refused"):
+        checked.differences()
+
+
 @pytest.mark.parametrize("residuals", [True, False])
 def test_verify_keeps_no_pair_past_its_checks(residuals):
-    # the oracle keeps each pair for the residuals only when they will run;
-    # otherwise it pops it, and either way no pair stays for the scans
+    # whether or not the residuals run, no pair stays for the scans
+    import scipy.sparse as sp
+
     cfg = phi3_config({"model.lattice.sites_per_dim": 3,
                        "numerics.per_mode_cutoff": 3, "numerics.total_cutoff": 3,
                        "checks.residuals.enabled": residuals})
@@ -594,7 +848,8 @@ def test_verify_keeps_no_pair_past_its_checks(residuals):
     matrices = cli.run_verify(cfg, report, result)
     assert "oracle" in report["verify"]
     assert ("residuals" in report["verify"]) == residuals
-    assert matrices._kept == {}
+    assert not any(sp.issparse(v) or isinstance(v, (dict, list, tuple))
+                   for v in vars(matrices).values())
 
 
 def test_spacelike_scan_forms_each_distinct_point_once_per_coupling(
@@ -827,7 +1082,7 @@ def compared(self, lam, t):
     if u is None:
         log(lam, t, None)
     else:
-        own = scipy.linalg.expm(1j * t * CouplingMatrices(result, basis).pop(lam)[0].toarray())
+        own = scipy.linalg.expm(1j * t * CouplingMatrices(result, basis).pair(lam)[0].toarray())
         log(lam, t, [u.tobytes() == own.tobytes(), u.dtype == own.dtype,
                      u.strides == own.strides])
     return u
@@ -938,7 +1193,7 @@ def test_a_held_slot_lock_holds_up_no_process(monkeypatch, small_basis, small_re
         assert handover.claim(0.2, 1.0) is None             # nothing published
         handover.publish()                                  # the rest, unclaimed
         u = handover.claim(0.2, 0.5)
-        h = CouplingMatrices(small_result, small_basis).pop(0.2)[0].toarray()
+        h = CouplingMatrices(small_result, small_basis).pair(0.2)[0].toarray()
         assert u.tobytes() == scipy.linalg.expm(0.5j * h).tobytes()
         assert handover.claim(0.1, 1.0) is not None     # the timed-out claim changed nothing
     finally:

@@ -155,7 +155,7 @@ def test_zero_denominator_exits_one(tmp_path):
     assert failure["signatures"]
 
 
-def test_verify_assembles_each_coupling_once(tmp_path, monkeypatch):
+def test_verify_assembles_each_coupling_once(tmp_path, monkeypatch, serial):
     # the verify-phi3 benchmark job (phi3 S=5, order 3, cutoffs 4, four
     # couplings): the oracle and residual checks share H(lam) and R(lam), so
     # each coupling assembles H, R and K once, 12 matrices in place of 20
@@ -988,12 +988,14 @@ sys.exit(cli.main(sys.argv[2:]))
 
 
 @pytest.mark.parametrize("command, text", [("scan", GOLDEN_SCAN_YAML),
-                                           ("all", GOLDEN_BOTH_SCANS_YAML)],
-                         ids=["scan", "all"])
+                                           ("all", GOLDEN_BOTH_SCANS_YAML),
+                                           ("verify", GOLDEN_VERIFY_YAML)],
+                         ids=["scan", "all", "verify"])
 def test_report_bytes_do_not_depend_on_the_number_of_cores(tmp_path, command, text):
-    # one usable core scans every coupling in this process; two and three
-    # share the spacelike couplings between it and one or two worker
-    # processes; the report's bytes are the same, whatever the BLAS build
+    # one usable core runs every coupling in this process; two and three
+    # share the spacelike scan's couplings, and verify's, between it and one
+    # or two worker processes; the report's bytes are the same, whatever
+    # the BLAS build
     path = tmp_path / "run.yaml"
     path.write_text(text)
     reports = []

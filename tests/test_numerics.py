@@ -558,8 +558,8 @@ def test_dressing_matrices_are_consistent():
     result = dress(model)
     basis = FockBasis(model.system, 3, 3)
     matrices = CouplingMatrices(result, basis)
-    mr = matrices(0.1)[1].toarray()
-    mh, _, w_inv = dressing_matrices(matrices, 0.1)
+    mr = matrices.pair(0.1)[1].toarray()
+    mh, _, w_inv = dressing_matrices(matrices.pair(0.1), 0.1)
     # the scan context's dressed vacuum is column 0 of this exp(-R)
     ctx = _LambdaContext(matrices, 0.1, sites=[])
     psi = w_inv[:, basis.vacuum_index()]
@@ -570,23 +570,35 @@ def test_dressing_matrices_are_consistent():
     assert np.abs(mh - mh.conj().T).max() < 1e-12
 
 
-def test_coupling_matrices_assemble_once_and_keep_nothing_past_pop(monkeypatch):
+def test_coupling_matrices_assemble_each_pair_anew_and_lay_k_out_once(monkeypatch):
+    # a pair is assembled for its one caller and not stored; K's layout is
+    # built on first use of `transformed` and kept, its matrices not
     model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     matrices = CouplingMatrices(dress(model), FockBasis(model.system, 3, 3))
-    calls = []
+    calls, layouts = [], []
     assemble = numerics.SeriesAssembler.__call__
+    init = numerics.SeriesAssembler.__init__
 
     def counted(self, lam):
         calls.append(lam)
         return assemble(self, lam)
 
+    def laid_out(self, series, basis):
+        layouts.append(series)
+        init(self, series, basis)
+
     monkeypatch.setattr(numerics.SeriesAssembler, "__call__", counted)
-    kept = matrices(0.1)
-    assert matrices(0.1) is kept and len(calls) == 2
-    assert matrices.pop(0.1) is kept and len(calls) == 2
-    # a pair no one kept is assembled for its one user and not stored
-    assert matrices.pop(0.1) is not kept and len(calls) == 4
-    assert matrices(0.1) is not kept and len(calls) == 6
+    monkeypatch.setattr(numerics.SeriesAssembler, "__init__", laid_out)
+    first = matrices.pair(0.1)
+    assert len(calls) == 2
+    second = matrices.pair(0.1)
+    assert len(calls) == 4 and all(a is not b for a, b in zip(first, second))
+    assert all((a != b).nnz == 0 for a, b in zip(first, second))
+    assert not any(sp.issparse(v) for v in vars(matrices).values())
+    k = matrices.transformed
+    assert matrices.transformed is k and len(layouts) == 1
+    assert matrices.transformed(0.1) is not matrices.transformed(0.1)
+    assert len(layouts) == 1 and len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +641,8 @@ def test_field_gather_equals_dense_conjugation():
     basis = FockBasis(model.system, 3, 3)
     result = dress(model)
     matrices = CouplingMatrices(result, basis)
-    mr = matrices(0.3)[1].toarray()
-    _, _, w_inv = dressing_matrices(matrices, 0.3)
+    mr = matrices.pair(0.3)[1].toarray()
+    _, _, w_inv = dressing_matrices(matrices.pair(0.3), 0.3)
     w = scipy.linalg.expm(mr)
     sites = [(0,), (1,)]
     ctx = _LambdaContext(matrices, 0.3, sites)
@@ -659,7 +671,7 @@ def test_dressing_at_zero_generator_is_the_general_path_fed_the_exact_identity()
                                                     physical_length=3.0))
     basis = FockBasis(model.system, 4, 4)
     n = basis.dimension
-    mh, w, w_inv = dressing_matrices(CouplingMatrices(dress(model), basis), 0.0)
+    mh, w, w_inv = dressing_matrices(CouplingMatrices(dress(model), basis).pair(0.0), 0.0)
     assert w is None and w_inv is None
     assert np.array_equal(mh, matrix_of(model.hamiltonian(), basis, 0.0).toarray())
     zero = np.zeros((n, n), dtype=complex)
@@ -675,7 +687,7 @@ def test_dressing_at_zero_generator_is_the_general_path_fed_the_exact_identity()
             checks._state_residual(mh, exact_inv[:, i])
     free = build_model("free", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     matrices = CouplingMatrices(dress(free), FockBasis(free.system, 3, 3))
-    assert dressing_matrices(matrices, 0.3)[1:] == (None, None)
+    assert dressing_matrices(matrices.pair(0.3), 0.3)[1:] == (None, None)
 
 
 def test_context_at_zero_generator_calls_expm_for_its_times_only(monkeypatch):
@@ -709,8 +721,8 @@ def test_context_at_zero_generator_calls_expm_for_its_times_only(monkeypatch):
     ctx = _LambdaContext(matrices, 0.1, sites)
     assert calls == [] and len(pairs) == 1      # exp(-R) and exp(R) as one pair
     # the fields are those that scipy's own two calls give
-    mr = matrices(0.1)[1].toarray()
-    _, _, w_inv = dressing_matrices(matrices, 0.1)
+    mr = matrices.pair(0.1)[1].toarray()
+    _, _, w_inv = dressing_matrices(matrices.pair(0.1), 0.1)
     w = expm(mr)
     assert len(calls) == 1 and np.array_equal(w_inv, expm(-mr))
     fields = field_at_origin_time_zero(matrices.result.model, matrices.basis, w_inv, w, sites)
@@ -759,8 +771,8 @@ def test_dressing_pair_is_scipys_expm_on_the_scan_inputs(g, length):
                         lattice=LatticeSpec(dim=1, sites_per_dim=5, physical_length=length))
     matrices = CouplingMatrices(dress(model), FockBasis(model.system, 5, 5))
     for lam in (0.05, 0.1, 0.2):
-        mh, mr = (m.toarray() for m in matrices(lam))
-        got_h, w, w_inv = dressing_matrices(matrices, lam, plus=True)
+        mh, mr = (m.toarray() for m in matrices.pair(lam))
+        got_h, w, w_inv = dressing_matrices(matrices.pair(lam), lam, plus=True)
         assert np.array_equal(got_h, mh)
         assert w_inv.tobytes() == scipy.linalg.expm(-mr).tobytes()
         assert w.tobytes() == scipy.linalg.expm(mr).tobytes()
@@ -826,7 +838,7 @@ def test_conjugate_numeric_makes_h_dense_after_exp_r(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", recorded)
     model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3))
     matrices = CouplingMatrices(dress(model), FockBasis(model.system, 3, 3))
-    mh, mr = matrices(0.1)
+    mh, mr = matrices.pair(0.1)
     want = expm(mr.toarray()) @ mh.toarray() @ expm(mr.toarray()).conj().T
     events.clear()
     n = mh.shape
