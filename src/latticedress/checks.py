@@ -17,17 +17,21 @@ exp(-R) = 1 as None: the dressed states are the basis states and the
 dressed fields the bare ones, exactly.  The spacelike rows at lam = 0 have
 C(0)'s norm as magnitude and baseline, and C(0) - C(0) as the exact 0.0.
 
+Both scans compute the low-quanta block of [A(x,tx), A(y,ty)] at a list
+of points, per coupling, through one core, `_commutator_scan`; each keeps
+only its validation, its point list and what it forms from the blocks.
+
 Each check's couplings are independent, and `_each_coupling` runs them all.
-`verify_pass` and the spacelike scan spread them over this process and
-forked worker processes, one process per usable core at most, as many as
+`verify_pass` and both scans spread them over this process and forked
+worker processes, one process per usable core at most, as many as
 available memory holds (`_workers`).  This process runs its own share
-without waiting for the workers.  The spacelike scan's then forms the
-evolutions exp(i tau H) that the workers have not reached yet and hands
-them over in shared memory (`_Handover`); no process ever waits for
-another's evolution, and a handed-over one is bit for bit what the worker
-would form.  The workers send back small results, and this process forms
-every row, subtraction and fit from them, so a report's bytes do not
-depend on the number of cores.
+without waiting for the workers.  A scan's then forms the evolutions
+exp(i tau H) that the workers have not reached yet and hands them over in
+shared memory (`_Handover`); no process ever waits for another's
+evolution, and a handed-over one is bit for bit what the worker would
+form.  The workers send back small results, and this process forms every
+row, subtraction and fit from them, so a report's bytes do not depend on
+the number of cores.
 
 As in `numerics`, numpy and scipy are imported inside the functions that
 use them, and so is `multiprocessing`, so that importing the command line,
@@ -47,6 +51,8 @@ from typing import TYPE_CHECKING
 from .algebra import OperatorSeries, coeff_abs, largest
 from .models import ModelSpec, momentum_defect
 from .modes import ModeIndex
+# restricted_norm is not called here: perfbench's layer hooks look it up
+# where this module imports it
 from .numerics import (
     CouplingMatrices,
     block_norm,
@@ -63,10 +69,11 @@ if TYPE_CHECKING:     # the annotations' names
 DEFAULT_TIME_HORIZON_UNITS = 6.0
 DEFAULT_BLOCK = 2       # the scans' and the oracle's low-quanta block
 ZERO_FLOOR = 1e-12      # a value at or below this is zero
-# dense matrices a spacelike coupling's context holds at its peak besides
-# its fields and evolutions, H included: 9 with 2 sites, 10 with 5, by
-# tracemalloc at 252 states
-_SPARE_MATRICES = 10
+# dense matrices a scan coupling's context holds at its peak besides its
+# fields, one time's held fields and its evolutions, H included: 7.0 for a
+# spacelike point (2 sites, one time), 7.3 for the equal-time scan of 5
+# sites at two nonzero times, by tracemalloc at 252 states
+_SPARE_MATRICES = 8
 # dense matrices a verify coupling holds at its peak, either part: 7.6 to
 # 7.9 by tracemalloc at 126 to 252 states
 _VERIFY_MATRICES = 8
@@ -314,12 +321,13 @@ def _site_tuple(x) -> tuple:
 class _LambdaContext:
     """One coupling's dense matrices: H, the dressed vacuum, the A(x,0)
     fields of `sites`, built from exp(+-R) in one pass over the modes when
-    the context is created, and each time's evolution once asked for.
-    exp(-R) and exp(+R) come from `dressing_matrices` as one pair that
-    shares its Pade structure, exp(+R) formed after exp(-R) has passed its
-    checks; they are not kept, and not formed where R is zero.  Each
-    process that runs a scan's couplings keeps one context alive at a time
-    (see `_each_coupling`)."""
+    the context is created, each time's evolution once asked for, and the
+    fields of the last nonzero time asked for (`at`).  exp(-R) and exp(+R)
+    come from `dressing_matrices` as one pair that shares its Pade
+    structure, exp(+R) formed after exp(-R) has passed its checks; they are
+    not kept, and not formed where R is zero.  Each process that runs a
+    scan's couplings keeps one context alive at a time (see
+    `_each_coupling`)."""
 
     # a worker's coupling: a function of the time that claims its slot in
     # the scan's `_Handover` and gives the evolution published there, or None
@@ -338,6 +346,7 @@ class _LambdaContext:
         self._fields = dict(zip(sites, field_at_origin_time_zero(
             model, basis, w_inv, w, sites)))
         self._evolution: dict = {}
+        self._time, self._held = None, {}
 
     def field(self, site, t: float):
         """A(site, t) = U A(site, 0) U^+, with U = exp(i t H) formed on the
@@ -355,6 +364,18 @@ class _LambdaContext:
             self._evolution[t] = u
         u = self._evolution[t]
         return u @ self._fields[site] @ u.conj().T
+
+    def at(self, site, t: float):
+        """A(site, t) by `field`, formed once while the calls stay at time t:
+        the fields held for another nonzero time are dropped when a field
+        at t != 0 is first asked for."""
+        if t == 0.0:
+            return self._fields[site]
+        if t != self._time:
+            self._time, self._held = t, {}
+        if site not in self._held:
+            self._held[site] = self.field(site, t)
+        return self._held[site]
 
     def vev(self, m) -> float:
         import numpy as np
@@ -631,6 +652,47 @@ def _ending(exitcode: int) -> str:
     return f"exit code {exitcode}"
 
 
+def _commutator_scan(matrices: CouplingMatrices, couplings, points, block: int,
+                     take) -> None:
+    """take(lam, rows) for each coupling in order, `rows` holding, for each
+    point ((x, tx), (y, ty)), the low-quanta block of C = [A(x,tx), A(y,ty)]
+    (gathered with the indices `restricted_norm` gathers), that block's norm
+    and |<vacuum| C |vacuum>|, for the dressing result and basis of
+    `matrices`.
+
+    Each coupling is scanned through its own context by `_each_coupling`,
+    spread over this process and as many worker processes as `_workers`
+    allows, with the workers' pending evolutions handed over (`_Handover`)
+    where a point has a nonzero time.  A context forms each (site, time)'s
+    field once while the points stay at that time (`_LambdaContext.at`).
+    """
+    import numpy as np
+
+    low = np.ix_(*[matrices.basis.block_indices(block)] * 2)
+    sites = list(dict.fromkeys(s for point in points for s, _ in point))
+    times = list(dict.fromkeys(t for point in points for _, t in point if t != 0.0))
+
+    def one(lam, published=None):
+        context = _LambdaContext(matrices, lam, sites)
+        context.published = published
+        rows = []
+        for (x, tx), (y, ty) in points:
+            c = _commutator(context.at(x, tx), context.at(y, ty))
+            cb = c[low]
+            rows.append((cb, block_norm(cb), context.vev(c)))
+        return rows
+
+    # a context's peak: H, its fields, one time's held fields, its
+    # evolutions and the spare matrices of its build and of one commutator;
+    # a worker coupling's hand-over slots hold one more evolution per time
+    matrix_bytes = 16 * matrices.basis.dimension ** 2
+    context_bytes = matrix_bytes * (2 * len(sites) + len(times) + _SPARE_MATRICES)
+    _each_coupling(couplings, one, take,
+                   _workers(len(couplings), context_bytes, matrix_bytes * len(times)),
+                   hand_over=(lambda fork, owned: _Handover(fork, matrices, owned, times))
+                   if times else None)
+
+
 def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
                     block: int = DEFAULT_BLOCK,
                     horizon_units: float = DEFAULT_TIME_HORIZON_UNITS) -> ScanReport:
@@ -638,13 +700,12 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
     requested site pair, time and coupling, of the dressing result and basis
     of `matrices`.
 
-    The couplings are scanned one at a time, in the order given, each
-    through its own context by `_each_coupling`, in this process: no benchmark
-    workload has measured worker processes here, and the default couplings
-    (0 and 0.1) would fork one for one coupling.  The points are listed by
-    time, then coupling, then pair.
+    The distinct couplings are scanned by `_commutator_scan` in the order
+    given, each distinct point by time, then pair, so that a context holds
+    one time's fields at a time.  The points are listed by time, then
+    coupling, then pair, a repeated time or pair as often as given.
     """
-    basis, lat = matrices.basis, matrices.result.model.system.lattice
+    lat = matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
     for t in times:
         if abs(t) > horizon:
@@ -653,36 +714,19 @@ def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,
     if not (times and lambdas and pairs):
         raise ScanError("the equal-time scan has no point: it needs a time, "
                         "a coupling and a site pair")
-    sites = list(dict.fromkeys(s for pair in pairs for s in pair))
     couplings = list(dict.fromkeys(lambdas))
+    points = list(dict.fromkeys(((x, t), (y, t)) for t in times for x, y in pairs))
+    table: dict = {}    # (point, coupling) -> (magnitude, vev)
 
-    def scan(lam, ctx):
-        """The coupling's points, a list per time, pair by pair."""
-        rows = []
-        for t in times:
-            # each site's A(x,t) once for all its pairs, dropped before the
-            # next time forms its own
-            fields = {s: ctx.field(s, t) for s in sites}
-            points = []
-            rows.append(points)
-            for x, y in pairs:
-                c = _commutator(fields[x], fields[y])
-                points.append(ScanPoint(
-                    x=x, y=y,
-                    separation=lat.min_image_distance(x, y),
-                    tau=t,  # the common time; x0 - y0 = 0 for these points
-                    lam=lam,
-                    magnitude=restricted_norm(c, basis, block),
-                    vev_modulus=ctx.vev(c),
-                ))
-            del fields
-        return rows
+    def take(lam, rows):
+        for point, (_, magnitude, vev) in zip(points, rows):
+            table[point, lam] = (magnitude, vev)
 
-    by_coupling: list = []
-    _each_coupling(couplings, lambda lam: scan(lam, _LambdaContext(matrices, lam, sites)),
-                   lambda lam, rows: by_coupling.append(rows))
+    _commutator_scan(matrices, couplings, points, block, take)
     return ScanReport(points=[
-        p for i in range(len(times)) for rows in by_coupling for p in rows[i]])
+        ScanPoint(x, y, lat.min_image_distance(x, y), t, lam,
+                  *table[((x, t), (y, t)), lam])
+        for t in times for lam in couplings for x, y in pairs])
 
 
 def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
@@ -693,23 +737,17 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     The free-lattice baseline C(0) is subtracted so the reported magnitude
     isolates the interaction-induced piece; its coupling scaling is fitted.
-    Each coupling is scanned through its own context by `_each_coupling`: first
-    0, then the rest in the order of `set(lambdas)`, which decides which
-    coupling a failure names, spread over this process and as many worker
-    processes as `_workers` allows.  Each distinct grid point is formed
-    once per coupling; the points are listed by grid point, then coupling,
-    a repeated one and a repeated coupling each as often as given.
+    The couplings are scanned by `_commutator_scan`: first 0, then the rest
+    in the order of `set(lambdas)`, which decides which coupling a failure
+    names.  Each distinct grid point is formed once per coupling; the points
+    are listed by grid point, then coupling, a repeated one and a repeated
+    coupling each as often as given.
 
-    Each commutator's low-quanta block is gathered once, with the indices
-    `restricted_norm` gathers; a coupling's scan returns, per distinct grid
-    point, that block, its norm (the magnitude) and the vev.  This process
-    keeps C(0)'s blocks, and subtracts them from each other coupling's as
-    it comes, keeping three numbers per point; it then fits, so no number
-    depends on the number of cores.
+    This process keeps C(0)'s low-quanta blocks, and subtracts them from
+    each other coupling's as it comes, keeping three numbers per point; it
+    then fits, so no number depends on the number of cores.
     """
-    import numpy as np
-
-    basis, lat = matrices.basis, matrices.result.model.system.lattice
+    lat = matrices.result.model.system.lattice
     horizon = horizon_units * lat.spacing
     grid = [(_site_tuple(x), _site_tuple(y), tau) for x, y, tau in grid]
     for x, y, tau in grid:
@@ -724,22 +762,11 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     lambdas = list(lambdas)
     distinct = list(dict.fromkeys(grid))
-    low = np.ix_(*[basis.block_indices(block)] * 2)
-
-    def scan(lam, ctx):
-        """(block, its norm, vev) of each distinct grid point's commutator."""
-        out = []
-        for x, y, tau in distinct:
-            c = _commutator(ctx.field(x, tau), ctx.field(y, 0.0))
-            cb = c[low]
-            out.append((cb, block_norm(cb), ctx.vev(c)))
-        return out
-
     c0: dict = {}       # grid point -> C(0)'s low-quanta block
     table: dict = {}    # (grid point, coupling) -> (magnitude, vev, subtracted)
 
-    def take(lam, scanned):
-        for point, (cb, magnitude, vev) in zip(distinct, scanned):
+    def take(lam, rows):
+        for point, (cb, magnitude, vev) in zip(distinct, rows):
             if lam == 0.0:
                 c0[point] = cb
                 subtracted = 0.0
@@ -749,25 +776,8 @@ def spacelike_scan(matrices: CouplingMatrices, lambdas, grid,
 
     # sorted is stable: 0 moves first, the rest keep the set's order
     couplings = sorted(set(lambdas) | {0.0}, key=lambda lam: lam != 0.0)
-    sites = list(dict.fromkeys(s for x, y, _ in distinct for s in (x, y)))
-    times = list(dict.fromkeys(tau for _, _, tau in distinct if tau != 0.0))
-    # a context's peak: H, its fields and evolutions, and the spare matrices
-    # of its build and of one commutator; a worker coupling's hand-over
-    # slots hold one more evolution per time
-    matrix_bytes = 16 * basis.dimension ** 2
-    context_bytes = matrix_bytes * (len(sites) + len(times) + _SPARE_MATRICES)
-
-    def one(lam, published=None):
-        context = _LambdaContext(matrices, lam, sites)
-        context.published = published
-        return scan(lam, context)
-
-    def hand_over(ctx, owned):
-        return _Handover(ctx, matrices, owned, times)
-
-    _each_coupling(couplings, one, take,
-                   _workers(len(couplings), context_bytes, matrix_bytes * len(times)),
-                   hand_over=hand_over if times else None)
+    _commutator_scan(matrices, couplings, [((x, tau), (y, 0.0)) for x, y, tau in distinct],
+                     block, take)
     points = []
     for point in grid:
         x, y, tau = point

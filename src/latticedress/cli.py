@@ -517,7 +517,7 @@ class _OneLineParser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     """The command line.  Each of _THREAD_VARIABLES that is unset is set to 1
     before numpy loads: a BLAS thread count other than one changes the
-    oracle's last bits, and the spacelike scan gives the cores to worker
+    oracle's last bits, and the scans and `verify` give the cores to worker
     processes instead."""
     for name in _THREAD_VARIABLES:
         os.environ.setdefault(name, "1")

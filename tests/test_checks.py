@@ -44,8 +44,8 @@ def small_basis(small_model):
 
 
 # the small model, result and basis of the fixtures above, built in a fresh
-# interpreter with one BLAS thread and three usable cores, so that the
-# spacelike scan takes two worker processes on any machine; `log(*values)` appends a line
+# interpreter with one BLAS thread and three usable cores, so that a scan
+# of three couplings takes two worker processes on any machine; `log(*values)` appends a line
 # of this process's id and the values to the file named by argv[1]
 FORKED_PRELUDE = """
 import json, multiprocessing, os, sys
@@ -321,13 +321,12 @@ print(json.dumps(len(multiprocessing.active_children())))
 
 def test_each_coupling_builds_its_fields_once_in_one_process(tmp_path):
     # the test above with worker processes: one field build per coupling;
-    # the equal-time scan builds both in its own process, the spacelike
-    # scan its first coupling there and each other one in a worker; every
-    # worker is joined
+    # each scan builds its first coupling in its own process and each other
+    # one in a worker; every worker is joined
     children, lines = _forked(tmp_path, FIELDS_ONCE_SCRIPT)
     cut = next(i for i, line in enumerate(lines) if line[2:] == ["spacelike"])
     equal_time, spacelike = lines[:cut], lines[cut + 1:]
-    assert [here for here, *_ in equal_time] == [True, True]
+    assert sorted(here for here, *_ in equal_time) == [False, True]
     assert sorted(here for here, *_ in spacelike) == [False, False, True]
     assert len({pid for here, pid, _ in spacelike if not here}) == 2
     assert all(sites == [[0], [1], [2]] for *_, sites in equal_time)
@@ -370,6 +369,39 @@ def test_equal_time_scan_evolves_each_site_once_per_time_and_coupling(monkeypatc
                 c = ax @ ay - ay @ ax
                 expected.append((checks.restricted_norm(c, basis, 2), ctx.vev(c)))
     assert [(p.magnitude, p.vev_modulus) for p in rep.points] == expected
+
+
+@pytest.mark.parametrize("scan", ["equal_time", "spacelike"])
+def test_a_context_holds_one_times_fields(monkeypatch, serial, small_basis, small_result,
+                                          scan):
+    # a field evolved to one time is dead when the first field of another
+    # nonzero time is formed, and each (site, time) is evolved once per
+    # coupling while the points stay at that time
+    field = checks._LambdaContext.field
+    evolved, dead = [], []
+
+    def tracked(self, site, t):
+        dead.append(all(ref() is None for u, _, ref in evolved if u != t))
+        out = field(self, site, t)
+        evolved.append((t, site, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(checks._LambdaContext, "field", tracked)
+    matrices = CouplingMatrices(small_result, small_basis)
+    if scan == "equal_time":
+        equal_time_scan(matrices, times=[0.0, 1.0, 0.5], lambdas=[0.0, 0.1],
+                        site_pairs=[((0,), (1,)), ((0,), (2,)), ((1,), (2,))])
+        assert [(t, site) for t, site, _ in evolved] == 2 * [
+            (t, (s,)) for t in (1.0, 0.5) for s in (0, 1, 2)]
+    else:
+        # (0,) is evolved to 1.0 once for two points, and the repeated
+        # point is formed once
+        spacelike_scan(matrices, lambdas=[0.1], grid=[
+            ((0,), (1,), 1.0), ((0,), (2,), 1.0), ((1,), (2,), 0.5), ((0,), (2,), -1.0),
+            ((0,), (1,), 1.0)])
+        assert [(t, site) for t, site, _ in evolved] == 2 * [
+            (1.0, (0,)), (0.5, (1,)), (-1.0, (0,))]
+    assert dead and all(dead)
 
 
 def _strongest_point_slope(rep):
@@ -927,10 +959,9 @@ def test_scans_are_the_same_on_one_two_and_three_cores(tmp_path):
     (*same, n_spacelike, n_equal_time), lines = _forked(tmp_path, SAME_SCANS_SCRIPT)
     assert same == [True, True]
     assert n_spacelike == 3 * 4 and n_equal_time == 2 * 3 * 2
-    # the spacelike couplings after 0 go to two workers on three cores, the
-    # second of them to one worker on two; the equal-time scans run in the
-    # test's own process
-    assert sum(not here for here, *_ in lines) == 2 + 1
+    # in each scan the couplings after the first go to two workers on three
+    # cores, the second of them to one worker on two
+    assert sum(not here for here, *_ in lines) == 2 * (2 + 1)
 
 
 FAILURES_SCRIPT = """
@@ -952,29 +983,35 @@ def failing(matrices, lam, plus=False):
 
 checks.dressing_matrices = failing
 
-def outcome(cores):
+def outcome(scan, cores):
     checks._usable_cores = lambda: cores
+    matrices = CouplingMatrices(result, basis)
     try:
-        spacelike_scan(CouplingMatrices(result, basis), lambdas=lambdas,
-                       grid=[((0,), (1,), 1.0)])
+        if scan == "spacelike":
+            spacelike_scan(matrices, lambdas=lambdas, grid=[((0,), (1,), 1.0)])
+        else:   # the spacelike scan's couplings, in its order
+            equal_time_scan(matrices, times=[0.0, 1.0], lambdas=order,
+                            site_pairs=[((0,), (1,))])
     except Exception as exc:
         return [type(exc).__name__, str(exc)]
 
-print(json.dumps([outcome(2), outcome(3), outcome(1), first,
-                  len(multiprocessing.active_children())]))
+print(json.dumps([[outcome(scan, 2), outcome(scan, 3), outcome(scan, 1)]
+                  for scan in ("spacelike", "equal_time")]
+                 + [first, len(multiprocessing.active_children())]))
 """
 
 
 @pytest.mark.parametrize("kind", ["oracle", "memory"])
 def test_the_first_failing_coupling_is_the_serial_runs(tmp_path, kind):
-    # two couplings fail; on two cores the one the serial run reaches first
-    # runs in the scan's own process and fails last in time, on three in a
-    # worker; either way the same coupling's exception is raised, with the
-    # same type and message, and every worker is joined
-    (two, three, serial, first, children), _ = _forked(tmp_path, FAILURES_SCRIPT, kind)
-    assert two == serial and three == serial
-    assert serial == (["MemoryError", ""] if kind == "memory"
-                      else ["OracleError", f"{first} refused"])
+    # two couplings fail, in each scan; on two cores the one the serial run
+    # reaches first runs in the scan's own process and fails last in time,
+    # on three in a worker; either way the same coupling's exception is
+    # raised, with the same type and message, and every worker is joined
+    (*scans, first, children), _ = _forked(tmp_path, FAILURES_SCRIPT, kind)
+    for two, three, serial in scans:
+        assert two == serial and three == serial
+        assert serial == (["MemoryError", ""] if kind == "memory"
+                          else ["OracleError", f"{first} refused"])
     assert children == 0
 
 
@@ -993,28 +1030,33 @@ def dying(matrices, lam, plus=False):
     return build(matrices, lam, plus)
 
 checks.dressing_matrices = dying
-cfg = parse_config("model:\\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\\n"
-                   "checks:\\n  spacelike: {enabled: true}\\n")
-code = cli.run(cfg, "scan", sys.argv[3])
-with open(os.path.join(sys.argv[3], "report.json")) as fh:
-    report = json.load(fh)
-print(json.dumps([code, report["verdicts"], report["failures"],
-                  len(multiprocessing.active_children())]))
+runs = []
+# each scan at its default couplings: 0.1 goes to a worker
+for scan in ("spacelike", "equal_time"):
+    cfg = parse_config("model:\\n  lattice: {sites_per_dim: 3, physical_length: 3.0}\\n"
+                       f"checks:\\n  {scan}: {{enabled: true}}\\n")
+    out = os.path.join(sys.argv[3], scan)
+    code = cli.run(cfg, "scan", out)
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh)
+    runs.append([code, report["verdicts"], report["failures"]])
+print(json.dumps([runs, len(multiprocessing.active_children())]))
 """
 
 
 @pytest.mark.parametrize("how, ending", [("exit", "exit code 3"),
                                          ("kill", "signal SIGKILL")])
 def test_a_worker_that_dies_is_a_setup_failure(tmp_path, how, ending):
-    # the run exits 1 with its report, which keeps the verdicts before the
-    # scan and names the coupling and how its worker ended; no process is
-    # left running
-    (code, verdicts, failures, children), _ = _forked(
-        tmp_path, DEATH_SCRIPT, how, tmp_path / "out")
-    assert code == 1
-    assert [v["check"] for v in verdicts] == ["no_bad_terms"]
-    assert failures == [{"check": "setup", "reason": "the scan's worker process "
-                         f"for coupling 0.1 died ({ending})"}]
+    # in each scan the run exits 1 with its report, which keeps the
+    # verdicts before the scan and names the coupling and how its worker
+    # ended; no process is left running
+    (runs, children), _ = _forked(tmp_path, DEATH_SCRIPT, how, tmp_path / "out")
+    assert len(runs) == 2
+    for code, verdicts, failures in runs:
+        assert code == 1
+        assert [v["check"] for v in verdicts] == ["no_bad_terms"]
+        assert failures == [{"check": "setup", "reason": "the scan's worker process "
+                             f"for coupling 0.1 died ({ending})"}]
     assert children == 0
 
 
@@ -1255,7 +1297,7 @@ def test_no_slot_or_child_outlives_a_scan(tmp_path, how, failure):
 @pytest.mark.parametrize("scan, cores, lambdas, one_thread, spare", [
     ("spacelike", 1, [0.1], True, None), ("spacelike", 2, [0.0], True, None),
     ("spacelike", 2, [0.1], False, None), ("spacelike", 2, [0.1], True, 10**9),
-    ("equal_time", 4, [0.0, 0.1, 0.2], True, None),
+    ("equal_time", 4, [0.1], True, None),
 ], ids=["one core", "one coupling", "other threads", "memory for one context",
         "equal-time scan"])
 def test_scans_fork_nothing_where_they_stay_serial(monkeypatch, small_basis,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from latticedress import algebra, checks, cli, numerics
 from latticedress.cli import NONFINITE_FAILURE, main, model_from_config, run
-from latticedress.config import ConfigError, load_config, parse_config
+from latticedress.config import SCHEMA, ConfigError, _put, load_config, parse_config
 from latticedress.models import VERTICES
 
 from conftest import REPO_ROOT, phi3_config, run_python
@@ -655,6 +655,114 @@ def test_cli_contract_holds_on_small_configs(case):
             _read_report(Path(tmp) / "out" / "report.json")
 
 
+# the couplings the schema-valid draws take, from -0.05 to 100
+CONTRACT_COUPLINGS = [-0.05, 0.0, 0.02, 0.1, 0.3, 1.0, 100.0]
+# the largest basis a schema-valid draw builds
+CONTRACT_DIMENSION = 126
+
+
+def _basis_dimension(modes: int, per_mode: int, total: int) -> int:
+    """The number of occupation vectors of `modes` modes with at most
+    `per_mode` quanta in each and `total` in all."""
+    counts = [1] + [0] * total      # vectors of the modes so far, by total
+    for _ in range(modes):
+        counts = [sum(counts[t - q] for q in range(min(per_mode, t) + 1))
+                  for t in range(total + 1)]
+    return sum(counts)
+
+
+@st.composite
+def _schema_configs(draw):
+    """A config document with a value drawn for every `config.SCHEMA` key,
+    and a command.  Every interaction and policy; the interaction's species,
+    renamed and with drawn masses, or its defaults; 1-D lattices of 1 to 5
+    sites and 2-D lattices of 3; orders 1 to 3; cutoffs 1 to 4, the total
+    one bounded so that the basis has at most `CONTRACT_DIMENSION` states;
+    both scans on or off, with grids on lattice sites, spacelike or not."""
+    real = st.sampled_from(FLOAT_MENU)
+    couplings = st.lists(st.sampled_from(CONTRACT_COUPLINGS), max_size=4)
+    tolerance = st.sampled_from([0.0, 1e-10, 0.3, 1.0])
+    block = st.integers(0, 3)
+    dim = draw(st.sampled_from([1, 2]))
+    sites = draw(st.sampled_from([1, 3, 5]) if dim == 1 else st.just(3))
+    interaction = draw(st.sampled_from(list(VERTICES)))
+    defaults = VERTICES[interaction].species
+    species = draw(st.sampled_from([None, [
+        {"name": f"s{i}", "mass": draw(st.sampled_from([0.5, 1.0, 2.0]))}
+        for i in range(len(defaults))]]))
+    modes = sites ** dim * len(defaults)
+    per_mode = draw(st.integers(1, 4))
+    total = draw(st.sampled_from([t for t in range(1, 5)
+                                  if _basis_dimension(modes, per_mode, t)
+                                  <= CONTRACT_DIMENSION]))
+    site = st.lists(st.integers(0, sites - 1), min_size=dim, max_size=dim)
+    values = {
+        "model.lattice.dim": dim,
+        "model.lattice.sites_per_dim": sites,
+        "model.lattice.physical_length": draw(st.sampled_from([1.0, 3.0, 2 * math.pi])),
+        "model.species": species,
+        "model.interaction.name": interaction,
+        "model.interaction.coupling_strength": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "model.coupling": draw(real),
+        "model.policy": draw(st.sampled_from(["shirokov", "weidlich"])),
+        "model.order": draw(st.integers(1, 3)),
+        "numerics.per_mode_cutoff": per_mode,
+        "numerics.total_cutoff": total,
+        "numerics.lambdas": draw(couplings),
+        "numerics.time_horizon": draw(st.sampled_from([6.0, 0.5])),
+        "numerics.dimension_limit": draw(st.sampled_from([4096, 4096, 20])),
+        "checks.residuals.enabled": draw(st.booleans()),
+        "checks.residuals.slope_tolerance": draw(tolerance),
+        "checks.oracle.enabled": draw(st.booleans()),
+        "checks.oracle.block": draw(block),
+        "checks.oracle.slope_tolerance": draw(tolerance),
+        "checks.momentum.enabled": draw(st.booleans()),
+        "checks.momentum.tolerance": draw(tolerance),
+        "checks.equal_time.enabled": draw(st.booleans()),
+        "checks.equal_time.times": draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, -2.0]),
+                                                 min_size=1, max_size=3)),
+        "checks.equal_time.lambdas": draw(st.lists(st.sampled_from(CONTRACT_COUPLINGS),
+                                                   min_size=1, max_size=3)),
+        "checks.equal_time.block": draw(block),
+        "checks.equal_time.tolerance": draw(tolerance),
+        "checks.spacelike.enabled": draw(st.booleans()),
+        "checks.spacelike.grid": draw(st.lists(st.tuples(
+            site, site, st.sampled_from([0.0, 0.5, 1.0, -1.5])).map(list), max_size=2)),
+        "checks.spacelike.lambdas": draw(st.lists(st.sampled_from(CONTRACT_COUPLINGS),
+                                                  min_size=1, max_size=3)),
+        "checks.spacelike.block": draw(block),
+        "checks.spacelike.slope": draw(st.sampled_from([2.0, 3.0])),
+        "checks.spacelike.slope_tolerance": draw(tolerance),
+        "output.formats": draw(st.sampled_from([["json"], ["csv"], ["json", "csv"]])),
+    }
+    assert list(values) == [row[0] for row in SCHEMA]
+    doc: dict = {}
+    for path, value in values.items():
+        _put(doc, path, value)
+    return doc, draw(st.sampled_from(["all", "scan", "verify", "dress"]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_schema_configs())
+def test_cli_contract_holds_on_schema_valid_configs(case):
+    # every schema-valid config exits 0 or 1 with no exception; its report
+    # parses, names every failing verdict among its failures, and comes out
+    # byte for byte the same from a second run
+    doc, command = case
+    cfg = parse_config(yaml.safe_dump(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = []
+        for out in (Path(tmp) / "first", Path(tmp) / "second"):
+            code = run(cfg, command, out)
+            assert code in (0, 1)
+            reports.append((out / "report.json").read_bytes())
+        report = json.loads(reports[0], parse_constant=_reject_constant)
+        failed = {f["check"] for f in report["failures"]}
+        assert all(v["check"] in failed for v in report["verdicts"] if not v["pass"])
+        assert (code == 1) == bool(report["failures"])
+        assert reports[1] == reports[0]
+
+
 def test_golden_dress_report(tmp_path):
     # digest of the shipped example's dress report, which a refactor must keep;
     # dressing is pure-Python float arithmetic, so it does not depend on BLAS
@@ -1012,6 +1120,13 @@ def test_ci_scan_config_is_the_golden_scan():
     # the workflow compares this config's report on one core, on two and on all
     assert load_config(str(REPO_ROOT / "configs" / "phi3-scan.yaml")) == \
         parse_config(GOLDEN_SCAN_YAML)
+
+
+def test_ci_scans_config_is_the_golden_both_scans():
+    # the workflow compares this config's scan report on one core, on two
+    # and on all
+    assert load_config(str(REPO_ROOT / "configs" / "phi3-scans.yaml")) == \
+        parse_config(GOLDEN_BOTH_SCANS_YAML)
 
 
 HASH_SEED_YAML = """
