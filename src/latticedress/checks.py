@@ -21,33 +21,28 @@ Both scans compute the low-quanta block of [A(x,tx), A(y,ty)] at a list
 of points, per coupling, through one core, `_commutator_scan`; each keeps
 only its validation, its point list and what it forms from the blocks.
 
-Each check's couplings are independent, and `_each_coupling` runs them all.
-`verify_pass` and both scans spread them over this process and forked
-worker processes, one process per usable core at most, as many as
-available memory holds (`_workers`).  This process runs its own share
-without waiting for the workers.  A scan's then forms the evolutions
-exp(i tau H) that the workers have not reached yet and hands them over in
-shared memory (`_Handover`); no process ever waits for another's
-evolution, and a handed-over one is bit for bit what the worker would
+Each check's couplings are independent: `verify_pass` and both scans
+hand them to `processes.each_coupling`, which runs them over this process
+and forked workers, with the memory that one coupling holds at its peak.
+A scan also hands over the evolutions exp(i tau H) that its workers have
+not reached yet, each formed by `_evolutions`, the expression its
+contexts use, so a handed-over one is bit for bit what the worker would
 form.  The workers send back small results, and this process forms every
 row, subtraction and fit from them, so a report's bytes do not depend on
 the number of cores.
 
 As in `numerics`, numpy and scipy are imported inside the functions that
-use them, and so is `multiprocessing`, so that importing the command line,
-and running its symbolic path, loads no numerical stack and no process
-pool.
+use them, so that importing the command line, and running its symbolic
+path, loads no numerical stack.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import processes
 from .algebra import OperatorSeries, coeff_abs, largest
 from .models import ModelSpec, momentum_defect
 from .modes import ModeIndex
@@ -78,7 +73,6 @@ _SPARE_MATRICES = 8
 # 7.9 by tracemalloc at 126 to 252 states
 _VERIFY_MATRICES = 8
 SLOPE_FLOOR = 1e-13     # a value at or below this is left out of a slope fit
-_MEMINFO = "/proc/meminfo"
 
 
 class ScanError(ValueError):
@@ -216,10 +210,10 @@ def verify_pass(matrices: CouplingMatrices, lambdas, block: int | None = None,
     A coupling's (H, R) pair is assembled once for both parts, and each
     part's dense matrices are freed before the next part's are formed.  A
     part that has failed in a process runs at none of that process's later
-    couplings.  The couplings are dealt over this process and as many
-    forked workers as `_workers` allows (`_each_coupling`), with K's layout
-    built before the fork; a result is a few numbers, so nothing depends
-    on the number of cores.
+    couplings.  The couplings are dealt over this process and forked
+    workers by `processes.each_coupling`, with K's layout built before the
+    fork; a result is a few numbers, so nothing depends on the number of
+    cores.
     """
     lambdas = list(lambdas)
     basis, modes = matrices.basis, matrices.result.model.system.modes
@@ -268,9 +262,8 @@ def verify_pass(matrices: CouplingMatrices, lambdas, block: int | None = None,
         return out
 
     outcomes: dict = {}
-    _each_coupling(couplings, one, outcomes.__setitem__,
-                   _workers(len(couplings), 16 * n ** 2 * _VERIFY_MATRICES),
-                   who="verify's")
+    processes.each_coupling(couplings, one, outcomes.__setitem__,
+                            16 * n ** 2 * _VERIFY_MATRICES, who="verify's")
     return VerifyPass(lambdas, modes, outcomes)
 
 
@@ -318,6 +311,15 @@ def _site_tuple(x) -> tuple:
     return tuple(x) if isinstance(x, (tuple, list)) else (int(x),)
 
 
+def _evolutions(mh):
+    """The function of the time t that forms exp(i t H) of the dense H: the
+    one expression of an evolution, in a context and in the scan's
+    hand-over alike, so a handed-over one is the worker's own bit for bit."""
+    import scipy.linalg
+
+    return lambda t: scipy.linalg.expm(1j * t * mh)
+
+
 class _LambdaContext:
     """One coupling's dense matrices: H, the dressed vacuum, the A(x,0)
     fields of `sites`, built from exp(+-R) in one pass over the modes when
@@ -327,41 +329,37 @@ class _LambdaContext:
     structure, exp(+R) formed after exp(-R) has passed its checks; they are
     not kept, and not formed where R is zero.  Each process that runs a
     scan's couplings keeps one context alive at a time (see
-    `_each_coupling`)."""
+    `processes.each_coupling`).  On a worker's coupling, `claim` is the
+    function of the time that claims the time's evolution in the scan's
+    hand-over and gives it, or None."""
 
-    # a worker's coupling: a function of the time that claims its slot in
-    # the scan's `_Handover` and gives the evolution published there, or None
-    published = None
-
-    def __init__(self, matrices: CouplingMatrices, lam, sites):
+    def __init__(self, matrices: CouplingMatrices, lam, sites, claim=None):
         import numpy as np
 
         model, basis = matrices.result.model, matrices.basis
         if len(model.system.species) != 1:
             raise ScanError("the field scans support single-species models")
-        self.mh, w, w_inv = dressing_matrices(matrices.pair(lam), lam, plus=True)
+        mh, w, w_inv = dressing_matrices(matrices.pair(lam), lam, plus=True)
+        self._evolve = _evolutions(mh)
         psi = dressed_state(w_inv, basis.vacuum_index(), basis.dimension)
         self.vacuum = psi / np.linalg.norm(psi)
         sites = list(dict.fromkeys(sites))
         self._fields = dict(zip(sites, field_at_origin_time_zero(
             model, basis, w_inv, w, sites)))
+        self._claim = claim
         self._evolution: dict = {}
         self._time, self._held = None, {}
 
     def field(self, site, t: float):
         """A(site, t) = U A(site, 0) U^+, with U = exp(i t H) formed on the
         first call at t and kept.  On a worker's coupling that first call
-        claims the time's slot: U is the one the calling process published
-        there, bit for bit the same, or else formed here."""
-        import scipy.linalg
-
+        claims the time's evolution: U is the one the calling process
+        published, bit for bit the same, or else formed here."""
         if t == 0.0:
             return self._fields[site]
         if t not in self._evolution:
-            u = self.published(t) if self.published else None
-            if u is None:
-                u = scipy.linalg.expm(1j * t * self.mh)
-            self._evolution[t] = u
+            u = self._claim(t) if self._claim else None
+            self._evolution[t] = self._evolve(t) if u is None else u
         u = self._evolution[t]
         return u @ self._fields[site] @ u.conj().T
 
@@ -388,270 +386,6 @@ def _commutator(ax, ay):
     return ax @ ay - ay @ ax
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on: its CPU affinity where the system
-    has one, else every core."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _free_bytes() -> int:
-    """The memory that processes can take without swapping: the kernel's
-    MemAvailable, which counts reclaimable page cache, where the system
-    has /proc/meminfo; else its count of free pages, or 0 where it keeps
-    neither."""
-    try:
-        with open(_MEMINFO, "rb") as fh:
-            for line in fh:
-                if line.startswith(b"MemAvailable:"):
-                    return int(line.split()[1]) * 1024     # in kB
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return 0
-
-
-def _one_thread() -> bool:
-    """Whether this process runs a single thread: its tasks where the system
-    lists them (a BLAS thread pool counts), else Python's threads."""
-    import threading
-
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return threading.active_count() == 1
-
-
-def _workers(couplings: int, context_bytes: int, slot_bytes: int = 0) -> int:
-    """How many worker processes a scan of `couplings` couplings forks
-    beside this process, which runs a share of them too: one per usable
-    core after this process's, no more than the couplings after the first,
-    and no more than available memory holds, beside `slot_bytes` of shared
-    evolutions for each coupling after the first (`_Handover`), a context of
-    `context_bytes` in each process, this one included.  0, so that nothing
-    forks, where this process has other threads."""
-    spare = _free_bytes() - (couplings - 1) * slot_bytes
-    workers = min(_usable_cores() - 1, couplings - 1,
-                  spare // max(context_bytes, 1) - 1)
-    return workers if workers > 0 and _one_thread() else 0
-
-
-def _each_coupling(couplings, one, take, workers: int = 0, who: str = "the scan's",
-                   hand_over=None) -> None:
-    """take(lam, one(lam)) for each coupling in order, each coupling run by
-    one process, which frees what it formed before its next coupling.
-
-    With `workers` (see `_workers`) and a fork start method, the couplings
-    are dealt round-robin over this process and `workers` forked ones:
-    coupling i runs in process i % (workers + 1), where 0 is this one,
-    which so runs the first coupling.  The workers inherit what `one` uses
-    and send back each result.  This process runs its own share without
-    waiting for any worker.  With `hand_over`, a function of the fork
-    context and the workers' couplings that makes their `_Handover`, a
-    worker runs one(lam, published), `published` being the function of the
-    time that claims the coupling's evolution there, and this process
-    then forms the evolutions that the workers have not reached yet and
-    hands them over.  `take` then runs here on every result, in the
-    couplings' order, so nothing it forms depends on the number of cores.
-    Else every coupling runs here, in turn.
-
-    The first coupling that failed raises as it does in turn: the same
-    type, the same message.  A worker that dies raises ArithmeticError
-    naming whose worker it was (`who`), its coupling and the signal or exit
-    code.  Every worker is joined, and every hand-over slot unmapped,
-    before this returns or raises.
-    """
-    if workers:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            _fork_each(multiprocessing.get_context("fork"), one, take, couplings,
-                       workers + 1, who, hand_over)
-            return
-    for lam in couplings:
-        take(lam, one(lam))
-
-
-def _fork_each(ctx, one, take, couplings, processes: int, who: str, hand_over) -> None:
-    """take(lam, one(lam)) for each coupling in order, coupling i run by
-    process i % `processes`: 0 is this one, the others are forked from
-    `ctx`.  This process runs its share first, keeping each result or its
-    first failure, then publishes the workers' pending evolutions if it
-    hands any over, then takes every result in order (see
-    `_each_coupling`)."""
-    handover = None
-    if hand_over is not None:
-        try:
-            handover = hand_over(ctx, [lam for i, lam in enumerate(couplings)
-                                       if i % processes])
-        except (ImportError, OSError):  # no semaphores or shared maps here
-            pass                        # (no /dev/shm, say): no hand-over
-
-    def worker_one(lam):
-        if handover is None:
-            return one(lam)
-        return one(lam, functools.partial(handover.claim, lam))
-
-    pipes, procs = {}, {}       # worker k's end of its pipe, its process
-    done = False
-    try:
-        for k in range(1, processes):
-            pipes[k], send = ctx.Pipe(duplex=False)
-            procs[k] = ctx.Process(target=_serve, args=(
-                worker_one, couplings[k::processes], send.send))
-            procs[k].start()
-            send.close()
-        own: list = []
-        _serve(one, couplings[::processes], own.append)
-        if handover is not None:
-            handover.publish()
-        own = iter(own)
-        for i, lam in enumerate(couplings):
-            k = i % processes
-            if k == 0:
-                ok, value = next(own)
-            else:
-                try:
-                    ok, value = pipes[k].recv()
-                except EOFError:
-                    procs[k].join()
-                    raise ArithmeticError(
-                        f"{who} worker process for coupling {lam!r} died "
-                        f"({_ending(procs[k].exitcode)})") from None
-            if not ok:
-                raise value
-            take(lam, value)
-        done = True
-    finally:
-        for proc in procs.values():
-            if not done:
-                proc.terminate()
-            proc.join()
-        for recv in pipes.values():
-            recv.close()
-        if handover is not None:
-            handover.close()
-
-
-def _serve(one, couplings, send) -> None:
-    """A share's loop: send((True, one(lam))) for each coupling in turn, or
-    at the first failure send((False, the exception)), and stop.  A worker
-    sends through its pipe; this process keeps its own share's."""
-    for lam in couplings:
-        try:
-            send((True, one(lam)))
-        except Exception as exc:        # raised in the parent, in order
-            send((False, exc))
-            return
-
-
-# a hand-over slot's states
-_EMPTY, _CLAIMED, _PUBLISHED = 0, 1, 2
-# the slot lock is held for one byte: a holder that keeps it this long has died
-_LOCK_SECONDS = 1.0
-
-
-class _Handover:
-    """exp(i t H(lam)) for each worker coupling lam and nonzero time t, formed
-    by whichever of the calling process and the coupling's worker gets to
-    it first, so that neither ever waits for the other's.
-
-    A slot is a state byte and a 16 n^2-byte anonymous shared mmap, both
-    mapped before the fork so that every process sees the same pages; the
-    state bytes change under one lock.  The worker claims its slot when its
-    context first evolves to the time (`claim`), and takes the matrix if it
-    was published.  The calling process, its own share done, forms every
-    slot that is still unclaimed, in coupling order, and publishes it only
-    if it is still unclaimed then (`publish`).  It takes H(lam) from the
-    same assembler in `matrices` and forms exp(i t H) by the context's own
-    expression, so a published matrix is the worker's own, bit for bit."""
-
-    def __init__(self, ctx, matrices: CouplingMatrices, couplings, times):
-        import mmap
-
-        self._matrices = matrices
-        self._n = matrices.basis.dimension
-        self._lock = ctx.Lock()
-        index = itertools.count()
-        # lam -> t -> slot index, in coupling order
-        self._slots = {lam: {t: next(index) for t in times} for lam in couplings}
-        slots = len(couplings) * len(times)
-        self._states = mmap.mmap(-1, slots)
-        self._buffers = [mmap.mmap(-1, 16 * self._n ** 2) for _ in range(slots)]
-
-    def _exchange(self, i: int, state: int, only_from: int | None = None):
-        """Slot i's state before, set to `state` (only where it was
-        `only_from`, if given); None, with nothing changed, where the lock
-        is not had within `_LOCK_SECONDS`."""
-        if not self._lock.acquire(timeout=_LOCK_SECONDS):
-            return None
-        try:
-            before = self._states[i]
-            if only_from is None or before == only_from:
-                self._states[i] = state
-            return before
-        finally:
-            self._lock.release()
-
-    def _matrix(self, i: int):
-        import numpy as np
-
-        return np.frombuffer(self._buffers[i], dtype=complex).reshape(self._n, self._n)
-
-    def claim(self, lam, t):
-        """The worker's side: exp(i t H(lam)) as published, or None, so that
-        the caller forms its own; the slot is claimed either way."""
-        i = self._slots[lam][t]
-        if self._exchange(i, _CLAIMED) != _PUBLISHED:
-            return None
-        return self._matrix(i).copy()
-
-    def publish(self) -> None:
-        """The calling process's side: form and publish each slot that its
-        worker has not claimed, in coupling order, with H(lam) formed once
-        per coupling.  A slot whose forming raises is left to its worker,
-        which forms its own, and raises, if it does, as it would alone."""
-        import scipy.linalg
-
-        for lam, slots in self._slots.items():
-            mh = None
-            for t, i in slots.items():
-                if self._states[i] != _EMPTY:   # read unlocked: a stale read costs work only
-                    continue
-                try:
-                    if mh is None:
-                        mh = self._matrices.pair(lam)[0].toarray()
-                    self._matrix(i)[...] = scipy.linalg.expm(1j * t * mh)
-                except Exception:
-                    continue
-                if self._exchange(i, _PUBLISHED, only_from=_EMPTY) is None:
-                    return
-
-    def close(self) -> None:
-        """Unmap every slot and drop the lock's semaphore, even while a
-        traceback still holds this object."""
-        for buffer in self._buffers:
-            buffer.close()
-        self._states.close()
-        self._lock = None
-
-
-def _ending(exitcode: int) -> str:
-    """How a process ended, from its multiprocessing exit code."""
-    import signal
-
-    if exitcode < 0:
-        try:
-            return f"signal {signal.Signals(-exitcode).name}"
-        except ValueError:
-            return f"signal {-exitcode}"
-    return f"exit code {exitcode}"
-
-
 def _commutator_scan(matrices: CouplingMatrices, couplings, points, block: int,
                      take) -> None:
     """take(lam, rows) for each coupling in order, `rows` holding, for each
@@ -660,11 +394,12 @@ def _commutator_scan(matrices: CouplingMatrices, couplings, points, block: int,
     and |<vacuum| C |vacuum>|, for the dressing result and basis of
     `matrices`.
 
-    Each coupling is scanned through its own context by `_each_coupling`,
-    spread over this process and as many worker processes as `_workers`
-    allows, with the workers' pending evolutions handed over (`_Handover`)
-    where a point has a nonzero time.  A context forms each (site, time)'s
-    field once while the points stay at that time (`_LambdaContext.at`).
+    Each coupling is scanned through its own context by
+    `processes.each_coupling`, with the workers' pending evolutions handed
+    over where a point has a nonzero time: the calling process forms H once
+    per coupling, and each evolution by `_evolutions`.  A context forms each
+    (site, time)'s field once while the points stay at that time
+    (`_LambdaContext.at`).
     """
     import numpy as np
 
@@ -672,9 +407,8 @@ def _commutator_scan(matrices: CouplingMatrices, couplings, points, block: int,
     sites = list(dict.fromkeys(s for point in points for s, _ in point))
     times = list(dict.fromkeys(t for point in points for _, t in point if t != 0.0))
 
-    def one(lam, published=None):
-        context = _LambdaContext(matrices, lam, sites)
-        context.published = published
+    def one(lam, claim=None):
+        context = _LambdaContext(matrices, lam, sites, claim)
         rows = []
         for (x, tx), (y, ty) in points:
             c = _commutator(context.at(x, tx), context.at(y, ty))
@@ -683,14 +417,13 @@ def _commutator_scan(matrices: CouplingMatrices, couplings, points, block: int,
         return rows
 
     # a context's peak: H, its fields, one time's held fields, its
-    # evolutions and the spare matrices of its build and of one commutator;
-    # a worker coupling's hand-over slots hold one more evolution per time
-    matrix_bytes = 16 * matrices.basis.dimension ** 2
-    context_bytes = matrix_bytes * (2 * len(sites) + len(times) + _SPARE_MATRICES)
-    _each_coupling(couplings, one, take,
-                   _workers(len(couplings), context_bytes, matrix_bytes * len(times)),
-                   hand_over=(lambda fork, owned: _Handover(fork, matrices, owned, times))
-                   if times else None)
+    # evolutions and the spare matrices of its build and of one commutator
+    n = matrices.basis.dimension
+    processes.each_coupling(
+        couplings, one, take, 16 * n ** 2 * (2 * len(sites) + len(times) + _SPARE_MATRICES),
+        who="the scan's",
+        shared=(times, (n, n), lambda lam: _evolutions(matrices.pair(lam)[0].toarray()))
+        if times else None)
 
 
 def equal_time_scan(matrices: CouplingMatrices, times, lambdas, site_pairs,

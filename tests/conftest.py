@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from latticedress import checks
+from latticedress import processes
 from latticedress.cli import _THREAD_VARIABLES, report_chunks
 from latticedress.config import _put, parse_config
 from latticedress.modes import FieldSpecies, LatticeSpec, ModeSystem
@@ -38,7 +38,7 @@ def system1():
 def serial(monkeypatch):
     """One usable core: the scans and `verify` run every coupling in this
     process, where a test can count what they call."""
-    monkeypatch.setattr(checks, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 1)
 
 
 def run_python(args, pinned=True, **env):

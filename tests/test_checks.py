@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from latticedress import checks, cli
+from latticedress import checks, cli, processes
 from latticedress.checks import (
     ZERO_FLOOR,
     ScanError,
@@ -49,7 +49,7 @@ def small_basis(small_model):
 # of this process's id and the values to the file named by argv[1]
 FORKED_PRELUDE = """
 import json, multiprocessing, os, sys
-from latticedress import checks
+from latticedress import checks, processes
 from latticedress.checks import equal_time_scan, spacelike_scan
 from latticedress.dressing import dress
 from latticedress.models import build_model
@@ -61,7 +61,7 @@ model = build_model("phi3", lattice=LatticeSpec(dim=1, sites_per_dim=3,
 result = dress(model)
 basis = FockBasis(model.system, 4, 4)
 parent = os.getpid()
-checks._usable_cores = lambda: 3
+processes._usable_cores = lambda: 3
 
 def log(*values):
     with open(sys.argv[1], "a") as fh:
@@ -486,9 +486,9 @@ def test_scans_keep_one_context_alive(monkeypatch, serial, small_basis, small_re
     init = checks._LambdaContext.__init__
     built = []
 
-    def tracked(self, matrices, lam, sites):
+    def tracked(self, matrices, lam, sites, claim=None):
         assert not list(alive), f"a context is alive when coupling {lam}'s is built"
-        init(self, matrices, lam, sites)
+        init(self, matrices, lam, sites, claim)
         alive.add(self)
         built.append(lam)
 
@@ -519,9 +519,9 @@ def test_spacelike_scan_keeps_only_the_baseline_blocks(monkeypatch, serial, smal
     alive = []
     init = checks._LambdaContext.__init__
 
-    def counted(self, matrices, lam, sites):
+    def counted(self, matrices, lam, sites, claim=None):
         alive.append(sum(ref() is not None for ref in blocks))
-        init(self, matrices, lam, sites)
+        init(self, matrices, lam, sites, claim)
 
     monkeypatch.setattr(checks, "block_norm", tracked)
     monkeypatch.setattr(checks._LambdaContext, "__init__", counted)
@@ -536,9 +536,9 @@ import weakref
 alive = weakref.WeakSet()
 init = checks._LambdaContext.__init__
 
-def tracked(self, matrices, lam, sites):
+def tracked(self, matrices, lam, sites, claim=None):
     assert not list(alive), f"a context is alive when coupling {lam}'s is built"
-    init(self, matrices, lam, sites)
+    init(self, matrices, lam, sites, claim)
     alive.add(self)
     log(lam)
 
@@ -722,7 +722,7 @@ cfg = parse_config("model:\\n  lattice: {sites_per_dim: 3, physical_length: 3.0}
                    "numerics: {per_mode_cutoff: 3, total_cutoff: 3}\\n")
 reports = []
 for cores in (1, 2, 3):
-    checks._usable_cores = lambda: cores
+    processes._usable_cores = lambda: cores
     out = os.path.join(sys.argv[3], str(cores))
     code = cli.run(cfg, "verify", out)
     with open(os.path.join(out, "report.json"), "rb") as fh:
@@ -937,15 +937,15 @@ def scans():
 
 build = checks._LambdaContext.__init__
 
-def logged(self, matrices, lam, sites):
+def logged(self, matrices, lam, sites, claim=None):
     log(lam)
-    build(self, matrices, lam, sites)
+    build(self, matrices, lam, sites, claim)
 
 checks._LambdaContext.__init__ = logged
 three = scans()
-checks._usable_cores = lambda: 2
+processes._usable_cores = lambda: 2
 two = scans()
-checks._usable_cores = lambda: 1
+processes._usable_cores = lambda: 1
 serial = scans()
 print(json.dumps([three == serial, two == serial, len(serial[0].points),
                   len(serial[1].points)]))
@@ -984,7 +984,7 @@ def failing(matrices, lam, plus=False):
 checks.dressing_matrices = failing
 
 def outcome(scan, cores):
-    checks._usable_cores = lambda: cores
+    processes._usable_cores = lambda: cores
     matrices = CouplingMatrices(result, basis)
     try:
         if scan == "spacelike":
@@ -1060,6 +1060,66 @@ def test_a_worker_that_dies_is_a_setup_failure(tmp_path, how, ending):
     assert children == 0
 
 
+FORK_FAILURE_SCRIPT = """
+import errno, multiprocessing.connection, multiprocessing.process
+from latticedress import cli
+from latticedress.config import load_config
+
+def shared():
+    # shared writable mappings: the hand-over slots and the slot lock
+    with open("/proc/self/maps") as fh:
+        return sum(" rw-s " in line for line in fh)
+
+kind, which = sys.argv[2], int(sys.argv[3])
+real = {"start": multiprocessing.process.BaseProcess.start,
+        "pipe": multiprocessing.connection.Pipe}
+calls, started = [], []
+
+def refusing(name):
+    def refused(*args, **kwargs):
+        if name == kind:
+            calls.append(name)
+            if len(calls) == which:     # as a pids or open-files limit refuses
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        out = real[name](*args, **kwargs)
+        if name == "start":
+            started.append(1)
+        return out
+    return refused
+
+cfg = load_config(sys.argv[4])
+processes._usable_cores = lambda: 1
+one_core = cli.run(cfg, "scan", os.path.join(sys.argv[5], "1"))
+multiprocessing.process.BaseProcess.start = refusing("start")
+multiprocessing.connection.Pipe = refusing("pipe")
+processes._usable_cores = lambda: 3
+before = shared()
+code = cli.run(cfg, "scan", os.path.join(sys.argv[5], "3"))
+after = shared()
+reports = [open(os.path.join(sys.argv[5], cores, "report.json"), "rb").read()
+           for cores in ("1", "3")]
+print(json.dumps([one_core, code, reports[0] == reports[1], before, after, len(calls),
+                  len(started), len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="the system lists no process mappings")
+@pytest.mark.parametrize("kind, which", [("start", 1), ("start", 2), ("pipe", 2)],
+                         ids=["first start", "second start", "second pipe"])
+def test_a_worker_that_cannot_start_leaves_the_one_core_report(tmp_path, kind, which):
+    # the spacelike scan of configs/phi3-scan.yaml on three cores, whose
+    # second or first worker cannot be started: the workers that started
+    # are ended, the hand-over is unmapped, and every coupling runs in the
+    # calling process, which writes the one-core report with its exit code
+    (one_core, code, same, before, after, refused, started, children), _ = _forked(
+        tmp_path, FORK_FAILURE_SCRIPT, kind, which,
+        REPO_ROOT / "configs" / "phi3-scan.yaml", tmp_path / "out")
+    assert code == one_core == 0 and same
+    assert refused == which and started == (1 if kind == "pipe" else which - 1)
+    assert after == before and children == 0
+
+
 NO_WAIT_SCRIPT = """
 import time
 
@@ -1073,7 +1133,7 @@ def slowed(matrices, lam, plus=False):
         log("woke", lam)
     return build(matrices, lam, plus)
 
-checks._usable_cores = lambda: 2
+processes._usable_cores = lambda: 2
 checks.dressing_matrices = slowed
 spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
                grid=[((0,), (1,), 1.0)])
@@ -1107,7 +1167,7 @@ def slowed(matrices, lam, plus=False):
 checks.dressing_matrices = slowed
 
 def outcome(cores):
-    checks._usable_cores = lambda: cores
+    processes._usable_cores = lambda: cores
     try:
         rep = spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
                              grid=[((0,), (1,), 1.0), ((0,), (2,), 0.5)])
@@ -1117,7 +1177,7 @@ def outcome(cores):
 """
 
 PUBLISHED_SCRIPT = HANDOVER_PRELUDE + """
-claim = checks._Handover.claim
+claim = processes._Handover.claim
 
 def compared(self, lam, t):
     u = claim(self, lam, t)
@@ -1129,7 +1189,7 @@ def compared(self, lam, t):
                      u.strides == own.strides])
     return u
 
-checks._Handover.claim = compared
+processes._Handover.claim = compared
 print(json.dumps(outcome(2) == outcome(1)))
 """
 
@@ -1148,7 +1208,7 @@ HELPER_FAILS_SCRIPT = HANDOVER_PRELUDE + """
 from latticedress.numerics import OracleError
 
 expm = scipy.linalg.expm
-publish = checks._Handover.publish
+publish = processes._Handover.publish
 helping = []
 
 def failing_expm(a, *args, **kwargs):
@@ -1170,7 +1230,7 @@ def refused(matrices, lam, plus=False):
     return slowed(matrices, lam, plus)
 
 scipy.linalg.expm = failing_expm
-checks._Handover.publish = flagged
+processes._Handover.publish = flagged
 checks.dressing_matrices = refused
 two, serial = outcome(2), outcome(1)
 print(json.dumps([two == serial, serial if sys.argv[2] == "failing" else None]))
@@ -1192,7 +1252,7 @@ def test_a_helper_whose_expm_raises_changes_nothing(tmp_path, scan):
 
 
 NO_SEMAPHORE_SCRIPT = HANDOVER_PRELUDE + """
-claim = checks._Handover.claim
+claim = processes._Handover.claim
 
 def logged(self, lam, t):
     log(lam, t)
@@ -1201,7 +1261,7 @@ def logged(self, lam, t):
 def refused(self):
     raise ImportError("This platform lacks a functioning sem_open implementation")
 
-checks._Handover.claim = logged
+processes._Handover.claim = logged
 multiprocessing.context.BaseContext.Lock = refused
 print(json.dumps([outcome(3) == outcome(1), outcome(2) == outcome(1),
                   len(multiprocessing.active_children())]))
@@ -1223,10 +1283,12 @@ def test_a_held_slot_lock_holds_up_no_process(monkeypatch, small_basis, small_re
     import multiprocessing
     import scipy.linalg
 
-    monkeypatch.setattr(checks, "_LOCK_SECONDS", 0.01)
+    monkeypatch.setattr(processes, "_LOCK_SECONDS", 0.01)
     matrices = CouplingMatrices(small_result, small_basis)
-    handover = checks._Handover(multiprocessing.get_context("fork"), matrices,
-                                [0.1, 0.2], [1.0, 0.5])
+    n = small_basis.dimension
+    handover = processes._Handover(
+        multiprocessing.get_context("fork"), [0.1, 0.2], [1.0, 0.5], (n, n),
+        lambda lam: checks._evolutions(matrices.pair(lam)[0].toarray()))
     try:
         handover._lock.acquire()
         handover.publish()
@@ -1251,7 +1313,7 @@ def shared():
         return sum(" rw-s " in line for line in fh)
 
 build = checks.dressing_matrices
-publish = checks._Handover.publish
+publish = processes._Handover.publish
 during = []
 
 def dying(matrices, lam, plus=False):
@@ -1264,7 +1326,7 @@ def counted(self):
     publish(self)
 
 checks.dressing_matrices = dying
-checks._Handover.publish = counted
+processes._Handover.publish = counted
 before = shared()
 try:
     spacelike_scan(CouplingMatrices(result, basis), lambdas=[0.05, 0.1, 0.2],
@@ -1311,12 +1373,12 @@ def test_scans_fork_nothing_where_they_stay_serial(monkeypatch, small_basis,
         raise AssertionError("a worker process was asked for")
 
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
-    monkeypatch.setattr(checks, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(checks, "_one_thread", lambda: one_thread)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(processes, "_one_thread", lambda: one_thread)
     if spare:
         monkeypatch.setattr(checks, "_SPARE_MATRICES", spare)
     else:
-        monkeypatch.setattr(checks, "_free_bytes", lambda: 2**60)
+        monkeypatch.setattr(processes, "_free_bytes", lambda: 2**60)
     matrices = CouplingMatrices(small_result, small_basis)
     if scan == "equal_time":
         rep = equal_time_scan(matrices, times=[0.0], lambdas=lambdas,
@@ -1330,31 +1392,31 @@ def test_workers_fit_beside_this_process(monkeypatch):
     # one process per usable core, this one included; no more workers than
     # couplings after the first; no more contexts than free memory holds,
     # this process's included
-    monkeypatch.setattr(checks, "_one_thread", lambda: True)
-    monkeypatch.setattr(checks, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(processes, "_one_thread", lambda: True)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 8)
     free = 10**12
-    monkeypatch.setattr(checks, "_free_bytes", lambda: free)
-    assert checks._workers(4, 100) == 3
-    assert checks._workers(20, 100) == 7
+    monkeypatch.setattr(processes, "_free_bytes", lambda: free)
+    assert processes._workers(4, 100) == 3
+    assert processes._workers(20, 100) == 7
     for free, workers in [(399, 2), (300, 2), (299, 1), (199, 0), (0, 0)]:
-        assert checks._workers(20, 100) == workers
+        assert processes._workers(20, 100) == workers
     # the hand-over slots of every coupling after the first come off first
     for free, workers in [(10**12, 7), (300 + 19 * 50, 2), (299 + 19 * 50, 1)]:
-        assert checks._workers(20, 100, 50) == workers
-    monkeypatch.setattr(checks, "_one_thread", lambda: False)
+        assert processes._workers(20, 100, 50) == workers
+    monkeypatch.setattr(processes, "_one_thread", lambda: False)
     free = 10**12
-    assert checks._workers(20, 100) == 0
+    assert processes._workers(20, 100) == 0
 
 
 def test_free_memory_is_zero_where_the_system_does_not_count_it(monkeypatch, tmp_path):
-    assert checks._free_bytes() > 0
+    assert processes._free_bytes() > 0
 
     def uncounted(name):
         raise ValueError(f"unrecognized configuration name {name}")
 
-    monkeypatch.setattr(checks, "_MEMINFO", str(tmp_path / "no-meminfo"))
+    monkeypatch.setattr(processes, "_MEMINFO", str(tmp_path / "no-meminfo"))
     monkeypatch.setattr(os, "sysconf", uncounted)
-    assert checks._free_bytes() == 0
+    assert processes._free_bytes() == 0
 
 
 def test_free_memory_is_what_the_kernel_calls_available(monkeypatch, tmp_path):
@@ -1363,8 +1425,8 @@ def test_free_memory_is_what_the_kernel_calls_available(monkeypatch, tmp_path):
     meminfo = tmp_path / "meminfo"
     meminfo.write_text("MemTotal:       16000000 kB\nMemFree:         6000000 kB\n"
                        "MemAvailable:    7500000 kB\nBuffers:          100000 kB\n")
-    monkeypatch.setattr(checks, "_MEMINFO", str(meminfo))
-    assert checks._free_bytes() == 7500000 * 1024
+    monkeypatch.setattr(processes, "_MEMINFO", str(meminfo))
+    assert processes._free_bytes() == 7500000 * 1024
 
 
 @pytest.mark.parametrize("meminfo", [None, "MemTotal: 16000000 kB\nMemFree: 6000 kB\n",
@@ -1374,19 +1436,19 @@ def test_free_memory_falls_back_to_the_free_page_count(monkeypatch, tmp_path, me
     path = tmp_path / "meminfo"
     if meminfo is not None:
         path.write_text(meminfo)
-    monkeypatch.setattr(checks, "_MEMINFO", str(path))
+    monkeypatch.setattr(processes, "_MEMINFO", str(path))
     pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    assert checks._free_bytes() == 1000 * 4096
+    assert processes._free_bytes() == 1000 * 4096
 
 
 def test_usable_cores_are_the_affinity(monkeypatch):
     # `taskset -c 0` leaves one usable core, so the scans stay serial
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert checks._usable_cores() == 1
+    assert processes._usable_cores() == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert checks._usable_cores() == 5
+    assert processes._usable_cores() == 5
 
 
 def test_a_running_thread_keeps_the_scans_serial():
@@ -1394,7 +1456,7 @@ def test_a_running_thread_keeps_the_scans_serial():
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not checks._one_thread()
+        assert not processes._one_thread()
     finally:
         stop.set()
         thread.join()

@@ -1088,9 +1088,9 @@ def test_golden_oracle_report_without_thread_variables(tmp_path, command, text, 
 
 FORCED_CORES_SCRIPT = """
 import sys
-from latticedress import checks, cli
+from latticedress import cli, processes
 
-checks._usable_cores = lambda: int(sys.argv[1])
+processes._usable_cores = lambda: int(sys.argv[1])
 sys.exit(cli.main(sys.argv[2:]))
 """
 
